@@ -18,7 +18,7 @@ from .harness import (ExperimentConfig, MriDemoResult, SweepResult,
                       run_error_curve, run_mri_demo, run_t0_sweep)
 from .rng import RngStream
 from .samplers import (CcdfConfig, ccdf_sample, forward_diffuse,
-                       langevin_corrector, reverse_step_ddim,
+                       langevin_corrector, reverse_path, reverse_step_ddim,
                        reverse_step_ddpm, reverse_step_smld)
 from .schedules import (ForwardCoeffs, SamplerKind, Schedule, forward_coeffs,
                         make_ve_schedule, make_vp_schedule,

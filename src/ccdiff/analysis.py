@@ -27,64 +27,28 @@ import numpy as np
 
 from .consistency import hutchinson_tau
 from .errors import ValidationError
-from .schedules import SamplerKind, Schedule, check_step_index
-
-
-def _sigma_view(schedule: Schedule, kind: SamplerKind) -> np.ndarray:
-    """The sigma array driving the contraction algebra for a sampler kind."""
-    if kind is SamplerKind.SMLD:
-        if schedule.is_vp:
-            raise ValidationError("SMLD analysis requires a VE schedule")
-        return schedule.sigma
-    if kind is SamplerKind.DDIM:
-        return schedule.ddim_sigma if schedule.is_vp else schedule.sigma
-    raise ValidationError(f"no sigma view for kind {kind.value}")
+from .samplers import RULES
+from .schedules import SamplerKind, Schedule, check_family, check_step_index
 
 
 def contraction_rate(schedule: Schedule, kind: SamplerKind,
                      n_prime: int) -> tuple[float, np.ndarray]:
     """Per-step contraction factors lambda_i for i = 1..N' and their maximum.
 
-    DDPM: lambda_i = sqrt(alpha_i) (1 - alpha_bar_{i-1}) / (1 - alpha_bar_i)
-    SMLD: lambda_i = (sigma_{i-1}^2 - sigma_0^2) / (sigma_i^2 - sigma_0^2)
-    DDIM: lambda_i = sigma_{i-1} / sigma_i   (reparameterized sigma)
+    The closed form of each kind is in its rule, ``samplers.RULES``.
     """
     n_prime = check_step_index(schedule, n_prime)
-    i = np.arange(1, n_prime + 1)
-    if kind is SamplerKind.DDPM:
-        if not schedule.is_vp:
-            raise ValidationError("DDPM analysis requires a VP schedule")
-        lam = (np.sqrt(schedule.alpha[i])
-               * (1.0 - schedule.alpha_bar[i - 1]) / (1.0 - schedule.alpha_bar[i]))
-    elif kind is SamplerKind.SMLD:
-        s = _sigma_view(schedule, kind)
-        s0sq = s[0] ** 2
-        lam = (s[i - 1] ** 2 - s0sq) / (s[i] ** 2 - s0sq)
-    else:
-        s = _sigma_view(schedule, kind)
-        lam = s[i - 1] / s[i]
+    lam = RULES[kind].lam(schedule, np.arange(1, n_prime + 1))
     lam = np.ascontiguousarray(lam, dtype=np.float64)
     return float(lam.max()), lam
 
 
 def noise_constant_per_step(schedule: Schedule, kind: SamplerKind,
                             n_prime: int, n: int) -> np.ndarray:
-    """Per-step noise constants C_j = n g_j^2 for j = 1..N'.
-
-    DDPM: g_j^2 = 1 - alpha_j = beta_j; SMLD: sigma_j^2 - sigma_{j-1}^2;
-    DDIM: 0 (no noise term).
-    """
+    """Per-step noise constants C_j = n g_j^2 for j = 1..N' (g_j^2 from the
+    kind's rule; DDPM: 1 - alpha_j = beta_j, DDIM: 0)."""
     n_prime = check_step_index(schedule, n_prime)
-    j = np.arange(1, n_prime + 1)
-    if kind is SamplerKind.DDPM:
-        if not schedule.is_vp:
-            raise ValidationError("DDPM analysis requires a VP schedule")
-        g2 = schedule.beta[j]
-    elif kind is SamplerKind.SMLD:
-        s = _sigma_view(schedule, kind)
-        g2 = s[j] ** 2 - s[j - 1] ** 2
-    else:
-        g2 = np.zeros(n_prime)
+    g2 = RULES[kind].g2(schedule, np.arange(1, n_prime + 1))
     return np.ascontiguousarray(n * g2, dtype=np.float64)
 
 
@@ -117,23 +81,12 @@ def noise_constant_candidates(schedule: Schedule, kind: SamplerKind,
 
 def contraction_forward_coeffs(schedule: Schedule, kind: SamplerKind,
                                i: int) -> tuple[float, float]:
-    """Forward coefficients (a_i, b_i) in the coordinates of the contraction.
-
-    DDPM: (sqrt(alpha_bar_i), sqrt(1 - alpha_bar_i)); SMLD: (1,
-    sqrt(sigma_i^2 - sigma_0^2)); DDIM: (1, sigma_i) in the reparameterized
-    coordinates (the forward kernel there is x_bar_i = x_bar_0 + sigma_i z).
+    """Forward coefficients (a_i, b_i) in the coordinates of the contraction,
+    from the kind's rule.  For DDIM the forward kernel in the reparameterized
+    coordinates is x_bar_i = x_bar_0 + sigma_i z, so (a_i, b_i) = (1, sigma_i).
     """
     i = check_step_index(schedule, i)
-    if kind is SamplerKind.DDPM:
-        if not schedule.is_vp:
-            raise ValidationError("DDPM analysis requires a VP schedule")
-        ab = schedule.alpha_bar[i]
-        return float(np.sqrt(ab)), float(np.sqrt(1.0 - ab))
-    if kind is SamplerKind.SMLD:
-        s = _sigma_view(schedule, kind)
-        return 1.0, float(np.sqrt(s[i] ** 2 - s[0] ** 2))
-    s = _sigma_view(schedule, kind)
-    return 1.0, float(s[i])
+    return RULES[kind].coords(schedule, i)
 
 
 def forward_error(eps0: float, schedule: Schedule, kind: SamplerKind,
@@ -295,8 +248,7 @@ def minimal_shortcut(eps0: float, mu: float, schedule: Schedule,
     N = schedule.N
 
     if kind is SamplerKind.DDPM:
-        if not schedule.is_vp:
-            raise ValidationError("DDPM shortcut search requires a VP schedule")
+        check_family(schedule, kind, "the DDPM shortcut search")
         lower = 2.0 * math.log(4.0 * n / (mu * eps0))
         upper = mu * eps0 / (4.0 * n * tau) if tau > 0 else math.inf
         checks = {"lower_threshold": lower, "upper_threshold": upper}
@@ -313,8 +265,8 @@ def minimal_shortcut(eps0: float, mu: float, schedule: Schedule,
                       f"already violates N' beta_N' <= mu eps0/(4 n tau) = {upper:.6g}")
         return ShortcutResult(False, None, reason, checks)
 
+    s = RULES[kind].sigma(schedule)
     if kind is SamplerKind.SMLD:
-        s = _sigma_view(schedule, kind)
         smin2, smax2 = float(s[1] ** 2), float(s[N] ** 2)
         pre_min = mu ** 1.5 * eps0 / (8.0 * n)
         pre_max = mu * eps0 / (4.0 * n)
@@ -341,7 +293,6 @@ def minimal_shortcut(eps0: float, mu: float, schedule: Schedule,
                               f"[{lo:.6g}, {hi:.6g}]", checks)
 
     # DDIM
-    s = _sigma_view(schedule, kind)
     s0sq = float(s[0] ** 2)
     cap = mu * eps0 / (4.0 * n)
     floor = eps0 / (2.0 * n)

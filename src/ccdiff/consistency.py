@@ -25,7 +25,7 @@ except ImportError:  # pragma: no cover - numpy fallback
 
 from .errors import NumericFailure, ValidationError
 from .rng import RngStream
-from .schedules import SamplerKind, Schedule, check_step_index, forward_coeffs
+from .schedules import SamplerKind, Schedule, check_family, forward_coeffs
 
 
 def _fft2(x):
@@ -84,9 +84,6 @@ class IdentityOp(ConsistencyOp):
     def offset(self, i, rng, batch_shape=()):
         return 0.0
 
-    def apply(self, x, i, rng):
-        return np.asarray(x, dtype=np.float64)
-
     def vanilla_init(self):
         if self.measurement is None:
             raise ValidationError("identity operator was built without a measurement")
@@ -103,16 +100,12 @@ class _DiffusedAnchorOp(ConsistencyOp):
             raise ValidationError(
                 f"measurement shape {self.measurement.shape} != operator shape {self.shape}"
             )
-        if kind is SamplerKind.SMLD and schedule.is_vp:
-            raise ValidationError("SMLD anchors need a VE schedule")
-        if kind is not SamplerKind.SMLD and not schedule.is_vp:
-            raise ValidationError(f"{kind.value} anchors need a VP schedule")
+        check_family(schedule, kind, f"a {kind.value} anchor")
         self.schedule = schedule
         self.kind = kind
 
     def diffused_measurement(self, i, rng, batch_shape=()):
         """x_hat_i = a_i x_hat_0 + b_i z with z drawn once from rng."""
-        check_step_index(self.schedule, i)
         c = forward_coeffs(self.schedule, i)
         if rng is None:
             z = 0.0
@@ -208,9 +201,9 @@ class MriOp(ConsistencyOp):
     F is the unitary 2D DFT, D keeps the sampled k-space locations, and y is
     the measured k-space (zero off the mask support).  The internal
     arithmetic is complex; the sampler state is real, so ``apply`` returns
-    the real part.  For conjugate-symmetric masks and y from a real image
-    the imaginary residual is at roundoff level and A restricted to real
-    images is an orthogonal projection with tau = (n - m)/n.
+    the real part.  The mask must be conjugate-symmetric: only then, for y
+    from a real image, is the imaginary residual at roundoff level and A
+    restricted to real images an orthogonal projection with tau = (n - m)/n.
     """
 
     def __init__(self, mask, y):
@@ -223,6 +216,8 @@ class MriOp(ConsistencyOp):
         m = int(mask.sum())
         if m == 0:
             raise ValidationError("empty k-space mask")
+        if not is_conjugate_symmetric(mask):
+            raise ValidationError("MRI mask must be conjugate-symmetric for real output")
         n = mask.size
         super().__init__(mask.shape, (n - m) / n, f"mri kept={m}/{n}")
         self.mask = mask

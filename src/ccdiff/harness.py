@@ -25,13 +25,10 @@ from .analysis import (bound_traces, contraction_rate, forward_error,
                        noise_constant_per_step, tau_of)
 from .errors import ValidationError
 from .rng import RngStream
-from .samplers import (CcdfConfig, ccdf_sample, langevin_corrector,
-                       reverse_step_ddim, reverse_step_ddpm,
-                       reverse_step_smld)
-from .schedules import (SamplerKind, Schedule, forward_coeffs,
-                        make_ve_schedule, step_index_of_time)
+from .samplers import RULES, CcdfConfig, ccdf_sample, reverse_path
+from .schedules import SamplerKind, Schedule, forward_coeffs, make_ve_schedule
 from .score import ConditionalScoreOracle, GaussianScoreOracle, ScoreOracle
-from .consistency import MriOp, gaussian1d_mask, is_conjugate_symmetric, mri_measure
+from .consistency import MriOp, mri_measure
 
 
 @dataclass(frozen=True)
@@ -137,13 +134,16 @@ def _sq_norms(d: np.ndarray) -> np.ndarray:
 def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
     """Coupled-pair Monte Carlo of the shortcut reverse path.
 
-    Errors are recorded in the contraction coordinates of the sampler kind
-    (plain coordinates except for the deterministic sampler, which is scaled
-    by 1/sqrt(alpha_bar_i)); the bound traces use the matching forward
-    error, so empirical and theoretical columns are directly comparable.
+    The pair runs through ``reverse_path``, the loop ``ccdf_sample`` runs, so
+    the curve certifies exactly the sampler's map.  Errors are recorded in
+    the contraction coordinates of the sampler kind (plain coordinates
+    except for the deterministic sampler, which is scaled by
+    1/sqrt(alpha_bar_i)); the bound traces use the matching forward error,
+    so empirical and theoretical columns are directly comparable.
     """
     schedule, kind = cfg.schedule, cfg.kind
-    n_prime = step_index_of_time(cfg.t0, schedule.N)
+    path = CcdfConfig(t0=cfg.t0, N=schedule.N, kind=kind, corrector_r=cfg.corrector_r)
+    n_prime = path.n_prime
     shape = np.shape(cfg.ground_truth)
     n = int(np.prod(shape))
     M = int(cfg.trials)
@@ -157,57 +157,28 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
     r_rev_x, r_rev_g = root.substream(12), root.substream(13)
     r_anchor = root.substream(14)
     r_cor_x, r_cor_g = root.substream(15), root.substream(16)
-
-    def scale_at(level: int) -> float:
-        if kind is SamplerKind.DDIM:
-            return 1.0 / float(np.sqrt(schedule.alpha_bar[level]))
-        return 1.0
+    if cfg.shared_reverse_noise:
+        r_rev_g, r_cor_g = r_rev_x, r_cor_x
+    scale = RULES[kind].scale
 
     c = forward_coeffs(schedule, n_prime)
-    X = c.a * x0 + c.b * r_fwd_x.normal((M,) + shape)
-    G = c.a * g + c.b * r_fwd_g.normal((M,) + shape)
-
+    pair = [c.a * x0 + c.b * r_fwd_x.normal((M,) + shape),
+            c.a * g + c.b * r_fwd_g.normal((M,) + shape)]
     sq = np.empty((n_prime + 1, M))
-    sq[0] = _sq_norms((X - G) * scale_at(n_prime))
+    sq[0] = _sq_norms((pair[0] - pair[1]) * scale(schedule, n_prime))
 
-    op = cfg.op
-    row = 1
-    for i in range(n_prime, 0, -1):
-        if kind is SamplerKind.DDPM:
-            zx = r_rev_x.normal((M,) + shape)
-            zg = zx if cfg.shared_reverse_noise else r_rev_g.normal((M,) + shape)
-            X = reverse_step_ddpm(X, i, schedule, cfg.oracle, None, z=zx)
-            G = reverse_step_ddpm(G, i, schedule, cfg.oracle, None, z=zg)
-        elif kind is SamplerKind.SMLD:
-            zx = r_rev_x.normal((M,) + shape)
-            zg = zx if cfg.shared_reverse_noise else r_rev_g.normal((M,) + shape)
-            X = reverse_step_smld(X, i, schedule, cfg.oracle, None, z=zx)
-            G = reverse_step_smld(G, i, schedule, cfg.oracle, None, z=zg)
-        else:
-            X = reverse_step_ddim(X, i, schedule, cfg.oracle)
-            G = reverse_step_ddim(G, i, schedule, cfg.oracle)
-        b_i = op.offset(i, r_anchor, batch_shape=(M,))
-        X = op.apply_linear(X) + b_i
-        G = op.apply_linear(G) + b_i
-        if kind is SamplerKind.SMLD and cfg.corrector_r > 0.0:
-            zx = r_cor_x.normal((M,) + shape)
-            zg = zx if cfg.shared_reverse_noise else r_cor_g.normal((M,) + shape)
-            X = langevin_corrector(X, i, schedule, cfg.oracle, cfg.corrector_r,
-                                   None, z=zx, batch_axes=1)
-            G = langevin_corrector(G, i, schedule, cfg.oracle, cfg.corrector_r,
-                                   None, z=zg, batch_axes=1)
-            b_i = op.offset(i, r_anchor, batch_shape=(M,))
-            X = op.apply_linear(X) + b_i
-            G = op.apply_linear(G) + b_i
-        sq[row] = _sq_norms((X - G) * scale_at(i - 1))
-        row += 1
+    def record(i, states):
+        sq[n_prime - i + 1] = _sq_norms((states[0] - states[1]) * scale(schedule, i - 1))
+
+    reverse_path(pair, path, schedule, cfg.oracle, cfg.op, [r_rev_x, r_rev_g],
+                 [r_cor_x, r_cor_g], r_anchor, 1, record)
 
     mse = sq.mean(axis=1)
     stderr = sq.std(axis=1, ddof=1) / np.sqrt(M)
 
     _, lam_steps = contraction_rate(schedule, kind, n_prime)
     c_steps = noise_constant_per_step(schedule, kind, n_prime, n)
-    tau = tau_of(op).value
+    tau = tau_of(cfg.op).value
     fwd = forward_error(eps0, schedule, kind, n_prime, n)
     simple, rec = bound_traces(lam_steps, c_steps, tau, fwd)
     steps = np.arange(n_prime, -1, -1)
@@ -339,10 +310,6 @@ def run_mri_demo(phantom: np.ndarray, mask: np.ndarray, t0: float,
     """
     phantom = np.asarray(phantom, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    if not is_conjugate_symmetric(mask):
-        raise ValidationError(
-            "MRI demo needs a conjugate-symmetric mask for real output"
-        )
     schedule = make_ve_schedule(sigma_min, sigma_max, N)
     y = mri_measure(phantom, mask)
     op = MriOp(mask, y)
@@ -370,9 +337,3 @@ def run_mri_demo(phantom: np.ndarray, mask: np.ndarray, t0: float,
         zero_filled_psnr=psnr(zf, phantom), residuals=tuple(residuals),
         n_prime=cfg.n_prime, mask_kept=int(mask.sum()),
     )
-
-
-def demo_mask(shape, accel: float = 4.0, acs_fraction: float = 0.08,
-              seed: int = 0) -> np.ndarray:
-    """Convenience wrapper for the Gaussian-1D k-space mask."""
-    return gaussian1d_mask(shape, accel, acs_fraction, seed)

@@ -1,9 +1,9 @@
-"""Forward diffusion, reverse-diffusion steps, and the shortcut sampling loop.
+"""Forward diffusion, reverse-diffusion steps, and the shortcut reverse path.
 
-The shortcut loop forward-diffuses an initial estimate to an intermediate
-step N' = round(t0 * N), then alternates the kind-appropriate reverse step
-with the affine data-consistency map x <- A x' + b.  VE sampling interleaves
-predictor, consistency, Langevin corrector, consistency.
+The shortcut sampler forward-diffuses an initial estimate to step
+N' = round(t0 * N), then ``reverse_path`` alternates the reverse step of the
+kind's rule (``RULES``) with the affine data-consistency map x <- A x' + b_i,
+on one trajectory (``ccdf_sample``) or on the harness's coupled pairs.
 
 All steps accept an optional pre-drawn noise array ``z``; when ``z`` is given
 the RNG is not consulted, which is how coupled-trajectory experiments share
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .rng import (RngStream, STREAM_CONSISTENCY, STREAM_CORRECTOR,
                   STREAM_FORWARD, STREAM_REVERSE)
-from .schedules import (SamplerKind, Schedule, check_step_index,
+from .schedules import (SamplerKind, Schedule, check_family, check_step_index,
                         forward_coeffs, step_index_of_time, tilde_beta)
 from .score import ScoreOracle
 
@@ -36,17 +36,14 @@ class CcdfConfig:
 
     t0 is the fraction of the full reverse path to run: the loop starts at
     N' = round(t0 * N), clamped to [1, N].  ``corrector_r`` is the Langevin
-    step-size ratio and applies to VE sampling only; r = 0 disables the
-    corrector displacement entirely.  When ``consistency_every_step`` is
-    False the consistency map is applied once, after the final reverse step,
-    instead of after every step.
+    step-size ratio and applies to VE sampling only; r = 0 runs neither the
+    corrector nor the second consistency map that follows it.
     """
 
     t0: float
     N: int
     kind: SamplerKind
     corrector_r: float = DEFAULT_CORRECTOR_R
-    consistency_every_step: bool = True
     corrector_squared_step: bool = False
 
     def __post_init__(self):
@@ -92,8 +89,7 @@ def reverse_step_ddpm(x: np.ndarray, i: int, schedule: Schedule,
     ``use_tilde_variance`` is set.
     """
     i = check_step_index(schedule, i)
-    if not schedule.is_vp:
-        raise ValidationError("DDPM steps require a VP schedule")
+    check_family(schedule, SamplerKind.DDPM, "a DDPM step")
     x = np.asarray(x, dtype=np.float64)
     s = oracle.score(x, i, schedule)
     alpha_i = schedule.alpha[i]
@@ -111,8 +107,7 @@ def reverse_step_smld(x: np.ndarray, i: int, schedule: Schedule,
               + sqrt(sigma_i^2 - sigma_{i-1}^2) z.
     """
     i = check_step_index(schedule, i)
-    if schedule.is_vp:
-        raise ValidationError("SMLD steps require a VE schedule")
+    check_family(schedule, SamplerKind.SMLD, "an SMLD step")
     x = np.asarray(x, dtype=np.float64)
     dv = float(schedule.sigma[i] ** 2 - schedule.sigma[i - 1] ** 2)
     s = oracle.score(x, i, schedule)
@@ -129,8 +124,7 @@ def reverse_step_ddim(x: np.ndarray, i: int, schedule: Schedule,
               / sqrt(alpha_bar_i) + sqrt(1 - alpha_bar_{i-1}) z_hat.
     """
     i = check_step_index(schedule, i)
-    if not schedule.is_vp:
-        raise ValidationError("DDIM steps require a VP schedule")
+    check_family(schedule, SamplerKind.DDIM, "a DDIM step")
     x = np.asarray(x, dtype=np.float64)
     ab_i = schedule.alpha_bar[i]
     ab_prev = schedule.alpha_bar[i - 1]
@@ -163,8 +157,7 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
     1/max|ds/dx|, keeping the drift multiplier 1 - eps |J| nonnegative.
     """
     i = check_step_index(schedule, i)
-    if schedule.is_vp:
-        raise ValidationError("the Langevin corrector applies to VE schedules only")
+    check_family(schedule, SamplerKind.SMLD, "the Langevin corrector")
     if r < 0.0:
         raise ValidationError("corrector step-size ratio r must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
@@ -191,8 +184,106 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
     return x + eps * s + np.sqrt(2.0 * eps) * zz
 
 
+class KindRule:
+    """One sampler kind's part in the reverse path and in its analysis.
+
+    ``step`` is the reverse update (``z`` is None unless the kind is
+    ``noisy``); ``corrected`` kinds run the Langevin corrector when
+    corrector_r > 0.  At step i (an index array for ``lam`` and ``g2``),
+    ``lam`` is lambda_i, ``g2`` is g_i^2, ``coords`` is (a_i, b_i) in the
+    contraction coordinates, and ``scale`` takes a plain state at level i
+    into those coordinates.
+    """
+
+    noisy = True
+    corrected = False
+
+    def scale(self, schedule: Schedule, i: int) -> float:
+        return 1.0
+
+
+class _DdpmRule(KindRule):
+    """lambda_i = sqrt(alpha_i) (1 - alpha_bar_{i-1}) / (1 - alpha_bar_i),
+    g_i^2 = beta_i, (a_i, b_i) = (sqrt(alpha_bar_i), sqrt(1 - alpha_bar_i))."""
+
+    def step(self, x, i, schedule, oracle, z):
+        return reverse_step_ddpm(x, i, schedule, oracle, None, z=z)
+
+    def _vp(self, schedule: Schedule) -> Schedule:
+        check_family(schedule, SamplerKind.DDPM, "DDPM analysis")
+        return schedule
+
+    def lam(self, schedule, i):
+        s = self._vp(schedule)
+        return np.sqrt(s.alpha[i]) * (1.0 - s.alpha_bar[i - 1]) / (1.0 - s.alpha_bar[i])
+
+    def g2(self, schedule, i):
+        return self._vp(schedule).beta[i]
+
+    def coords(self, schedule, i):
+        ab = self._vp(schedule).alpha_bar[i]
+        return float(np.sqrt(ab)), float(np.sqrt(1.0 - ab))
+
+
+class _SmldRule(KindRule):
+    """lambda_i = (sigma_{i-1}^2 - sigma_0^2) / (sigma_i^2 - sigma_0^2),
+    g_i^2 = sigma_i^2 - sigma_{i-1}^2, (a_i, b_i) = (1, sqrt(sigma_i^2 - sigma_0^2))."""
+
+    corrected = True
+
+    def step(self, x, i, schedule, oracle, z):
+        return reverse_step_smld(x, i, schedule, oracle, None, z=z)
+
+    def sigma(self, schedule: Schedule) -> np.ndarray:
+        check_family(schedule, SamplerKind.SMLD, "SMLD analysis")
+        return schedule.sigma
+
+    def lam(self, schedule, i):
+        s = self.sigma(schedule)
+        s0sq = s[0] ** 2
+        return (s[i - 1] ** 2 - s0sq) / (s[i] ** 2 - s0sq)
+
+    def g2(self, schedule, i):
+        s = self.sigma(schedule)
+        return s[i] ** 2 - s[i - 1] ** 2
+
+    def coords(self, schedule, i):
+        s = self.sigma(schedule)
+        return 1.0, float(np.sqrt(s[i] ** 2 - s[0] ** 2))
+
+
+class _DdimRule(KindRule):
+    """lambda_i = sigma_{i-1} / sigma_i, g_i^2 = 0, (a_i, b_i) = (1, sigma_i) with
+    sigma = ddim_sigma, or the sigma grid of a VE schedule (see analysis)."""
+
+    noisy = False
+
+    def step(self, x, i, schedule, oracle, z):
+        return reverse_step_ddim(x, i, schedule, oracle)
+
+    def sigma(self, schedule: Schedule) -> np.ndarray:
+        return schedule.ddim_sigma if schedule.is_vp else schedule.sigma
+
+    def lam(self, schedule, i):
+        s = self.sigma(schedule)
+        return s[i - 1] / s[i]
+
+    def g2(self, schedule, i):
+        return np.zeros(np.shape(i))
+
+    def coords(self, schedule, i):
+        return 1.0, float(self.sigma(schedule)[i])
+
+    def scale(self, schedule, i):
+        return 1.0 / float(np.sqrt(schedule.alpha_bar[i]))
+
+
+RULES = {SamplerKind.DDPM: _DdpmRule(), SamplerKind.SMLD: _SmldRule(),
+         SamplerKind.DDIM: _DdimRule()}
+
+
 def _check_op(op, shape) -> None:
-    for attr in ("apply", "apply_linear", "offset"):
+    for attr in ("apply_linear", "offset"):
         if not hasattr(op, attr):
             raise ValidationError(
                 f"consistency operator lacks required method {attr!r}"
@@ -204,45 +295,71 @@ def _check_op(op, shape) -> None:
         )
 
 
+def _noise(streams, k: int, z, shape):
+    """Trajectory k's draw: the previous trajectory's ``z`` when both were
+    handed the same stream, else a fresh draw from streams[k]."""
+    if k and streams[k] is streams[k - 1]:
+        return z
+    return streams[k].normal(shape)
+
+
+def _consistency(states: list, op, i: int, rng: RngStream, batch_axes: int) -> None:
+    """x <- A x + b_i on every trajectory, with one offset b_i shared by all."""
+    b = op.offset(i, rng, batch_shape=states[0].shape[:batch_axes])
+    for k in range(len(states)):
+        states[k] = op.apply_linear(states[k]) + b
+
+
+def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
+                 oracle: ScoreOracle, op, noise, corrector_noise,
+                 anchor_rng: RngStream, batch_axes: int, on_step) -> list:
+    """Run reverse steps i = N'..1 on coupled trajectories, updating ``states`` in place.
+
+    Each step applies the kind's reverse update to every trajectory, then the
+    consistency map with one offset from ``anchor_rng`` shared by all.  Only
+    SMLD with corrector_r > 0 follows with a Langevin corrector step and a
+    second consistency map.  ``noise[k]`` and ``corrector_noise[k]`` are the
+    streams of trajectory k; one handed the same stream as the trajectory
+    before it shares its draws.  The leading ``batch_axes`` axes hold
+    independent samples.  ``on_step(i, states)`` runs after step i.
+    """
+    if cfg.N != schedule.N:
+        raise ValidationError(f"config N={cfg.N} does not match schedule N={schedule.N}")
+    _check_op(op, states[0].shape)
+    if not all(np.isfinite(x).all() for x in states):
+        raise ValidationError(f"non-finite state at the start of step {cfg.n_prime}")
+    rule = RULES[cfg.kind]
+    corrected = rule.corrected and cfg.corrector_r > 0.0
+    for i in range(cfg.n_prime, 0, -1):
+        # Indexing, not a loop variable, so no old state outlives its update.
+        z = None
+        for k in range(len(states)):
+            if rule.noisy:
+                z = _noise(noise, k, z, states[k].shape)
+            states[k] = rule.step(states[k], i, schedule, oracle, z)
+        _consistency(states, op, i, anchor_rng, batch_axes)
+        if corrected:
+            for k in range(len(states)):
+                z = _noise(corrector_noise, k, z, states[k].shape)
+                states[k] = langevin_corrector(
+                    states[k], i, schedule, oracle, cfg.corrector_r, None, z=z,
+                    batch_axes=batch_axes, squared_step=cfg.corrector_squared_step)
+            _consistency(states, op, i, anchor_rng, batch_axes)
+        if on_step is not None:
+            on_step(i, states)
+    return states
+
+
 def ccdf_sample(x0_init: np.ndarray, op, cfg: CcdfConfig, schedule: Schedule,
                 oracle: ScoreOracle, rng: RngStream) -> np.ndarray:
     """Run the shortcut sampler: forward-diffuse to N', then reverse to 0.
 
-    The reverse loop runs i = N'..1.  After each reverse step the data
-    consistency map is applied; VE sampling additionally runs one Langevin
-    corrector step followed by a second consistency application.  The
-    consistency offsets draw from a dedicated RNG stream so that coupled
-    runs can reproduce or share them independently of the reverse noise.
+    This is the one-trajectory case of ``reverse_path``.  Forward, reverse,
+    consistency and corrector draws come from separate substreams of
+    ``rng``, so coupled runs can reproduce or share any of them.
     """
-    x0_init = np.asarray(x0_init, dtype=np.float64)
-    if cfg.N != schedule.N:
-        raise ValidationError(f"config N={cfg.N} does not match schedule N={schedule.N}")
-    if cfg.kind is SamplerKind.SMLD and schedule.is_vp:
-        raise ValidationError("SMLD sampling requires a VE schedule")
-    if cfg.kind is not SamplerKind.SMLD and not schedule.is_vp:
-        raise ValidationError(f"{cfg.kind.value} sampling requires a VP schedule")
-    _check_op(op, x0_init.shape)
-
-    rng_fwd = rng.substream(STREAM_FORWARD)
-    rng_rev = rng.substream(STREAM_REVERSE)
-    rng_con = rng.substream(STREAM_CONSISTENCY)
-    rng_cor = rng.substream(STREAM_CORRECTOR)
-
-    n_prime = cfg.n_prime
-    x = forward_diffuse(x0_init, n_prime, schedule, rng_fwd)
-    for i in range(n_prime, 0, -1):
-        if cfg.kind is SamplerKind.DDPM:
-            x = reverse_step_ddpm(x, i, schedule, oracle, rng_rev)
-        elif cfg.kind is SamplerKind.DDIM:
-            x = reverse_step_ddim(x, i, schedule, oracle)
-        else:
-            x = reverse_step_smld(x, i, schedule, oracle, rng_rev)
-        if cfg.consistency_every_step:
-            x = op.apply(x, i, rng_con)
-            if cfg.kind is SamplerKind.SMLD:
-                x = langevin_corrector(x, i, schedule, oracle, cfg.corrector_r,
-                                       rng_cor, squared_step=cfg.corrector_squared_step)
-                x = op.apply(x, i, rng_con)
-    if not cfg.consistency_every_step:
-        x = op.apply(x, 1, rng_con)
+    x = forward_diffuse(x0_init, cfg.n_prime, schedule, rng.substream(STREAM_FORWARD))
+    [x] = reverse_path([x], cfg, schedule, oracle, op, [rng.substream(STREAM_REVERSE)],
+                       [rng.substream(STREAM_CORRECTOR)],
+                       rng.substream(STREAM_CONSISTENCY), 0, None)
     return x

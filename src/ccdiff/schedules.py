@@ -63,8 +63,7 @@ class Schedule:
 
     def with_kind(self, kind: SamplerKind) -> "Schedule":
         """Re-tag a VP schedule as DDPM or DDIM (they share the same grid)."""
-        if kind is SamplerKind.SMLD or not self.is_vp:
-            raise ValidationError("only VP schedules can be re-tagged DDPM/DDIM")
+        check_family(self, kind, f"re-tagging as {kind.value}")
         return replace(self, kind=kind)
 
 
@@ -134,6 +133,13 @@ def check_step_index(schedule: Schedule, i: int, lowest: int = 1) -> int:
     return i
 
 
+def check_family(schedule: Schedule, kind: SamplerKind, what: str) -> None:
+    """Raise unless the schedule family fits the kind: VE for SMLD, VP otherwise."""
+    if (kind is SamplerKind.SMLD) == schedule.is_vp:
+        family = "VE" if kind is SamplerKind.SMLD else "VP"
+        raise ValidationError(f"{what} requires a {family} schedule")
+
+
 def forward_coeffs(schedule: Schedule, i: int) -> ForwardCoeffs:
     """Coefficients (a_i, b_i) of the single-step forward diffusion at step i.
 
@@ -151,8 +157,7 @@ def forward_coeffs(schedule: Schedule, i: int) -> ForwardCoeffs:
 def tilde_beta(schedule: Schedule, i: int) -> float:
     """Posterior reverse-noise variance (1 - alpha_bar_{i-1})/(1 - alpha_bar_i) beta_i."""
     i = check_step_index(schedule, i)
-    if not schedule.is_vp:
-        raise ValidationError("tilde_beta is defined for VP schedules only")
+    check_family(schedule, SamplerKind.DDPM, "tilde_beta")
     num = 1.0 - schedule.alpha_bar[i - 1]
     den = 1.0 - schedule.alpha_bar[i]
     return float(num / den * schedule.beta[i])

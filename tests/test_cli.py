@@ -159,6 +159,33 @@ def test_ccdf_mri_end_to_end(tmp_path, phantom_file):
     assert out.exists()
 
 
+def test_ccdf_mri_rejects_asymmetric_mask_file(tmp_path):
+    measurement = tmp_path / "small.raw"
+    save_image(measurement, make_phantom("ellipses", (16, 16), seed=18))
+    mask = np.zeros((16, 16), dtype=bool)
+    mask[:, 3] = True  # no mirrored partner
+    mask[0, 0] = True
+    write_mask(tmp_path / "mask.pgm", mask)
+    cfg = tmp_path / "op.cfg"
+    cfg.write_text(f"measurement={measurement}\nmask-path={tmp_path / 'mask.pgm'}\n")
+    code, _ = run_cli("ccdf", "--kind", "smld", "--n-steps", "1000",
+                      "--t0", "0.02", "--seed", "9", "--op", "mri",
+                      "--op-config", str(cfg), "--init", "vanilla")
+    assert code == 1
+
+
+def test_ccdf_rejects_non_finite_init_file(tmp_path, phantom_file):
+    init = make_phantom("blocks", (64, 64), seed=1)
+    init[5, 7] = np.nan
+    save_image(tmp_path / "nan.raw", init)
+    cfg = tmp_path / "op.cfg"
+    cfg.write_text(f"measurement={phantom_file}\nfactor=4\n")
+    code, _ = run_cli("ccdf", "--kind", "ddpm", "--n-steps", "100",
+                      "--t0", "0.1", "--seed", "1", "--op", "sr",
+                      "--op-config", str(cfg), "--init", f"file:{tmp_path / 'nan.raw'}")
+    assert code == 1
+
+
 def test_ccdf_inpaint_with_mask_file(tmp_path, phantom_file):
     mask = np.random.default_rng(0).uniform(size=(64, 64)) < 0.5
     mask.flat[0] = True

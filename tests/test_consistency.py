@@ -175,6 +175,10 @@ def test_mri_rejects_shape_mismatch_and_empty_mask():
         mri_projection(np.ones((8, 8), dtype=bool), np.zeros((4, 4), dtype=complex))
     with pytest.raises(ValidationError):
         mri_projection(np.zeros((8, 8), dtype=bool), np.zeros((8, 8), dtype=complex))
+    asymmetric = np.zeros((8, 8), dtype=bool)
+    asymmetric[:, 3] = True  # column 3 has no mirrored partner (column 5)
+    with pytest.raises(ValidationError):
+        mri_projection(asymmetric, np.zeros((8, 8), dtype=complex))
 
 
 def test_apply_is_affine_on_shared_offset():

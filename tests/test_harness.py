@@ -1,5 +1,6 @@
 import hashlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,14 @@ def test_experiment_config_validation():
         ExperimentConfig(schedule=VP100, kind=SamplerKind.DDPM, t0=0.5, trials=4,
                          ground_truth=gt, init=np.zeros(9), op=op,
                          oracle=ConditionalScoreOracle(gt), seed=0)
+
+
+def test_error_curve_rejects_non_finite_init():
+    cfg = _identity_cfg(SamplerKind.DDPM, VP100, t0=0.2, trials=4, seed=6)
+    init = cfg.init.copy()
+    init[0] = np.nan
+    with pytest.raises(ValidationError):
+        run_error_curve(replace(cfg, init=init))
 
 
 # -------------------------------- sweeps ------------------------------------

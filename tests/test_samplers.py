@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ccdiff import (CcdfConfig, ConditionalScoreOracle, IdentityOp,
+from ccdiff import (CcdfConfig, ConditionalScoreOracle, IdentityOp, InpaintOp,
                     SamplerKind, ValidationError, ZeroScoreOracle, ccdf_sample,
                     contraction_rate, forward_coeffs, forward_diffuse,
                     gaussian1d_mask, langevin_corrector, make_phantom,
@@ -24,6 +24,14 @@ class CountingOracle(ConditionalScoreOracle):
     def score(self, x, i, schedule):
         self.calls += 1
         return super().score(x, i, schedule)
+
+
+class CountingInpaintOp(InpaintOp):
+    offset_calls = 0
+
+    def offset(self, i, rng, batch_shape=()):
+        self.offset_calls += 1
+        return super().offset(i, rng, batch_shape)
 
 
 # ------------------------------ forward ------------------------------------
@@ -299,6 +307,23 @@ def test_ccdf_mri_consistency_exact_on_sampled_frequencies():
     assert op.residual(out) <= 1e-10
 
 
+@pytest.mark.parametrize("r, per_step", [(0.0, 1), (0.16, 2)])
+def test_ccdf_smld_runs_corrector_and_second_consistency_only_for_r_positive(
+        r, per_step):
+    # r = 0: one reverse step and one consistency map per step, exactly the
+    # map the coupled-pair harness certifies; r > 0 adds a corrector step
+    # (one more score call) and a second consistency map (one more offset).
+    ref = make_phantom("blocks", (16, 16), seed=3)
+    mask = np.zeros((16, 16), dtype=bool)
+    mask[::2] = True
+    op = CountingInpaintOp(mask, ref, VE, SamplerKind.SMLD)
+    oracle = CountingOracle(ref)
+    cfg = CcdfConfig(t0=0.02, N=1000, kind=SamplerKind.SMLD, corrector_r=r)
+    ccdf_sample(op.vanilla_init(), op, cfg, VE, oracle, RngStream(32))
+    assert oracle.calls == per_step * cfg.n_prime
+    assert op.offset_calls == per_step * cfg.n_prime
+
+
 def test_ccdf_bitwise_determinism():
     ref = RngStream(28).normal((16,))
     oracle = ConditionalScoreOracle(ref)
@@ -349,6 +374,10 @@ def test_ccdf_validates_configuration():
     cfg = CcdfConfig(t0=0.5, N=1000, kind=SamplerKind.DDPM)
     with pytest.raises(ValidationError):
         ccdf_sample(ref, bad_op, cfg, VP, oracle, RngStream(1))  # shape
+    nan_init = ref.copy()
+    nan_init[3] = np.nan
+    with pytest.raises(ValidationError):
+        ccdf_sample(nan_init, op, cfg, VP, oracle, RngStream(1))  # non-finite
 
 
 def test_rng_streams_are_reproducible_and_independent():
