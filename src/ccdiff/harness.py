@@ -168,7 +168,10 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
     sq[0] = _sq_norms((pair[0] - pair[1]) * scale(schedule, n_prime))
 
     def record(i, states):
-        sq[n_prime - i + 1] = _sq_norms((states[0] - states[1]) * scale(schedule, i - 1))
+        k = n_prime - i + 1
+        sq[k] = _sq_norms((states[0] - states[1]) * scale(schedule, i - 1))
+        if not np.isfinite(sq[k]).all():
+            raise ValidationError(f"non-finite squared error after step {i}")
 
     reverse_path(pair, path, schedule, cfg.oracle, cfg.op, [r_rev_x, r_rev_g],
                  [r_cor_x, r_cor_g], r_anchor, 1, record)

@@ -174,15 +174,17 @@ def test_ccdf_mri_rejects_asymmetric_mask_file(tmp_path):
     assert code == 1
 
 
-def test_ccdf_rejects_non_finite_init_file(tmp_path, phantom_file):
-    init = make_phantom("blocks", (64, 64), seed=1)
-    init[5, 7] = np.nan
-    save_image(tmp_path / "nan.raw", init)
+@pytest.mark.parametrize("nan_file", ["init", "measurement"])
+def test_ccdf_rejects_non_finite_init_file(tmp_path, phantom_file, nan_file):
+    image = make_phantom("blocks", (64, 64), seed=1)
+    image[5, 7] = np.nan
+    save_image(tmp_path / "nan.raw", image)
+    files = {"init": phantom_file, "measurement": phantom_file, nan_file: tmp_path / "nan.raw"}
     cfg = tmp_path / "op.cfg"
-    cfg.write_text(f"measurement={phantom_file}\nfactor=4\n")
+    cfg.write_text(f"measurement={files['measurement']}\nfactor=4\n")
     code, _ = run_cli("ccdf", "--kind", "ddpm", "--n-steps", "100",
                       "--t0", "0.1", "--seed", "1", "--op", "sr",
-                      "--op-config", str(cfg), "--init", f"file:{tmp_path / 'nan.raw'}")
+                      "--op-config", str(cfg), "--init", f"file:{files['init']}")
     assert code == 1
 
 

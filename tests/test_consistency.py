@@ -6,6 +6,7 @@ from ccdiff import (IdentityOp, NumericFailure, SamplerKind, ValidationError,
                     hutchinson_tau, inpaint_projection, is_conjugate_symmetric,
                     make_phantom, make_ve_schedule, make_vp_schedule,
                     mri_measure, mri_projection, sr_projection)
+from ccdiff import consistency
 from ccdiff.rng import RngStream
 
 VP = make_vp_schedule(1e-4, 0.02, 100)
@@ -72,6 +73,10 @@ def test_sr_rejects_indivisible_shapes():
         sr_projection(3, np.zeros((16, 16)), VP, DDPM)
     with pytest.raises(ValidationError):
         sr_projection(4, np.zeros((18, 16)), VP, DDPM)
+    meas = np.zeros((16, 16))
+    meas[3, 5] = np.inf
+    with pytest.raises(ValidationError):
+        sr_projection(4, meas, VP, DDPM)
 
 
 # -------------------------------- inpainting --------------------------------
@@ -112,6 +117,10 @@ def test_inpaint_kept_box_tau_example():
 def test_inpaint_rejects_empty_mask():
     with pytest.raises(ValidationError):
         inpaint_projection(np.zeros((8, 8), dtype=bool), np.zeros((8, 8)), VP, DDPM)
+    meas = np.zeros((8, 8))
+    meas[2, 2] = np.nan
+    with pytest.raises(ValidationError):
+        inpaint_projection(np.ones((8, 8), dtype=bool), meas, VP, DDPM)
 
 
 def test_inpaint_offset_is_masked_forward_diffusion():
@@ -159,15 +168,59 @@ def test_mri_tau_and_randomized_trace():
     _probe_projection_identities(op, (32, 32), atol=1e-11)
 
 
-def test_mri_real_output_for_symmetric_mask():
-    img = make_phantom("ellipses", (32, 32), seed=16)
-    mask = gaussian1d_mask((32, 32), 4.0, 0.1, seed=17)
+def _symmetric_scatter_mask(shape, seed):
+    m = RngStream(seed, (0x6D,)).uniform(0.0, 1.0, shape) < 0.2
+    return m | np.roll(np.flip(m), 1, axis=(0, 1))
+
+
+# (mask, batch shape of the state, axes the real FFT must run along)
+MRI_MASK_CASES = {
+    "columns-even-W": (gaussian1d_mask((32, 32), 4.0, 0.1, seed=17), (), (-1,)),
+    "columns-odd-W": (gaussian1d_mask((20, 33), 4.0, 0.1, seed=18), (), (-1,)),
+    "rows": (gaussian1d_mask((24, 31), 4.0, 0.1, seed=19).T, (), (-2,)),
+    "scatter-2d": (_symmetric_scatter_mask((18, 21), 20), (), (-2, -1)),
+    "all-true": (np.ones((16, 16), dtype=bool), (), (-1,)),
+    "batched": (gaussian1d_mask((16, 16), 4.0, 0.1, seed=21), (5,), (-1,)),
+}
+
+
+@pytest.mark.parametrize("case", list(MRI_MASK_CASES))
+def test_mri_real_output_for_symmetric_mask(case, monkeypatch):
+    mask, batch, axes = MRI_MASK_CASES[case]
     assert is_conjugate_symmetric(mask)
+    img = make_phantom("ellipses", mask.shape, seed=16)
     op = mri_projection(mask, mri_measure(img, mask))
-    x = RngStream(12).normal((32, 32))
+    x = RngStream(12).normal(batch + mask.shape)
     out_c = op.apply_complex(x, 1, None)
     assert np.max(np.abs(out_c.imag)) <= 1e-10
-    assert np.allclose(out_c.real, op.apply(x, 1, None), atol=1e-12)
+    assert np.max(np.abs(op.apply_linear(x) - op.apply_linear_complex(x).real)) <= 1e-12
+    assert np.max(np.abs(op.apply(x, 1, None) - out_c.real)) <= 1e-12
+    # One forward and one inverse real transform per apply, along ``axes`` only.
+    calls = []
+
+    def recording(name):
+        fn = getattr(consistency, name)
+
+        def wrapper(*args):
+            calls.append((name, args[-1]))
+            return fn(*args)
+        return wrapper
+
+    for name in ("_fft2", "_ifft2"):
+        monkeypatch.setattr(consistency, name, recording(name))
+    op.apply_linear(x)
+    assert calls == [("_fft2", axes), ("_ifft2", axes)]
+
+
+def test_mri_numpy_fft_fallback_matches_scipy(monkeypatch):
+    if consistency._fft_backend is np.fft:
+        pytest.skip("scipy is not installed")
+    mask = _symmetric_scatter_mask((18, 21), 22)
+    op = mri_projection(mask, mri_measure(np.zeros(mask.shape), mask))
+    x = RngStream(13).normal((3,) + mask.shape)
+    expected = op.apply_linear(x)
+    monkeypatch.setattr(consistency, "_fft_backend", np.fft)
+    assert np.max(np.abs(op.apply_linear(x) - expected)) <= 1e-12
 
 
 def test_mri_rejects_shape_mismatch_and_empty_mask():
@@ -179,6 +232,10 @@ def test_mri_rejects_shape_mismatch_and_empty_mask():
     asymmetric[:, 3] = True  # column 3 has no mirrored partner (column 5)
     with pytest.raises(ValidationError):
         mri_projection(asymmetric, np.zeros((8, 8), dtype=complex))
+    y = np.zeros((8, 8), dtype=complex)
+    y[0, 0] = np.inf
+    with pytest.raises(ValidationError):
+        mri_projection(np.ones((8, 8), dtype=bool), y)
 
 
 def test_apply_is_affine_on_shared_offset():
@@ -272,3 +329,5 @@ def test_identity_vanilla_init_requires_measurement():
     op = IdentityOp((4,))
     with pytest.raises(ValidationError):
         op.vanilla_init()
+    with pytest.raises(ValidationError):
+        IdentityOp((4,), np.array([0.0, np.nan, 0.0, 0.0]))

@@ -108,6 +108,18 @@ def test_error_curve_rejects_non_finite_init():
         run_error_curve(replace(cfg, init=init))
 
 
+def test_error_curve_names_the_step_that_turned_non_finite():
+    class InfAtStep4(ConditionalScoreOracle):
+        def score(self, x, i, schedule):
+            s = super().score(x, i, schedule)
+            return s + np.inf if i == 4 else s
+
+    cfg = _identity_cfg(SamplerKind.DDPM, VP100, t0=0.07, trials=4, seed=6)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValidationError, match="after step 4$"):
+        run_error_curve(replace(cfg, oracle=InfAtStep4(cfg.ground_truth)))
+
+
 # -------------------------------- sweeps ------------------------------------
 
 
