@@ -22,7 +22,7 @@ from .samplers import (CcdfConfig, ccdf_sample, forward_diffuse,
                        reverse_step_ddpm, reverse_step_smld)
 from .schedules import (ForwardCoeffs, SamplerKind, Schedule, forward_coeffs,
                         make_ve_schedule, make_vp_schedule,
-                        step_index_of_time, tilde_beta, write_schedule_csv)
+                        step_index_of_time, write_schedule_csv)
 from .score import (ConditionalScoreOracle, GaussianScoreOracle, ScoreOracle,
                     ZeroScoreOracle, eval_score, score_jacobian_diag)
 

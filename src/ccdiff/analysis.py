@@ -20,7 +20,6 @@ statements transfer unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .consistency import hutchinson_tau
 from .errors import ValidationError
 from .samplers import RULES
-from .schedules import SamplerKind, Schedule, check_family, check_step_index
+from .schedules import SamplerKind, Schedule, check_step_index
 
 
 def contraction_rate(schedule: Schedule, kind: SamplerKind,
@@ -62,21 +61,12 @@ def noise_constant_candidates(schedule: Schedule, kind: SamplerKind,
                               n_prime: int, n: int) -> dict[str, float]:
     """Alternative printed forms of C, surfaced for comparison.
 
-    The source algebra prints several non-equivalent expressions for the
-    DDPM constant; the primary value used in bounds is the g-derived
-    n max_{i<=N'}(1 - alpha_i).  For SMLD the geometric-schedule form
-    n sigma_{N'}^2 (1 - (sigma_1/sigma_N)^{2/(N-1)}) is reported alongside
-    the direct maximum.
+    The source algebra prints several non-equivalent expressions for C; the
+    primary value used in bounds is the g-derived n max_{i<=N'} g_i^2, and
+    the kind's rule supplies the others.
     """
-    out = {"primary": noise_constant(schedule, kind, n_prime, n)}
-    if kind is SamplerKind.DDPM:
-        out["n_one_minus_alpha_N"] = float(n * (1.0 - schedule.alpha[schedule.N]))
-        out["n_one_minus_alpha_bar_N"] = float(n * (1.0 - schedule.alpha_bar[schedule.N]))
-    elif kind is SamplerKind.SMLD:
-        s = schedule.sigma
-        ratio = (s[1] / s[schedule.N]) ** (2.0 / (schedule.N - 1.0))
-        out["geometric_form"] = float(n * s[n_prime] ** 2 * (1.0 - ratio))
-    return out
+    return {"primary": noise_constant(schedule, kind, n_prime, n),
+            **RULES[kind].c_candidates(schedule, n_prime, n)}
 
 
 def contraction_forward_coeffs(schedule: Schedule, kind: SamplerKind,
@@ -228,16 +218,10 @@ def minimal_shortcut(eps0: float, mu: float, schedule: Schedule,
                      kind: SamplerKind, tau: float, n: int) -> ShortcutResult:
     """Smallest N' whose sufficient conditions guarantee err_{0,r} <= mu eps0.
 
-    DDPM: N' beta_{N'} >= 2 log(4n / (mu eps0))  and
-          N' beta_{N'} <= mu eps0 / (4 n tau).
-    SMLD: sigma_min^2 < mu^(3/2) eps0 / (8n), sigma_max^2 > mu eps0 / (4n),
-          and (N'-1)/(N-1) inside
-          [log(2/sqrt(mu)), log(mu eps0 / (4 n sigma_min^2))] / log(sigma_max^2/sigma_min^2).
-    DDIM: sigma_0^2 <= mu eps0 / (4n), then the smallest N' with
-          sigma_{N'}^2 >= eps0 / (2n).
-
-    The search scans N' = 1..N, so the returned index satisfies the stated
-    inequalities by construction; infeasibility is reported, never guessed.
+    The conditions of each kind are in its rule, ``samplers.RULES``.  The
+    search takes the first N' in 1..N that meets them, so the returned index
+    satisfies the stated inequalities by construction; infeasibility is
+    reported, never guessed.
     """
     if eps0 <= 0.0:
         raise ValidationError("eps0 must be positive")
@@ -245,65 +229,9 @@ def minimal_shortcut(eps0: float, mu: float, schedule: Schedule,
         raise ValidationError("mu must lie in (0, 1]")
     if tau < 0.0:
         raise ValidationError("tau must be nonnegative")
-    N = schedule.N
-
-    if kind is SamplerKind.DDPM:
-        check_family(schedule, kind, "the DDPM shortcut search")
-        lower = 2.0 * math.log(4.0 * n / (mu * eps0))
-        upper = mu * eps0 / (4.0 * n * tau) if tau > 0 else math.inf
-        checks = {"lower_threshold": lower, "upper_threshold": upper}
-        for np_ in range(1, N + 1):
-            v = np_ * float(schedule.beta[np_])
-            if v >= lower and v <= upper:
-                return ShortcutResult(True, np_, None, checks)
-        v_max = N * float(schedule.beta[N])
-        if v_max < lower:
-            reason = (f"lower condition unsatisfiable: N' beta_N' <= {v_max:.6g} "
-                      f"< 2 log(4n/(mu eps0)) = {lower:.6g} for every N'")
-        else:
-            reason = (f"empty window: the smallest N' with N' beta_N' >= {lower:.6g} "
-                      f"already violates N' beta_N' <= mu eps0/(4 n tau) = {upper:.6g}")
-        return ShortcutResult(False, None, reason, checks)
-
-    s = RULES[kind].sigma(schedule)
-    if kind is SamplerKind.SMLD:
-        smin2, smax2 = float(s[1] ** 2), float(s[N] ** 2)
-        pre_min = mu ** 1.5 * eps0 / (8.0 * n)
-        pre_max = mu * eps0 / (4.0 * n)
-        checks = {"sigma_min_sq": smin2, "sigma_min_cap": pre_min,
-                  "sigma_max_sq": smax2, "sigma_max_floor": pre_max}
-        if not smin2 < pre_min:
-            return ShortcutResult(False, None,
-                                  f"sigma_min^2 = {smin2:.6g} is not < "
-                                  f"mu^(3/2) eps0/(8n) = {pre_min:.6g}", checks)
-        if not smax2 > pre_max:
-            return ShortcutResult(False, None,
-                                  f"sigma_max^2 = {smax2:.6g} is not > "
-                                  f"mu eps0/(4n) = {pre_max:.6g}", checks)
-        log_ratio = math.log(smax2 / smin2)
-        lo = math.log(2.0 / math.sqrt(mu)) / log_ratio
-        hi = math.log(mu * eps0 / (4.0 * n * smin2)) / log_ratio
-        checks.update({"ratio_lower": lo, "ratio_upper": hi})
-        for np_ in range(1, N + 1):
-            r = (np_ - 1.0) / (N - 1.0)
-            if lo <= r <= hi:
-                return ShortcutResult(True, np_, None, checks)
-        return ShortcutResult(False, None,
-                              f"no integer N' puts (N'-1)/(N-1) inside "
-                              f"[{lo:.6g}, {hi:.6g}]", checks)
-
-    # DDIM
-    s0sq = float(s[0] ** 2)
-    cap = mu * eps0 / (4.0 * n)
-    floor = eps0 / (2.0 * n)
-    checks = {"sigma0_sq": s0sq, "sigma0_cap": cap, "sigma_floor_sq": floor}
-    if not s0sq <= cap:
-        return ShortcutResult(False, None,
-                              f"sigma_0^2 = {s0sq:.6g} exceeds mu eps0/(4n) = {cap:.6g}",
-                              checks)
-    for np_ in range(1, N + 1):
-        if s[np_] ** 2 >= floor:
-            return ShortcutResult(True, np_, None, checks)
-    return ShortcutResult(False, None,
-                          f"sigma_N^2 = {float(s[N] ** 2):.6g} never reaches "
-                          f"eps0/(2n) = {floor:.6g}", checks)
+    checks, ok, reason = RULES[kind].shortcut(schedule, eps0, mu, tau, n)
+    if ok is not None:
+        hits = np.flatnonzero(ok[1:])
+        if hits.size:
+            return ShortcutResult(True, int(hits[0]) + 1, None, checks)
+    return ShortcutResult(False, None, reason, checks)

@@ -8,6 +8,7 @@ Outputs are CSV (UTF-8, header row) or PGM images.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -162,10 +163,22 @@ class _CountingOracle(ScoreOracle):
         return self.inner.jacobian_diag(x, i, schedule)
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path`` open for writing, or stdout for None or '-'."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
+
+
+def _parse_size(text: str) -> tuple[int, int]:
+    try:
+        H, W = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise ValidationError(f"--size must be HxW, got {text!r}") from None
+    return H, W
 
 
 # ----------------------------- subcommands ---------------------------------
@@ -173,12 +186,8 @@ def _open_out(path):
 
 def cmd_schedule(args) -> int:
     schedule, _ = build_schedule(args)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         write_schedule_csv(schedule, fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -188,8 +197,7 @@ def cmd_contract(args) -> int:
         t0=args.t0, N=schedule.N, kind=kind).n_prime
     report = analysis.contraction_report(schedule, kind, n_prime,
                                          args.n, args.tau, args.eps0)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         for key, value in report.rows():
             fh.write(f"{key},{value}\n")
         if args.per_step:
@@ -197,9 +205,6 @@ def cmd_contract(args) -> int:
             c_steps = analysis.noise_constant_per_step(schedule, kind, n_prime, args.n)
             for j in range(n_prime):
                 fh.write(f"{j + 1},{report.lambda_per_step[j]!r},{c_steps[j]!r}\n")
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -218,11 +223,7 @@ def cmd_shortcut(args) -> int:
 
 def _simulate_ground_truth(args):
     if args.size:
-        try:
-            H, W = (int(v) for v in args.size.lower().split("x"))
-        except ValueError:
-            raise ValidationError(f"--size must be HxW, got {args.size!r}") from None
-        return harness.make_phantom(args.gt, (H, W), seed=args.seed)
+        return harness.make_phantom(args.gt, _parse_size(args.size), seed=args.seed)
     n = args.n or 64
     return RngStream(args.seed, (0x6774,)).uniform(0.0, 1.0, (n,))
 
@@ -283,8 +284,7 @@ def cmd_simulate(args) -> int:
         ground_truth=gt, init=init, op=op, oracle=oracle, seed=args.seed,
         corrector_r=args.corrector_r, shared_reverse_noise=args.shared_noise,
     )
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         if len(t0_values) == 1:
             stats = harness.run_error_curve(cfg)
             harness.write_trajectory_csv(stats, fh)
@@ -294,9 +294,6 @@ def cmd_simulate(args) -> int:
             print(f"argmin_t0,{sweep.argmin_t0}", file=sys.stderr)
             if sweep.beats_full_path is not None:
                 print(f"beats_full_path,{sweep.beats_full_path}", file=sys.stderr)
-    finally:
-        if close:
-            fh.close()
     if args.gnuplot:
         Path(args.gnuplot).write_text(
             _GNUPLOT_TEMPLATE.format(csv=args.out or "trajectory.csv"))
@@ -334,11 +331,7 @@ def cmd_ccdf(args) -> int:
 
 
 def cmd_phantom(args) -> int:
-    try:
-        H, W = (int(v) for v in args.size.lower().split("x"))
-    except ValueError:
-        raise ValidationError(f"--size must be HxW, got {args.size!r}") from None
-    img = harness.make_phantom(args.phantom_kind, (H, W), seed=args.seed)
+    img = harness.make_phantom(args.phantom_kind, _parse_size(args.size), seed=args.seed)
     imgio.write_pgm(args.out, img)
     return 0
 

@@ -14,6 +14,7 @@ error except for DDIM, which has no noise term.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import ValidationError
 from .rng import (RngStream, STREAM_CONSISTENCY, STREAM_CORRECTOR,
                   STREAM_FORWARD, STREAM_REVERSE)
 from .schedules import (SamplerKind, Schedule, check_family, check_step_index,
-                        forward_coeffs, step_index_of_time, tilde_beta)
+                        forward_coeffs, step_index_of_time)
 from .score import ScoreOracle
 
 logger = logging.getLogger(__name__)
@@ -80,13 +81,10 @@ def forward_diffuse(x0: np.ndarray, n_prime: int, schedule: Schedule,
 
 def reverse_step_ddpm(x: np.ndarray, i: int, schedule: Schedule,
                       oracle: ScoreOracle, rng: RngStream | None,
-                      z: np.ndarray | None = None,
-                      use_tilde_variance: bool = False) -> np.ndarray:
+                      z: np.ndarray | None = None) -> np.ndarray:
     """One ancestral reverse step of the variance-preserving sampler.
 
-    x_{i-1} = (x_i + (1 - alpha_i) s(x_i, i)) / sqrt(alpha_i) + sqrt(var_i) z,
-    with var_i = beta_i by default or the posterior variance when
-    ``use_tilde_variance`` is set.
+    x_{i-1} = (x_i + (1 - alpha_i) s(x_i, i)) / sqrt(alpha_i) + sqrt(beta_i) z.
     """
     i = check_step_index(schedule, i)
     check_family(schedule, SamplerKind.DDPM, "a DDPM step")
@@ -94,8 +92,7 @@ def reverse_step_ddpm(x: np.ndarray, i: int, schedule: Schedule,
     s = oracle.score(x, i, schedule)
     alpha_i = schedule.alpha[i]
     mean = (x + (1.0 - alpha_i) * s) / np.sqrt(alpha_i)
-    var = tilde_beta(schedule, i) if use_tilde_variance else float(schedule.beta[i])
-    return mean + np.sqrt(var) * _draw(rng, z, x.shape)
+    return mean + np.sqrt(float(schedule.beta[i])) * _draw(rng, z, x.shape)
 
 
 def reverse_step_smld(x: np.ndarray, i: int, schedule: Schedule,
@@ -193,6 +190,12 @@ class KindRule:
     ``lam`` is lambda_i, ``g2`` is g_i^2, ``coords`` is (a_i, b_i) in the
     contraction coordinates, and ``scale`` takes a plain state at level i
     into those coordinates.
+
+    ``shortcut`` states the kind's sufficient conditions for
+    err_{0,r} <= mu eps0 as ``(checks, ok, reason)``: the thresholds tested,
+    a boolean array over N' = 0..N (None when a precondition fails), and the
+    condition that fails when no N' in 1..N is ok.  ``c_candidates`` gives
+    the printed forms of C other than the primary n max_{i<=N'} g_i^2.
     """
 
     noisy = True
@@ -201,10 +204,18 @@ class KindRule:
     def scale(self, schedule: Schedule, i: int) -> float:
         return 1.0
 
+    def c_candidates(self, schedule: Schedule, n_prime: int, n: int) -> dict:
+        return {}
+
 
 class _DdpmRule(KindRule):
     """lambda_i = sqrt(alpha_i) (1 - alpha_bar_{i-1}) / (1 - alpha_bar_i),
-    g_i^2 = beta_i, (a_i, b_i) = (sqrt(alpha_bar_i), sqrt(1 - alpha_bar_i))."""
+    g_i^2 = beta_i, (a_i, b_i) = (sqrt(alpha_bar_i), sqrt(1 - alpha_bar_i)).
+
+    Shortcut: N' beta_{N'} >= 2 log(4n / (mu eps0)) and
+    N' beta_{N'} <= mu eps0 / (4 n tau).  The source algebra also prints
+    n (1 - alpha_N) and n (1 - alpha_bar_N) for C.
+    """
 
     def step(self, x, i, schedule, oracle, z):
         return reverse_step_ddpm(x, i, schedule, oracle, None, z=z)
@@ -224,10 +235,37 @@ class _DdpmRule(KindRule):
         ab = self._vp(schedule).alpha_bar[i]
         return float(np.sqrt(ab)), float(np.sqrt(1.0 - ab))
 
+    def shortcut(self, schedule, eps0, mu, tau, n):
+        s = self._vp(schedule)
+        lower = 2.0 * math.log(4.0 * n / (mu * eps0))
+        upper = mu * eps0 / (4.0 * n * tau) if tau > 0 else math.inf
+        v = np.arange(s.N + 1) * s.beta
+        v_max = float(v[s.N])
+        if v_max < lower:
+            reason = (f"lower condition unsatisfiable: N' beta_N' <= {v_max:.6g} "
+                      f"< 2 log(4n/(mu eps0)) = {lower:.6g} for every N'")
+        else:
+            reason = (f"empty window: the smallest N' with N' beta_N' >= {lower:.6g} "
+                      f"already violates N' beta_N' <= mu eps0/(4 n tau) = {upper:.6g}")
+        checks = {"lower_threshold": lower, "upper_threshold": upper}
+        return checks, (v >= lower) & (v <= upper), reason
+
+    def c_candidates(self, schedule, n_prime, n):
+        s = self._vp(schedule)
+        return {"n_one_minus_alpha_N": float(n * (1.0 - s.alpha[s.N])),
+                "n_one_minus_alpha_bar_N": float(n * (1.0 - s.alpha_bar[s.N]))}
+
 
 class _SmldRule(KindRule):
     """lambda_i = (sigma_{i-1}^2 - sigma_0^2) / (sigma_i^2 - sigma_0^2),
-    g_i^2 = sigma_i^2 - sigma_{i-1}^2, (a_i, b_i) = (1, sqrt(sigma_i^2 - sigma_0^2))."""
+    g_i^2 = sigma_i^2 - sigma_{i-1}^2, (a_i, b_i) = (1, sqrt(sigma_i^2 - sigma_0^2)).
+
+    Shortcut: sigma_min^2 < mu^(3/2) eps0 / (8n), sigma_max^2 > mu eps0 / (4n),
+    and (N'-1)/(N-1) inside
+    [log(2/sqrt(mu)), log(mu eps0 / (4 n sigma_min^2))] / log(sigma_max^2/sigma_min^2).
+    C is also printed in the geometric-schedule form
+    n sigma_{N'}^2 (1 - (sigma_1/sigma_N)^{2/(N-1)}).
+    """
 
     corrected = True
 
@@ -251,10 +289,39 @@ class _SmldRule(KindRule):
         s = self.sigma(schedule)
         return 1.0, float(np.sqrt(s[i] ** 2 - s[0] ** 2))
 
+    def shortcut(self, schedule, eps0, mu, tau, n):
+        s, N = self.sigma(schedule), schedule.N
+        smin2, smax2 = float(s[1] ** 2), float(s[N] ** 2)
+        pre_min = mu ** 1.5 * eps0 / (8.0 * n)
+        pre_max = mu * eps0 / (4.0 * n)
+        checks = {"sigma_min_sq": smin2, "sigma_min_cap": pre_min,
+                  "sigma_max_sq": smax2, "sigma_max_floor": pre_max}
+        if not smin2 < pre_min:
+            return checks, None, (f"sigma_min^2 = {smin2:.6g} is not < "
+                                  f"mu^(3/2) eps0/(8n) = {pre_min:.6g}")
+        if not smax2 > pre_max:
+            return checks, None, (f"sigma_max^2 = {smax2:.6g} is not > "
+                                  f"mu eps0/(4n) = {pre_max:.6g}")
+        log_ratio = math.log(smax2 / smin2)
+        lo = math.log(2.0 / math.sqrt(mu)) / log_ratio
+        hi = math.log(mu * eps0 / (4.0 * n * smin2)) / log_ratio
+        checks.update({"ratio_lower": lo, "ratio_upper": hi})
+        r = (np.arange(N + 1) - 1.0) / (N - 1.0)
+        return checks, (lo <= r) & (r <= hi), (
+            f"no integer N' puts (N'-1)/(N-1) inside [{lo:.6g}, {hi:.6g}]")
+
+    def c_candidates(self, schedule, n_prime, n):
+        s, N = self.sigma(schedule), schedule.N
+        ratio = (s[1] / s[N]) ** (2.0 / (N - 1.0))
+        return {"geometric_form": float(n * s[n_prime] ** 2 * (1.0 - ratio))}
+
 
 class _DdimRule(KindRule):
     """lambda_i = sigma_{i-1} / sigma_i, g_i^2 = 0, (a_i, b_i) = (1, sigma_i) with
-    sigma = ddim_sigma, or the sigma grid of a VE schedule (see analysis)."""
+    sigma = ddim_sigma, or the sigma grid of a VE schedule (see analysis).
+
+    Shortcut: sigma_0^2 <= mu eps0 / (4n), then sigma_{N'}^2 >= eps0 / (2n).
+    """
 
     noisy = False
 
@@ -273,6 +340,19 @@ class _DdimRule(KindRule):
 
     def coords(self, schedule, i):
         return 1.0, float(self.sigma(schedule)[i])
+
+    def shortcut(self, schedule, eps0, mu, tau, n):
+        s = self.sigma(schedule)
+        s0sq = float(s[0] ** 2)
+        cap = mu * eps0 / (4.0 * n)
+        floor = eps0 / (2.0 * n)
+        checks = {"sigma0_sq": s0sq, "sigma0_cap": cap, "sigma_floor_sq": floor}
+        if not s0sq <= cap:
+            return checks, None, (f"sigma_0^2 = {s0sq:.6g} exceeds "
+                                  f"mu eps0/(4n) = {cap:.6g}")
+        return checks, s ** 2 >= floor, (
+            f"sigma_N^2 = {float(s[schedule.N] ** 2):.6g} never reaches "
+            f"eps0/(2n) = {floor:.6g}")
 
     def scale(self, schedule, i):
         return 1.0 / float(np.sqrt(schedule.alpha_bar[i]))
@@ -350,16 +430,22 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     return states
 
 
+def _check_finite(i: int, states: list) -> None:
+    if not np.isfinite(states[0]).all():
+        raise ValidationError(f"non-finite state after step {i}")
+
+
 def ccdf_sample(x0_init: np.ndarray, op, cfg: CcdfConfig, schedule: Schedule,
                 oracle: ScoreOracle, rng: RngStream) -> np.ndarray:
     """Run the shortcut sampler: forward-diffuse to N', then reverse to 0.
 
     This is the one-trajectory case of ``reverse_path``.  Forward, reverse,
     consistency and corrector draws come from separate substreams of
-    ``rng``, so coupled runs can reproduce or share any of them.
+    ``rng``, so coupled runs can reproduce or share any of them.  A state
+    that turns non-finite raises ``ValidationError`` naming the step.
     """
     x = forward_diffuse(x0_init, cfg.n_prime, schedule, rng.substream(STREAM_FORWARD))
     [x] = reverse_path([x], cfg, schedule, oracle, op, [rng.substream(STREAM_REVERSE)],
                        [rng.substream(STREAM_CORRECTOR)],
-                       rng.substream(STREAM_CONSISTENCY), 0, None)
+                       rng.substream(STREAM_CONSISTENCY), 0, _check_finite)
     return x

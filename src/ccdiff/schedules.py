@@ -154,15 +154,6 @@ def forward_coeffs(schedule: Schedule, i: int) -> ForwardCoeffs:
     return ForwardCoeffs(a=1.0, b=float(np.sqrt(s2)))
 
 
-def tilde_beta(schedule: Schedule, i: int) -> float:
-    """Posterior reverse-noise variance (1 - alpha_bar_{i-1})/(1 - alpha_bar_i) beta_i."""
-    i = check_step_index(schedule, i)
-    check_family(schedule, SamplerKind.DDPM, "tilde_beta")
-    num = 1.0 - schedule.alpha_bar[i - 1]
-    den = 1.0 - schedule.alpha_bar[i]
-    return float(num / den * schedule.beta[i])
-
-
 def step_index_of_time(t: float, N: int) -> int:
     """Map continuous time t in (0, 1] to a step index: round(t*N), clamped to [1, N]."""
     if not 0.0 < t <= 1.0:

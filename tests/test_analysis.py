@@ -284,6 +284,62 @@ def test_shortcut_validates_inputs():
         minimal_shortcut(1.0, 2.0, VE, SamplerKind.DDIM, 1.0, 64)
 
 
+def _meets_checks(res, schedule, kind, n_prime):
+    """Whether n_prime meets the inequalities recorded in ``res.checks``."""
+    ch = res.checks
+    if kind is SamplerKind.DDPM:
+        v = n_prime * float(schedule.beta[n_prime])
+        return ch["lower_threshold"] <= v <= ch["upper_threshold"]
+    if kind is SamplerKind.SMLD:
+        if not (ch["sigma_min_sq"] < ch["sigma_min_cap"]
+                and ch["sigma_max_sq"] > ch["sigma_max_floor"]):
+            return False
+        r = (n_prime - 1.0) / (schedule.N - 1.0)
+        return ch["ratio_lower"] <= r <= ch["ratio_upper"]
+    sigma = schedule.ddim_sigma if schedule.is_vp else schedule.sigma
+    return (ch["sigma0_sq"] <= ch["sigma0_cap"]
+            and sigma[n_prime] ** 2 >= ch["sigma_floor_sq"])
+
+
+def test_shortcut_is_the_first_step_meeting_its_checks():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def queries(draw):
+        kind = draw(st.sampled_from(list(SamplerKind)))
+        N = draw(st.integers(2, 300))
+        # DDIM runs on both grids: the VP ddim_sigma view and a VE sigma grid.
+        if kind is SamplerKind.SMLD or (kind is SamplerKind.DDIM and draw(st.booleans())):
+            smin = draw(st.floats(1e-3, 1.0))
+            schedule = make_ve_schedule(smin, smin * draw(st.floats(2.0, 1e5)), N)
+        else:
+            bmin = draw(st.floats(1e-5, 1e-2))
+            schedule = make_vp_schedule(bmin, draw(st.floats(2e-2, 0.5)), N, kind=kind)
+        eps0 = 10.0 ** draw(st.floats(-3.0, 4.0))
+        mu = draw(st.floats(1e-3, 1.0))
+        tau = draw(st.sampled_from([0.0, 1e-3, 0.25, 1.0]))
+        return kind, schedule, eps0, mu, tau, draw(st.integers(1, 4096))
+
+    @hyp.settings(max_examples=300, deadline=None, database=None)
+    @hyp.given(queries())
+    def check(query):
+        kind, schedule, eps0, mu, tau, n = query
+        res = minimal_shortcut(eps0, mu, schedule, kind, tau, n)
+        # The loop reference: the first N' in 1..N whose checks hold.
+        first = next((k for k in range(1, schedule.N + 1)
+                      if _meets_checks(res, schedule, kind, k)), None)
+        assert res.n_prime == first
+        if res.feasible:
+            assert _meets_checks(res, schedule, kind, res.n_prime)
+            assert not (res.n_prime > 1
+                        and _meets_checks(res, schedule, kind, res.n_prime - 1))
+        else:
+            assert res.n_prime is None and res.reason
+
+    check()
+
+
 # ---------------------------------- tau -------------------------------------
 
 

@@ -231,6 +231,11 @@ def test_exit_codes_for_bad_usage(tmp_path):
     code, _ = run_cli("ccdf", "--kind", "ddpm", "--t0", "0.1", "--seed", "1",
                       "--op", "mri", "--op-config", str(tmp_path / "none.cfg"))
     assert code == 1
+    for argv in (("phantom", "--size", "64by64", "--out", str(tmp_path / "p.pgm")),
+                 ("simulate", "--size", "16x16x2", "--seed", "1")):
+        code, _ = run_cli(*argv)
+        assert code == 1
+    assert not (tmp_path / "p.pgm").exists()
 
 
 def test_exit_code_two_for_numeric_failure(tmp_path, phantom_file, monkeypatch):

@@ -115,14 +115,6 @@ def test_reverse_ddpm_coupled_ratio_equals_contraction_factor():
         assert ratio == pytest.approx(lam[i - 1], abs=1e-12, rel=1e-9)
 
 
-def test_reverse_ddpm_tilde_variance_is_noiseless_at_final_step():
-    x = RngStream(8).normal((4,))
-    oracle = ZeroScoreOracle()
-    rng = RngStream(9)
-    out = reverse_step_ddpm(x, 1, VP, oracle, rng, use_tilde_variance=True)
-    assert np.allclose(out, x / np.sqrt(VP.alpha[1]), rtol=1e-15)
-
-
 # ------------------------------- SMLD --------------------------------------
 
 
@@ -295,6 +287,20 @@ def test_ccdf_executes_exactly_t0n_reverse_iterations():
     assert cfg.n_prime == 20
     ccdf_sample(ref, IdentityOp(ref.shape, ref), cfg, VP, oracle, RngStream(26))
     assert oracle.calls == 20  # one score evaluation per reverse step
+
+
+def test_ccdf_names_the_step_that_turned_non_finite():
+    class InfAtStep5(ConditionalScoreOracle):
+        def score(self, x, i, schedule):
+            s = super().score(x, i, schedule)
+            return s + np.inf if i == 5 else s
+
+    ref = RngStream(25).normal((16,))
+    cfg = CcdfConfig(t0=0.02, N=1000, kind=SamplerKind.DDPM)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValidationError, match="after step 5$"):
+        ccdf_sample(ref, IdentityOp(ref.shape, ref), cfg, VP, InfAtStep5(ref),
+                    RngStream(26))
 
 
 def test_ccdf_mri_consistency_exact_on_sampled_frequencies():

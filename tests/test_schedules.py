@@ -5,7 +5,7 @@ import pytest
 
 from ccdiff import (SamplerKind, ValidationError, forward_coeffs,
                     make_ve_schedule, make_vp_schedule, step_index_of_time,
-                    tilde_beta, write_schedule_csv)
+                    write_schedule_csv)
 
 # High-precision product of (1 - beta_i) for VP(1e-4, 0.02, 1000), computed
 # once with mpmath at 50 digits (see test_alpha_bar_against_mpmath_oracle).
@@ -144,15 +144,6 @@ def test_forward_coeffs_rejects_out_of_range_index():
     for i in (0, 11, -3):
         with pytest.raises(ValidationError):
             forward_coeffs(s, i)
-
-
-def test_tilde_beta_posterior_variance():
-    s = make_vp_schedule(1e-4, 0.02, 50)
-    assert tilde_beta(s, 1) == 0.0  # alpha_bar_0 = 1
-    i = 20
-    expected = (1 - s.alpha_bar[i - 1]) / (1 - s.alpha_bar[i]) * s.beta[i]
-    assert tilde_beta(s, i) == pytest.approx(expected, rel=1e-15)
-    assert tilde_beta(s, i) < s.beta[i]
 
 
 def test_step_index_of_time():
