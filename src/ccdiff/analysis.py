@@ -186,6 +186,8 @@ class ContractionReport:
 def contraction_report(schedule: Schedule, kind: SamplerKind, n_prime: int,
                        n: int, tau: float, eps0: float) -> ContractionReport:
     """Assemble lambda, C, tau, the forward error and both bounds."""
+    if n < 1:
+        raise ValidationError(f"data dimension n must be >= 1, got {n}")
     lam, lam_steps = contraction_rate(schedule, kind, n_prime)
     c_steps = noise_constant_per_step(schedule, kind, n_prime, n)
     fwd = forward_error(eps0, schedule, kind, n_prime, n)
@@ -229,6 +231,8 @@ def minimal_shortcut(eps0: float, mu: float, schedule: Schedule,
         raise ValidationError("mu must lie in (0, 1]")
     if tau < 0.0:
         raise ValidationError("tau must be nonnegative")
+    if n < 1:
+        raise ValidationError(f"data dimension n must be >= 1, got {n}")
     checks, ok, reason = RULES[kind].shortcut(schedule, eps0, mu, tau, n)
     if ok is not None:
         hits = np.flatnonzero(ok[1:])

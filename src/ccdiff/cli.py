@@ -45,6 +45,14 @@ def build_schedule(args) -> tuple[Schedule, SamplerKind]:
     return make_vp_schedule(args.beta_min, args.beta_max, args.n_steps, kind=kind), kind
 
 
+def _number(text: str, kind, what: str):
+    """``kind(text)``, with a ValidationError naming ``what`` if it fails."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{what}: expected {kind.__name__}, got {text!r}") from None
+
+
 def read_op_config(path) -> dict:
     """Parse a key=value operator config file ('#' starts a comment)."""
     cfg = {}
@@ -105,7 +113,7 @@ def build_op(op_name: str | None, cfg: dict, schedule: Schedule,
     if op_name == "sr":
         if measurement is None:
             raise ValidationError("sr op needs measurement=<path> in the config")
-        factor = int(cfg.get("factor", 4))
+        factor = _number(cfg.get("factor", "4"), int, "factor")
         return consistency.sr_projection(factor, measurement, schedule, kind)
 
     if op_name == "inpaint":
@@ -127,9 +135,10 @@ def build_op(op_name: str | None, cfg: dict, schedule: Schedule,
         else:
             mask = consistency.gaussian1d_mask(
                 measurement.shape,
-                accel=float(cfg.get("accel-factor", 4.0)),
-                acs_fraction=float(cfg.get("acs-fraction", 0.08)),
-                seed=int(cfg.get("seed", 0)),
+                accel=_number(cfg.get("accel-factor", "4.0"), float, "accel-factor"),
+                acs_fraction=_number(cfg.get("acs-fraction", "0.08"), float,
+                                     "acs-fraction"),
+                seed=_number(cfg.get("seed", "0"), int, "seed"),
             )
         y = consistency.mri_measure(measurement, mask)
         return consistency.mri_projection(mask, y)
@@ -143,7 +152,7 @@ def _parse_oracle(spec: str, ground_truth: np.ndarray) -> ScoreOracle:
     if spec.startswith("gaussian"):
         var = 0.25
         if ":" in spec:
-            var = float(spec.split(":", 1)[1])
+            var = _number(spec.split(":", 1)[1], float, "the gaussian oracle variance")
         return GaussianScoreOracle(mu=ground_truth, var=var)
     raise ValidationError(f"unknown oracle spec {spec!r}")
 
@@ -193,7 +202,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_contract(args) -> int:
     schedule, kind = build_schedule(args)
-    n_prime = args.n_prime if args.n_prime else CcdfConfig(
+    n_prime = args.n_prime if args.n_prime is not None else CcdfConfig(
         t0=args.t0, N=schedule.N, kind=kind).n_prime
     report = analysis.contraction_report(schedule, kind, n_prime,
                                          args.n, args.tau, args.eps0)
@@ -224,7 +233,9 @@ def cmd_shortcut(args) -> int:
 def _simulate_ground_truth(args):
     if args.size:
         return harness.make_phantom(args.gt, _parse_size(args.size), seed=args.seed)
-    n = args.n or 64
+    n = 64 if args.n is None else args.n
+    if n < 1:
+        raise ValidationError(f"--n must be >= 1, got {n}")
     return RngStream(args.seed, (0x6774,)).uniform(0.0, 1.0, (n,))
 
 
@@ -278,7 +289,7 @@ def cmd_simulate(args) -> int:
         init = imgio.load_image(args.init.split(":", 1)[1])
     else:
         init = harness.resolve_init(args.init, gt, op, args.seed)
-    t0_values = [float(v) for v in args.t0.split(",")]
+    t0_values = [_number(v, float, "--t0") for v in args.t0.split(",")]
     cfg = harness.ExperimentConfig(
         schedule=schedule, kind=kind, t0=t0_values[0], trials=args.trials,
         ground_truth=gt, init=init, op=op, oracle=oracle, seed=args.seed,

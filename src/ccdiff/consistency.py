@@ -81,14 +81,12 @@ class ConsistencyOp:
 
 
 class IdentityOp(ConsistencyOp):
-    """A = I, b = 0: no measurement is enforced (tau = 1)."""
+    """A = I, b = 0 (tau = 1): the measurement is only the vanilla initialization."""
 
-    def __init__(self, shape, measurement=None):
+    def __init__(self, shape, measurement):
         super().__init__(shape, tau=1.0, description="identity")
-        self.measurement = None
-        if measurement is not None:
-            self.measurement = np.asarray(measurement, dtype=np.float64)
-            _require_finite(self.measurement, "measurement")
+        self.measurement = np.asarray(measurement, dtype=np.float64)
+        _require_finite(self.measurement, "measurement")
 
     def apply_linear(self, x):
         return np.asarray(x, dtype=np.float64)
@@ -97,8 +95,6 @@ class IdentityOp(ConsistencyOp):
         return 0.0
 
     def vanilla_init(self):
-        if self.measurement is None:
-            raise ValidationError("identity operator was built without a measurement")
         return self.measurement
 
 
@@ -120,11 +116,7 @@ class _DiffusedAnchorOp(ConsistencyOp):
     def diffused_measurement(self, i, rng, batch_shape=()):
         """x_hat_i = a_i x_hat_0 + b_i z with z drawn once from rng."""
         c = forward_coeffs(self.schedule, i)
-        if rng is None:
-            z = 0.0
-        else:
-            z = rng.normal(tuple(batch_shape) + self.shape)
-        return c.a * self.measurement + c.b * z
+        return c.a * self.measurement + c.b * rng.normal(tuple(batch_shape) + self.shape)
 
 
 class SrOp(_DiffusedAnchorOp):

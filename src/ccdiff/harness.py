@@ -25,9 +25,10 @@ from .analysis import (bound_traces, contraction_rate, forward_error,
                        noise_constant_per_step, tau_of)
 from .errors import ValidationError
 from .rng import RngStream
-from .samplers import RULES, CcdfConfig, ccdf_sample, reverse_path
-from .schedules import SamplerKind, Schedule, forward_coeffs, make_ve_schedule
-from .score import ConditionalScoreOracle, GaussianScoreOracle, ScoreOracle
+from .samplers import (DEFAULT_CORRECTOR_R, RULES, CcdfConfig, ccdf_sample,
+                       forward_diffuse, reverse_path)
+from .schedules import SamplerKind, Schedule, make_ve_schedule
+from .score import GaussianScoreOracle, ScoreOracle
 from .consistency import MriOp, mri_measure
 
 
@@ -118,7 +119,10 @@ def resolve_init(mode: str, ground_truth: np.ndarray, op, seed: int) -> np.ndarr
     if mode == "truth":
         return ground_truth.copy()
     if mode.startswith("eps0:"):
-        eps0 = float(mode.split(":", 1)[1])
+        try:
+            eps0 = float(mode.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"eps0 must be a number, got {mode!r}") from None
         if eps0 < 0:
             raise ValidationError("eps0 must be nonnegative")
         direction = RngStream(seed, (0x696E6974,)).normal(ground_truth.shape)
@@ -161,9 +165,8 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
         r_rev_g, r_cor_g = r_rev_x, r_cor_x
     scale = RULES[kind].scale
 
-    c = forward_coeffs(schedule, n_prime)
-    pair = [c.a * x0 + c.b * r_fwd_x.normal((M,) + shape),
-            c.a * g + c.b * r_fwd_g.normal((M,) + shape)]
+    pair = [forward_diffuse(x0, n_prime, schedule, r_fwd_x.normal((M,) + shape)),
+            forward_diffuse(g, n_prime, schedule, r_fwd_g.normal((M,) + shape))]
     sq = np.empty((n_prime + 1, M))
     sq[0] = _sq_norms((pair[0] - pair[1]) * scale(schedule, n_prime))
 
@@ -294,37 +297,31 @@ class MriDemoResult:
     mask_kept: int
 
 
+MRI_DEMO_SIGMA_MIN = 0.01
+MRI_DEMO_SIGMA_MAX = 378.0
+
+
 def run_mri_demo(phantom: np.ndarray, mask: np.ndarray, t0: float,
-                 trials: int = 1, N: int = 1000, seed: int = 0,
-                 sigma_min: float = 0.01, sigma_max: float = 378.0,
-                 corrector_r: float = 0.16,
-                 oracle: ScoreOracle | str = "gaussian") -> MriDemoResult:
+                 trials: int = 1, N: int = 1000, seed: int = 0) -> MriDemoResult:
     """Reconstruct a phantom from masked k-space with the VE shortcut sampler.
 
     Builds y = D F(phantom), initializes from the zero-filled reconstruction
     (the corrupted measurement itself), and runs predictor-corrector
-    sampling with per-step consistency.  The default oracle is a Gaussian
-    prior fitted to the phantom (mean image = phantom, variance matched to
-    the finest diffusion noise scale sigma_min^2), standing in for a
-    well-trained prior; ``conditional`` anchors the score at the phantom
-    exactly.  The corrector runs in its annealed (squared) step-size form,
-    which is what makes predictor-corrector reconstruction outperform the
-    zero-filled baseline.
+    sampling with per-step consistency on the VE schedule from
+    ``MRI_DEMO_SIGMA_MIN`` to ``MRI_DEMO_SIGMA_MAX``.  The oracle is a
+    Gaussian prior fitted to the phantom (mean image = phantom, variance
+    sigma_min^2), standing in for a well-trained prior.  The corrector runs
+    at ``DEFAULT_CORRECTOR_R`` in its annealed (squared) step-size form,
+    which is what makes it outperform the zero-filled baseline.
     """
     phantom = np.asarray(phantom, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    schedule = make_ve_schedule(sigma_min, sigma_max, N)
+    schedule = make_ve_schedule(MRI_DEMO_SIGMA_MIN, MRI_DEMO_SIGMA_MAX, N)
     y = mri_measure(phantom, mask)
     op = MriOp(mask, y)
-    if isinstance(oracle, str):
-        if oracle == "gaussian":
-            oracle = GaussianScoreOracle(mu=phantom, var=sigma_min ** 2)
-        elif oracle == "conditional":
-            oracle = ConditionalScoreOracle(phantom)
-        else:
-            raise ValidationError(f"unknown oracle spec {oracle!r}")
-    cfg = CcdfConfig(t0=t0, N=N, kind=SamplerKind.SMLD, corrector_r=corrector_r,
-                     corrector_squared_step=True)
+    oracle = GaussianScoreOracle(mu=phantom, var=MRI_DEMO_SIGMA_MIN ** 2)
+    cfg = CcdfConfig(t0=t0, N=N, kind=SamplerKind.SMLD,
+                     corrector_r=DEFAULT_CORRECTOR_R, corrector_squared_step=True)
     zf = op.vanilla_init()
     psnrs, residuals = [], []
     recon = None

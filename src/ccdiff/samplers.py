@@ -5,10 +5,11 @@ N' = round(t0 * N), then ``reverse_path`` alternates the reverse step of the
 kind's rule (``RULES``) with the affine data-consistency map x <- A x' + b_i,
 on one trajectory (``ccdf_sample``) or on the harness's coupled pairs.
 
-All steps accept an optional pre-drawn noise array ``z``; when ``z`` is given
-the RNG is not consulted, which is how coupled-trajectory experiments share
-or withhold noise.  Passing ``rng=None, z=None`` to a stochastic step is an
-error except for DDIM, which has no noise term.
+Forward diffusion, the stochastic reverse steps and the corrector are pure
+functions of the standard-normal draw ``z`` they are given (DDIM has none).
+Only the loops (``ccdf_sample``, ``reverse_path``, ``run_error_curve``) and
+the SR/inpaint offsets draw, so which draws a coupled pair shares is decided
+in one place.
 """
 
 from __future__ import annotations
@@ -60,28 +61,16 @@ class CcdfConfig:
         return step_index_of_time(self.t0, self.N)
 
 
-def _draw(rng: RngStream | None, z: np.ndarray | None, shape) -> np.ndarray:
-    if z is not None:
-        return np.asarray(z, dtype=np.float64)
-    if rng is None:
-        raise ValidationError("a stochastic step needs either rng or a pre-drawn z")
-    return rng.normal(shape)
-
-
 def forward_diffuse(x0: np.ndarray, n_prime: int, schedule: Schedule,
-                    rng: RngStream | None, z: np.ndarray | None = None) -> np.ndarray:
-    """Single-step forward diffusion x_{N'} = a_{N'} x0 + b_{N'} z.
-
-    Draws z exactly once; no score evaluations are performed.
-    """
+                    z: np.ndarray) -> np.ndarray:
+    """Single-step forward diffusion x_{N'} = a_{N'} x0 + b_{N'} z."""
     x0 = np.asarray(x0, dtype=np.float64)
     c = forward_coeffs(schedule, n_prime)
-    return c.a * x0 + c.b * _draw(rng, z, x0.shape)
+    return c.a * x0 + c.b * z
 
 
 def reverse_step_ddpm(x: np.ndarray, i: int, schedule: Schedule,
-                      oracle: ScoreOracle, rng: RngStream | None,
-                      z: np.ndarray | None = None) -> np.ndarray:
+                      oracle: ScoreOracle, z: np.ndarray) -> np.ndarray:
     """One ancestral reverse step of the variance-preserving sampler.
 
     x_{i-1} = (x_i + (1 - alpha_i) s(x_i, i)) / sqrt(alpha_i) + sqrt(beta_i) z.
@@ -92,12 +81,11 @@ def reverse_step_ddpm(x: np.ndarray, i: int, schedule: Schedule,
     s = oracle.score(x, i, schedule)
     alpha_i = schedule.alpha[i]
     mean = (x + (1.0 - alpha_i) * s) / np.sqrt(alpha_i)
-    return mean + np.sqrt(float(schedule.beta[i])) * _draw(rng, z, x.shape)
+    return mean + np.sqrt(float(schedule.beta[i])) * z
 
 
 def reverse_step_smld(x: np.ndarray, i: int, schedule: Schedule,
-                      oracle: ScoreOracle, rng: RngStream | None,
-                      z: np.ndarray | None = None) -> np.ndarray:
+                      oracle: ScoreOracle, z: np.ndarray) -> np.ndarray:
     """One reverse step of the variance-exploding sampler.
 
     x_{i-1} = x_i + (sigma_i^2 - sigma_{i-1}^2) s(x_i, i)
@@ -108,7 +96,7 @@ def reverse_step_smld(x: np.ndarray, i: int, schedule: Schedule,
     x = np.asarray(x, dtype=np.float64)
     dv = float(schedule.sigma[i] ** 2 - schedule.sigma[i - 1] ** 2)
     s = oracle.score(x, i, schedule)
-    return x + dv * s + np.sqrt(dv) * _draw(rng, z, x.shape)
+    return x + dv * s + np.sqrt(dv) * z
 
 
 def reverse_step_ddim(x: np.ndarray, i: int, schedule: Schedule,
@@ -131,14 +119,13 @@ def reverse_step_ddim(x: np.ndarray, i: int, schedule: Schedule,
 
 
 def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
-                       oracle: ScoreOracle, r: float, rng: RngStream | None,
-                       z: np.ndarray | None = None,
+                       oracle: ScoreOracle, r: float, z: np.ndarray,
                        batch_axes: int = 0,
                        squared_step: bool = False) -> np.ndarray:
     """One Langevin refinement step x + eps s + sqrt(2 eps) z (VE schedules only).
 
-    The step size eps = 2 r ||z|| / ||s(x, i)|| is set from the same fresh
-    draw z that supplies the additive noise.  A zero score norm makes the
+    The step size eps = 2 r ||z|| / ||s(x, i)|| is set from the same draw z
+    that supplies the additive noise.  A zero score norm makes the
     step undefined; it is skipped with a warning.  ``batch_axes`` leading
     axes are treated as independent samples when computing the norms.
 
@@ -161,10 +148,9 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
     if r == 0.0:
         return x
     s = oracle.score(x, i, schedule)
-    zz = _draw(rng, z, x.shape)
     data_axes = tuple(range(batch_axes, x.ndim))
     s_norm = np.sqrt(np.sum(s * s, axis=data_axes, keepdims=True))
-    z_norm = np.sqrt(np.sum(zz * zz, axis=data_axes, keepdims=True))
+    z_norm = np.sqrt(np.sum(z * z, axis=data_axes, keepdims=True))
     if np.any(s_norm == 0.0):
         logger.warning("corrector skipped at step %d: zero score norm", i)
         if np.all(s_norm == 0.0):
@@ -178,7 +164,7 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
                    axis=data_axes, keepdims=True)
     eps = np.where(j_max > 0.0, np.minimum(eps, 1.0 / np.maximum(j_max, 1e-300)),
                    eps)
-    return x + eps * s + np.sqrt(2.0 * eps) * zz
+    return x + eps * s + np.sqrt(2.0 * eps) * z
 
 
 class KindRule:
@@ -218,7 +204,7 @@ class _DdpmRule(KindRule):
     """
 
     def step(self, x, i, schedule, oracle, z):
-        return reverse_step_ddpm(x, i, schedule, oracle, None, z=z)
+        return reverse_step_ddpm(x, i, schedule, oracle, z)
 
     def _vp(self, schedule: Schedule) -> Schedule:
         check_family(schedule, SamplerKind.DDPM, "DDPM analysis")
@@ -270,7 +256,7 @@ class _SmldRule(KindRule):
     corrected = True
 
     def step(self, x, i, schedule, oracle, z):
-        return reverse_step_smld(x, i, schedule, oracle, None, z=z)
+        return reverse_step_smld(x, i, schedule, oracle, z)
 
     def sigma(self, schedule: Schedule) -> np.ndarray:
         check_family(schedule, SamplerKind.SMLD, "SMLD analysis")
@@ -422,7 +408,7 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
             for k in range(len(states)):
                 z = _noise(corrector_noise, k, z, states[k].shape)
                 states[k] = langevin_corrector(
-                    states[k], i, schedule, oracle, cfg.corrector_r, None, z=z,
+                    states[k], i, schedule, oracle, cfg.corrector_r, z,
                     batch_axes=batch_axes, squared_step=cfg.corrector_squared_step)
             _consistency(states, op, i, anchor_rng, batch_axes)
         if on_step is not None:
@@ -444,7 +430,8 @@ def ccdf_sample(x0_init: np.ndarray, op, cfg: CcdfConfig, schedule: Schedule,
     ``rng``, so coupled runs can reproduce or share any of them.  A state
     that turns non-finite raises ``ValidationError`` naming the step.
     """
-    x = forward_diffuse(x0_init, cfg.n_prime, schedule, rng.substream(STREAM_FORWARD))
+    x = forward_diffuse(x0_init, cfg.n_prime, schedule,
+                        rng.substream(STREAM_FORWARD).normal(np.shape(x0_init)))
     [x] = reverse_path([x], cfg, schedule, oracle, op, [rng.substream(STREAM_REVERSE)],
                        [rng.substream(STREAM_CORRECTOR)],
                        rng.substream(STREAM_CONSISTENCY), 0, _check_finite)

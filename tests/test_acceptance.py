@@ -67,12 +67,12 @@ def test_criterion_02_contraction_rate_correctness():
             xt = x + gen.standard_normal(24)
             z = gen.standard_normal(24)
             if kind is SamplerKind.DDPM:
-                a = reverse_step_ddpm(x, i, sch, oracle, None, z=z)
-                b = reverse_step_ddpm(xt, i, sch, oracle, None, z=z)
+                a = reverse_step_ddpm(x, i, sch, oracle, z)
+                b = reverse_step_ddpm(xt, i, sch, oracle, z)
                 ratio = np.linalg.norm(a - b) / np.linalg.norm(x - xt)
             elif kind is SamplerKind.SMLD:
-                a = reverse_step_smld(x, i, sch, oracle, None, z=z)
-                b = reverse_step_smld(xt, i, sch, oracle, None, z=z)
+                a = reverse_step_smld(x, i, sch, oracle, z)
+                b = reverse_step_smld(xt, i, sch, oracle, z)
                 ratio = np.linalg.norm(a - b) / np.linalg.norm(x - xt)
             else:
                 a = reverse_step_ddim(x, i, sch, oracle)
@@ -331,7 +331,8 @@ def test_criterion_09_error_curve_shapes_and_init_ordering(tmp_path):
                      "--init", "eps0:9.0", "--seed", "90",
                      "--out", str(out_csv)])
     assert code == 0
-    rows = list(csv.DictReader(out_csv.open()))
+    with out_csv.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["step"] == "100" and rows[-1]["step"] == "0"
 
     sch = make_vp_schedule(1e-4, 0.02, 100)

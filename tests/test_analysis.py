@@ -60,8 +60,8 @@ def test_ddpm_lambda_matches_coupled_pair_ratios_over_full_window():
     xt = x + rng.substream(2).normal((16,))
     for i in range(2, n_prime + 1):  # i = 1 has ratio 0/0-free lambda = 0
         z = rng.substream(100 + i).normal((16,))
-        a = reverse_step_ddpm(x, i, VP, oracle, None, z=z)
-        b = reverse_step_ddpm(xt, i, VP, oracle, None, z=z)
+        a = reverse_step_ddpm(x, i, VP, oracle, z)
+        b = reverse_step_ddpm(xt, i, VP, oracle, z)
         ratio = np.linalg.norm(a - b) / np.linalg.norm(x - xt)
         assert ratio == pytest.approx(lam[i - 1], rel=1e-9)
 
@@ -282,6 +282,11 @@ def test_shortcut_validates_inputs():
         minimal_shortcut(1.0, 0.0, VE, SamplerKind.DDIM, 1.0, 64)
     with pytest.raises(ValidationError):
         minimal_shortcut(1.0, 2.0, VE, SamplerKind.DDIM, 1.0, 64)
+    for n in (0, -5):
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            minimal_shortcut(1.0, 1.0, VE, SamplerKind.SMLD, 1.0, n)
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            contraction_report(VP, SamplerKind.DDPM, 120, n, 0.5, 10.0)
 
 
 def _meets_checks(res, schedule, kind, n_prime):

@@ -17,6 +17,11 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
+def read_csv(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def kv(output):
     pairs = {}
     for line in output.strip().splitlines():
@@ -38,7 +43,7 @@ def test_schedule_csv_endpoints(tmp_path):
     code, _ = run_cli("schedule", "--kind", "ddpm", "--n-steps", "1000",
                       "--out", str(out))
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert len(rows) == 1001
     assert float(rows[1]["beta"]) == 1e-4
     assert float(rows[1000]["beta"]) == 0.02
@@ -50,7 +55,7 @@ def test_schedule_smld_uses_sigma_grid(tmp_path):
     code, _ = run_cli("schedule", "--kind", "smld", "--n-steps", "1000",
                       "--out", str(out))
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert float(rows[1]["sigma"]) == pytest.approx(0.01)
     assert float(rows[1000]["sigma"]) == pytest.approx(378.0)
     assert rows[3]["beta"] == ""
@@ -71,13 +76,13 @@ def test_contract_report_fields(tmp_path):
 
 
 def test_shortcut_reports_feasibility():
-    code, out = run_cli("shortcut", "--kind", "ddim", "--n-steps", "1000",
+    code, out = run_cli("shortcut", "--kind", "smld", "--n-steps", "1000",
                         "--sigma-min", "0.01", "--sigma-max", "378",
-                        "--kind", "smld", "--eps0", "12.8", "--n", "64")
+                        "--eps0", "12.8", "--n", "64")
     assert code == 0
     pairs = kv(out)
     assert pairs["feasible"] == "True"
-    # DDIM branch on the VE grid: the derived closed-form index
+    # DDIM branch on the VP grid: the derived closed-form index
     code, out = run_cli("shortcut", "--kind", "ddim", "--n-steps", "1000",
                         "--beta-min", "1e-4", "--beta-max", "0.02",
                         "--eps0", "12.8", "--n", "64")
@@ -86,7 +91,7 @@ def test_shortcut_reports_feasibility():
 
 def test_shortcut_ddim_on_ve_grid_via_smld_schedule():
     # kind smld builds the VE grid; the ddim rule is exercised in-library
-    # (the CLI binds kind to both schedule and rule, so use the library здесь)
+    # (the CLI binds kind to both schedule and rule, so use the library here)
     from ccdiff import SamplerKind, make_ve_schedule, minimal_shortcut
     res = minimal_shortcut(12.8, 1.0, make_ve_schedule(0.01, 378, 1000),
                            SamplerKind.DDIM, 1.0, 64)
@@ -107,7 +112,7 @@ def test_simulate_trajectory_csv_and_gnuplot(tmp_path):
                       "--init", "eps0:4.0", "--seed", "7",
                       "--out", str(out), "--gnuplot", str(gp))
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert len(rows) == 11  # steps 10..0
     assert rows[0]["step"] == "10" and rows[-1]["step"] == "0"
     assert "set datafile separator" in gp.read_text()
@@ -125,7 +130,7 @@ def test_simulate_sweep_csv(tmp_path):
                       "--t0", "0.1,0.2,1.0", "--trials", "32", "--n", "16",
                       "--init", "eps0:4.0", "--seed", "8", "--out", str(out))
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_csv(out)
     assert [r["t0"] for r in rows] == ["0.1", "0.2", "1.0"]
 
 
@@ -236,6 +241,30 @@ def test_exit_codes_for_bad_usage(tmp_path):
         code, _ = run_cli(*argv)
         assert code == 1
     assert not (tmp_path / "p.pgm").exists()
+
+
+@pytest.mark.parametrize("argv, op_config", [
+    ("simulate --seed 1 --t0 0.2,abc", None),
+    ("simulate --seed 1 --init eps0:abc", None),
+    ("simulate --seed 1 --oracle gaussian:abc", None),
+    ("simulate --seed 1 --n -3", None),
+    ("simulate --seed 1 --n 0", None),
+    ("ccdf --seed 1 --op sr --t0 0.1", "factor=abc"),
+    ("ccdf --seed 1 --op mri --t0 0.1", "accel-factor=x"),
+    ("shortcut --eps0 1 --n -5", None),
+    ("contract --n-prime 0", None),
+    ("contract --n 0", None),
+])
+def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
+                                                phantom_file, capsys):
+    argv = argv.split()
+    if op_config is not None:
+        cfg = tmp_path / "op.cfg"
+        cfg.write_text(f"measurement={phantom_file}\n{op_config}\n")
+        argv += ["--op-config", str(cfg)]
+    code, _ = run_cli(*argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_exit_code_two_for_numeric_failure(tmp_path, phantom_file, monkeypatch):

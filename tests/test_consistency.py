@@ -326,8 +326,5 @@ def test_gaussian1d_mask_validation():
 
 
 def test_identity_vanilla_init_requires_measurement():
-    op = IdentityOp((4,))
-    with pytest.raises(ValidationError):
-        op.vanilla_init()
     with pytest.raises(ValidationError):
         IdentityOp((4,), np.array([0.0, np.nan, 0.0, 0.0]))

@@ -3,13 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from ccdiff import (CcdfConfig, ConditionalScoreOracle, IdentityOp, InpaintOp,
-                    SamplerKind, ValidationError, ZeroScoreOracle, ccdf_sample,
-                    contraction_rate, forward_coeffs, forward_diffuse,
-                    gaussian1d_mask, langevin_corrector, make_phantom,
-                    make_ve_schedule, make_vp_schedule, mri_measure,
-                    mri_projection, reverse_step_ddim, reverse_step_ddpm,
-                    reverse_step_smld)
+from ccdiff import (CcdfConfig, ConditionalScoreOracle, GaussianScoreOracle,
+                    IdentityOp, InpaintOp, SamplerKind, ValidationError,
+                    ZeroScoreOracle, ccdf_sample, contraction_rate,
+                    forward_coeffs, forward_diffuse, gaussian1d_mask,
+                    langevin_corrector, make_phantom, make_ve_schedule,
+                    make_vp_schedule, mri_measure, mri_projection,
+                    reverse_step_ddim, reverse_step_ddpm, reverse_step_smld,
+                    sr_projection)
 from ccdiff.rng import RngStream
 
 VP = make_vp_schedule(1e-4, 0.02, 1000)
@@ -40,7 +41,7 @@ class CountingInpaintOp(InpaintOp):
 def test_forward_diffuse_is_one_draw_and_matches_coefficients():
     x0 = RngStream(0).normal((32,))
     z = RngStream(1).normal((32,))
-    out = forward_diffuse(x0, 1000, VP, None, z=z)
+    out = forward_diffuse(x0, 1000, VP, z)
     c = forward_coeffs(VP, 1000)
     assert np.allclose(out, c.a * x0 + c.b * z, rtol=1e-15)
     assert c.a == pytest.approx(6.6e-3, rel=0.05)
@@ -48,7 +49,7 @@ def test_forward_diffuse_is_one_draw_and_matches_coefficients():
 
 def test_forward_diffuse_zero_noise_limit_returns_scaled_input():
     x0 = RngStream(2).normal((8,))
-    out = forward_diffuse(x0, 5, VP, None, z=np.zeros(8))
+    out = forward_diffuse(x0, 5, VP, np.zeros(8))
     assert np.allclose(out, np.sqrt(VP.alpha_bar[5]) * x0, rtol=1e-15)
 
 
@@ -58,15 +59,10 @@ def test_forward_diffuse_monte_carlo_second_moment():
     x0 = RngStream(3).normal((n,))
     rng = RngStream(4)
     c = forward_coeffs(VP, n_prime)
-    out = forward_diffuse(np.broadcast_to(x0, (M, n)), n_prime, VP, rng)
+    out = forward_diffuse(x0, n_prime, VP, rng.normal((M, n)))
     sq = np.sum((out - c.a * x0) ** 2, axis=1) / n
     se = sq.std(ddof=1) / np.sqrt(M)
     assert abs(sq.mean() - c.b ** 2) <= 4 * se
-
-
-def test_forward_diffuse_needs_noise_source():
-    with pytest.raises(ValidationError):
-        forward_diffuse(np.zeros(4), 10, VP, None)
 
 
 # ------------------------------- DDPM --------------------------------------
@@ -74,7 +70,7 @@ def test_forward_diffuse_needs_noise_source():
 
 def test_reverse_ddpm_zero_score_is_pure_rescale():
     x = RngStream(5).normal((16,))
-    out = reverse_step_ddpm(x, 40, VP, ZeroScoreOracle(), None, z=np.zeros(16))
+    out = reverse_step_ddpm(x, 40, VP, ZeroScoreOracle(), np.zeros(16))
     assert np.allclose(out, x / np.sqrt(VP.alpha[40]), rtol=1e-15)
 
 
@@ -96,7 +92,7 @@ def test_reverse_ddpm_at_kernel_mean_matches_symbolic_oracle():
     oracle = ConditionalScoreOracle(ref)
     i = 123
     x_num = np.sqrt(VP.alpha_bar[i]) * ref
-    out = reverse_step_ddpm(x_num, i, VP, oracle, None, z=np.zeros(8))
+    out = reverse_step_ddpm(x_num, i, VP, oracle, np.zeros(8))
     assert np.allclose(out, np.sqrt(VP.alpha_bar[i - 1]) * ref, rtol=1e-12)
 
 
@@ -109,8 +105,8 @@ def test_reverse_ddpm_coupled_ratio_equals_contraction_factor():
         x = rng.substream(i).normal((24,))
         xt = x + rng.substream(i + 5000).normal((24,)) * 0.1
         z = rng.substream(i + 9000).normal((24,))
-        a = reverse_step_ddpm(x, i, VP, oracle, None, z=z)
-        b = reverse_step_ddpm(xt, i, VP, oracle, None, z=z)
+        a = reverse_step_ddpm(x, i, VP, oracle, z)
+        b = reverse_step_ddpm(xt, i, VP, oracle, z)
         ratio = np.linalg.norm(a - b) / np.linalg.norm(x - xt)
         assert ratio == pytest.approx(lam[i - 1], abs=1e-12, rel=1e-9)
 
@@ -120,7 +116,7 @@ def test_reverse_ddpm_coupled_ratio_equals_contraction_factor():
 
 def test_reverse_smld_zero_score_zero_noise_is_identity():
     x = RngStream(10).normal((16,))
-    out = reverse_step_smld(x, 77, VE, ZeroScoreOracle(), None, z=np.zeros(16))
+    out = reverse_step_smld(x, 77, VE, ZeroScoreOracle(), np.zeros(16))
     assert np.array_equal(out, x)
 
 
@@ -133,8 +129,8 @@ def test_reverse_smld_coupled_ratio_equals_contraction_factor():
         x = rng.substream(i).normal((24,))
         xt = x + rng.substream(i + 5000).normal((24,))
         z = rng.substream(i + 9000).normal((24,))
-        a = reverse_step_smld(x, i, VE, oracle, None, z=z)
-        b = reverse_step_smld(xt, i, VE, oracle, None, z=z)
+        a = reverse_step_smld(x, i, VE, oracle, z)
+        b = reverse_step_smld(xt, i, VE, oracle, z)
         ratio = np.linalg.norm(a - b) / np.linalg.norm(x - xt)
         assert ratio == pytest.approx(lam[i - 1], abs=1e-12, rel=1e-9)
 
@@ -142,9 +138,9 @@ def test_reverse_smld_coupled_ratio_equals_contraction_factor():
 def test_smld_rejects_vp_schedule_and_vice_versa():
     x = np.zeros(4)
     with pytest.raises(ValidationError):
-        reverse_step_smld(x, 3, VP, ZeroScoreOracle(), None, z=x)
+        reverse_step_smld(x, 3, VP, ZeroScoreOracle(), x)
     with pytest.raises(ValidationError):
-        reverse_step_ddpm(x, 3, VE, ZeroScoreOracle(), None, z=x)
+        reverse_step_ddpm(x, 3, VE, ZeroScoreOracle(), x)
     with pytest.raises(ValidationError):
         reverse_step_ddim(x, 3, VE, ZeroScoreOracle())
 
@@ -207,14 +203,14 @@ def test_corrector_step_size_vanishes_for_huge_score_norm():
     s = oracle.score(x, 1, VE)
     eps = 2 * 0.16 * np.linalg.norm(z) / np.linalg.norm(s)
     assert eps < 1e-6
-    out = langevin_corrector(x, 1, VE, oracle, 0.16, None, z=z)
+    out = langevin_corrector(x, 1, VE, oracle, 0.16, z)
     noise_part = out - (x + eps * s)
     assert np.linalg.norm(noise_part) <= np.sqrt(2 * eps) * np.linalg.norm(z) * (1 + 1e-9)
     assert np.linalg.norm(noise_part) < 1e-2
     score_part = out - noise_part - x
     assert np.linalg.norm(score_part) == pytest.approx(
         2 * 0.16 * np.linalg.norm(z), rel=1e-9)
-    out_sq = langevin_corrector(x, 1, VE, oracle, 0.16, None, z=z,
+    out_sq = langevin_corrector(x, 1, VE, oracle, 0.16, z,
                                 squared_step=True)
     assert np.linalg.norm(out_sq - x) < 1e-2
 
@@ -222,7 +218,7 @@ def test_corrector_step_size_vanishes_for_huge_score_norm():
 def test_corrector_r_zero_returns_input_unchanged():
     x = RngStream(17).normal((16,))
     out = langevin_corrector(x, 100, VE, ConditionalScoreOracle(np.zeros(16)),
-                             0.0, RngStream(18))
+                             0.0, RngStream(18).normal((16,)))
     assert out is x or np.array_equal(out, x)
 
 
@@ -231,14 +227,14 @@ def test_corrector_zero_score_norm_skips_with_warning(caplog):
     oracle = ConditionalScoreOracle(x / forward_coeffs(VE, 50).a)
     # score is exactly zero at the kernel mean scaled anchor
     out = langevin_corrector(forward_coeffs(VE, 50).a * oracle.x_ref, 50, VE,
-                             oracle, 0.16, RngStream(20))
+                             oracle, 0.16, RngStream(20).normal((8,)))
     assert np.array_equal(out, forward_coeffs(VE, 50).a * oracle.x_ref)
 
 
 def test_corrector_rejects_vp_schedule():
     with pytest.raises(ValidationError):
         langevin_corrector(np.zeros(4), 10, VP, ZeroScoreOracle(), 0.16,
-                           RngStream(21))
+                           RngStream(21).normal((4,)))
 
 
 def test_corrector_golden_regression_lock():
@@ -248,7 +244,7 @@ def test_corrector_golden_regression_lock():
     x_ref = rng.substream(0).normal((64,))
     x = x_ref + 0.3 * rng.substream(1).normal((64,))
     out = langevin_corrector(x, 500, VE, ConditionalScoreOracle(x_ref), 0.16,
-                             rng.substream(2))
+                             rng.substream(2).normal((64,)))
     digest = hashlib.sha256(out.tobytes()).hexdigest()
     assert digest == ("13e65a178f021f8003a42e3c100a2cb404ed17aa"
                       "482eee86a2ffd17631014048")
@@ -260,7 +256,7 @@ def test_corrector_squared_step_contracts_toward_anchor():
     x_ref = rng.substream(0).normal((64,))
     x = x_ref + 0.5 * rng.substream(1).normal((64,))
     out = langevin_corrector(x, 10, VE, ConditionalScoreOracle(x_ref), 0.16,
-                             rng.substream(2), squared_step=True)
+                             rng.substream(2).normal((64,)), squared_step=True)
     assert np.linalg.norm(out - x_ref) < np.linalg.norm(x - x_ref)
 
 
@@ -342,6 +338,32 @@ def test_ccdf_bitwise_determinism():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("kind, r, op_name, digest, total", [
+    (SamplerKind.DDPM, 0.0, "sr",
+     "606324dabe56f4be1976209003ac74937ebb5550b1996ea0357cfca8c91611a2",
+     140.75553426350228),
+    (SamplerKind.SMLD, 0.16, "inpaint",
+     "ad6a83b09608564a601c6222afb7f17add0e07720e4bc59b12bb439732af6c75",
+     132.68364766828535),
+], ids=["ddpm-sr", "smld-inpaint-corrected"])
+def test_ccdf_golden_regression_lock(kind, r, op_name, digest, total):
+    # Frozen before the reverse steps became pure functions of z: an
+    # anchored DDPM case (SR offsets draw) and a corrected SMLD case.
+    sch = VP if kind is SamplerKind.DDPM else VE
+    ref = make_phantom("blocks", (16, 16), seed=5)
+    if op_name == "sr":
+        op = sr_projection(4, ref, sch, kind)
+    else:
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[:, ::2] = True
+        op = InpaintOp(mask, ref, sch, kind)
+    cfg = CcdfConfig(t0=0.05, N=1000, kind=kind, corrector_r=r)
+    out = ccdf_sample(op.vanilla_init(), op, cfg, sch,
+                      GaussianScoreOracle(mu=ref, var=0.25), RngStream(2025))
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+    assert float(out.sum()) == pytest.approx(total, rel=1e-12)
+
+
 def test_ccdf_shared_noise_per_step_ratio_never_exceeds_lambda():
     # Full coupled run with shared noise and shared anchors: each step's
     # error ratio stays within lambda_i (1 + 1e-9).
@@ -351,13 +373,13 @@ def test_ccdf_shared_noise_per_step_ratio_never_exceeds_lambda():
     oracle = ConditionalScoreOracle(ref)
     _, lam = contraction_rate(sch, SamplerKind.DDPM, n_prime)
     rng = RngStream(31)
-    x = forward_diffuse(ref + 1.0, n_prime, sch, rng.substream(0))
-    g = forward_diffuse(ref, n_prime, sch, rng.substream(1))
+    x = forward_diffuse(ref + 1.0, n_prime, sch, rng.substream(0).normal((16,)))
+    g = forward_diffuse(ref, n_prime, sch, rng.substream(1).normal((16,)))
     for i in range(n_prime, 0, -1):
         before = np.linalg.norm(x - g)
         z = rng.substream(200 + i).normal((16,))
-        x = reverse_step_ddpm(x, i, sch, oracle, None, z=z)
-        g = reverse_step_ddpm(g, i, sch, oracle, None, z=z)
+        x = reverse_step_ddpm(x, i, sch, oracle, z)
+        g = reverse_step_ddpm(g, i, sch, oracle, z)
         after = np.linalg.norm(x - g)
         assert after <= before * lam[i - 1] * (1 + 1e-9) + 1e-30
 

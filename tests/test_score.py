@@ -99,8 +99,8 @@ def test_reverse_map_jacobian_ties_to_contraction_factor():
         e = np.zeros(5)
         e[2] = h
         zp = np.zeros(5)
-        fp = reverse_step_ddpm(x + e, i, VP, oracle, None, z=zp)
-        fm = reverse_step_ddpm(x - e, i, VP, oracle, None, z=zp)
+        fp = reverse_step_ddpm(x + e, i, VP, oracle, zp)
+        fm = reverse_step_ddpm(x - e, i, VP, oracle, zp)
         fd = (fp[2] - fm[2]) / (2 * h)
         expected = (np.sqrt(VP.alpha[i]) * (1 - VP.alpha_bar[i - 1])
                     / (1 - VP.alpha_bar[i]))
