@@ -46,6 +46,16 @@ def _require_finite(values, what):
         raise ValidationError(f"{what} has non-finite entries")
 
 
+def _image_measurement(measurement, shape) -> np.ndarray:
+    """An image-space measurement as float64, refused unless finite and of ``shape``."""
+    measurement = np.asarray(measurement, dtype=np.float64)
+    if measurement.shape != shape:
+        raise ValidationError(
+            f"measurement shape {measurement.shape} != operator shape {shape}")
+    _require_finite(measurement, "measurement")
+    return measurement
+
+
 class ConsistencyOp:
     """Affine map x -> A x' + b_i with a non-expansive linear part.
 
@@ -65,11 +75,12 @@ class ConsistencyOp:
     def apply_linear(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def offset(self, i: int, rng: RngStream | None, batch_shape: tuple = ()):
-        """The offset b_i; deterministic operators ignore the RNG."""
+    def offset(self, i: int, rng: RngStream, batch_shape: tuple = ()):
+        """The offset b_i.  SR and inpainting draw its anchor noise from
+        ``rng`` and refuse None; the identity and MRI offsets are constant."""
         raise NotImplementedError
 
-    def apply(self, x: np.ndarray, i: int, rng: RngStream | None) -> np.ndarray:
+    def apply(self, x: np.ndarray, i: int, rng: RngStream) -> np.ndarray:
         return self.apply_linear(np.asarray(x, dtype=np.float64)) + self.offset(i, rng)
 
     def vanilla_init(self) -> np.ndarray:
@@ -85,8 +96,7 @@ class IdentityOp(ConsistencyOp):
 
     def __init__(self, shape, measurement):
         super().__init__(shape, tau=1.0, description="identity")
-        self.measurement = np.asarray(measurement, dtype=np.float64)
-        _require_finite(self.measurement, "measurement")
+        self.measurement = _image_measurement(measurement, self.shape)
 
     def apply_linear(self, x):
         return np.asarray(x, dtype=np.float64)
@@ -103,18 +113,16 @@ class _DiffusedAnchorOp(ConsistencyOp):
 
     def __init__(self, shape, tau, description, measurement, schedule, kind):
         super().__init__(shape, tau, description)
-        self.measurement = np.asarray(measurement, dtype=np.float64)
-        if self.measurement.shape != self.shape:
-            raise ValidationError(
-                f"measurement shape {self.measurement.shape} != operator shape {self.shape}"
-            )
-        _require_finite(self.measurement, "measurement")
+        self.measurement = _image_measurement(measurement, self.shape)
         check_family(schedule, kind, f"a {kind.value} anchor")
         self.schedule = schedule
         self.kind = kind
 
     def diffused_measurement(self, i, rng, batch_shape=()):
         """x_hat_i = a_i x_hat_0 + b_i z with z drawn once from rng."""
+        if rng is None:
+            raise ValidationError(
+                f"{type(self).__name__} needs an RNG stream to draw its anchor noise")
         c = forward_coeffs(self.schedule, i)
         return c.a * self.measurement + c.b * rng.normal(tuple(batch_shape) + self.shape)
 

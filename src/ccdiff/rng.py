@@ -4,9 +4,18 @@ Every stream is identified by a 64-bit seed plus a tuple of integer stream
 ids.  Identical (seed, stream ids, draw order) always reproduces the same
 Gaussian draws; distinct stream ids give statistically independent streams.
 Philox is counter based, so the mapping is stable across platforms.
+
+``RngStream.refill`` lets a loop overlap the next block's fill with its own
+arithmetic: numpy's fills release the interpreter lock, so one worker thread
+does them on a second core.  A refill never changes which values a stream
+yields.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,6 +29,37 @@ STREAM_REVERSE = 1
 STREAM_CONSISTENCY = 2
 STREAM_CORRECTOR = 3
 
+# The one thread that runs every refill, started on first use.
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _fill_worker() -> ThreadPoolExecutor:
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="ccdiff-refill")
+        return _worker
+
+
+def _finish_fills_before_fork() -> None:
+    # A fill still running at the fork would leave its generator locked, and
+    # its future unfinished, in the child for good.
+    if _worker is not None:
+        _worker.submit(int).result()
+
+
+def _forget_worker_in_child() -> None:
+    # The child has no worker thread: an inherited executor would queue its
+    # first fill forever.  The next refill starts a new one.
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_finish_fills_before_fork,
+                        after_in_child=_forget_worker_in_child)
+
 
 class RngStream:
     """A named, reproducible Gaussian noise stream."""
@@ -31,20 +71,55 @@ class RngStream:
         self.stream = tuple(int(s) for s in stream)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.stream)
         self._gen = np.random.Generator(np.random.Philox(ss))
+        self._fill = None    # (future, buffer, state before the fill) of a refill
 
     def substream(self, *ids: int) -> "RngStream":
         """Derive an independent stream; same ids always give the same stream."""
         return RngStream(self.seed, self.stream + ids)
 
+    def refill(self, buf: np.ndarray) -> None:
+        """Start filling ``buf`` with this stream's next standard normals on
+        the worker thread, for the next ``normal(buf.shape)`` to return.
+
+        A refill is only a hint: any other next request waits for the fill
+        and rewinds the stream to before it, so every call yields what it
+        would have without the refill.  ``buf`` must be a writeable
+        C-contiguous float64 array that the caller no longer reads.
+        """
+        if (buf.dtype != np.float64 or not buf.flags.c_contiguous
+                or not buf.flags.writeable):
+            raise ValidationError("refill needs a writeable C-contiguous float64 array")
+        self._settle()
+        state = self._gen.bit_generator.state
+        self._fill = (_fill_worker().submit(self._gen.standard_normal, out=buf),
+                      buf, state)
+
+    def _settle(self) -> None:
+        """Wait for a pending refill and rewind the stream to before it."""
+        if self._fill is not None:
+            future, _, state = self._fill
+            self._fill = None
+            future.result()
+            self._gen.bit_generator.state = state
+
     def normal(self, shape=()) -> np.ndarray:
         """Standard normal draws of the requested shape (float64)."""
+        if self._fill is not None:
+            future, buf, _ = self._fill
+            if (tuple(shape) if np.iterable(shape) else (shape,)) == buf.shape:
+                self._fill = None
+                future.result()
+                return buf
+            self._settle()
         return self._gen.standard_normal(shape)
 
     def uniform(self, low=0.0, high=1.0, shape=()) -> np.ndarray:
+        self._settle()
         return self._gen.uniform(low, high, shape)
 
     def generator(self) -> np.random.Generator:
         """Expose the underlying generator (for choice/permutation use)."""
+        self._settle()
         return self._gen
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

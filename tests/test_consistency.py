@@ -328,3 +328,14 @@ def test_gaussian1d_mask_validation():
 def test_identity_vanilla_init_requires_measurement():
     with pytest.raises(ValidationError):
         IdentityOp((4,), np.array([0.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(ValidationError, match="measurement shape"):
+        IdentityOp((4,), np.zeros(8))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sr_projection(2, np.zeros((4, 4)), VP, DDPM),
+    lambda: inpaint_projection(np.eye(4, dtype=bool), np.zeros((4, 4)), VP, DDPM),
+], ids=["sr", "inpaint"])
+def test_anchored_op_needs_an_rng_stream(make):
+    with pytest.raises(ValidationError, match="needs an RNG stream"):
+        make().apply(np.zeros((4, 4)), 3, None)

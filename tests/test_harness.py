@@ -1,17 +1,21 @@
 import hashlib
 import io
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ccdiff import (ConditionalScoreOracle, ExperimentConfig, GaussianScoreOracle,
-                    IdentityOp, SamplerKind, ValidationError, inpaint_projection,
+from ccdiff import (CcdfConfig, ConditionalScoreOracle, ExperimentConfig,
+                    GaussianScoreOracle, IdentityOp, SamplerKind, ValidationError,
+                    ccdf_sample, inpaint_projection,
                     make_phantom, make_ve_schedule, make_vp_schedule, psnr,
                     resolve_init, run_error_curve, run_mri_demo, run_t0_sweep)
 from ccdiff.consistency import gaussian1d_mask
 from ccdiff.harness import write_sweep_csv, write_trajectory_csv
 from ccdiff.rng import RngStream
+from ccdiff.samplers import REFILL_MIN_VALUES
 
 VP100 = make_vp_schedule(1e-4, 0.02, 100)
 VE100 = make_ve_schedule(0.01, 378, 100)
@@ -118,6 +122,99 @@ def test_error_curve_names_the_step_that_turned_non_finite():
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValidationError, match="after step 4$"):
         run_error_curve(replace(cfg, oracle=InfAtStep4(cfg.ground_truth)))
+
+
+# ------------------------- noise refills in the loop ------------------------
+
+
+def _refill_cell(kind, op_name="identity", trials=512, **kw):
+    # 512 trials x 64 values is exactly REFILL_MIN_VALUES per draw.
+    sch = VE100 if kind is SamplerKind.SMLD else VP100
+    cfg = _identity_cfg(kind, sch, t0=0.06, trials=trials, seed=31, **kw)
+    if op_name == "inpaint":
+        mask = np.arange(64) % 2 == 0
+        cfg = replace(cfg, op=inpaint_projection(mask, cfg.ground_truth, sch, kind))
+    return cfg
+
+
+def _watch_draws(monkeypatch):
+    """Record the thread of every ``normal`` call and count refills per stream."""
+    threads, refills = [], Counter()
+    normal, refill = RngStream.normal, RngStream.refill
+
+    def watched_normal(self, shape=()):
+        threads.append(threading.get_ident())
+        return normal(self, shape)
+
+    def watched_refill(self, buf):
+        refills[self.stream] += 1
+        return refill(self, buf)
+
+    monkeypatch.setattr(RngStream, "normal", watched_normal)
+    monkeypatch.setattr(RngStream, "refill", watched_refill)
+    return threads, refills
+
+
+@pytest.mark.parametrize("kind", [SamplerKind.DDPM, SamplerKind.SMLD])
+@pytest.mark.parametrize("op_name", ["identity", "inpaint"])
+def test_error_curve_draws_on_the_calling_thread_and_refills_its_reverse_streams(
+        monkeypatch, kind, op_name):
+    assert 512 * 64 == REFILL_MIN_VALUES
+    cfg = _refill_cell(kind, op_name)
+    threads, refills = _watch_draws(monkeypatch)
+    n_prime = run_error_curve(cfg).n_prime
+    anchored = op_name == "inpaint"
+    # The count bench/workloads.py predicts: two forward draws, one reverse
+    # draw per trajectory and step, one anchor draw per step when anchored.
+    assert len(threads) == 2 + 2 * n_prime + n_prime * anchored
+    assert set(threads) == {threading.get_ident()}
+    # Substreams 12 and 13 are the pair's reverse noise; 14, the anchor, is not refilled.
+    assert refills == {(12,): n_prime - 1, (13,): n_prime - 1}
+
+
+def test_error_curve_refills_corrector_streams_too(monkeypatch):
+    cfg = _refill_cell(SamplerKind.SMLD, corrector_r=0.16)
+    threads, refills = _watch_draws(monkeypatch)
+    n_prime = run_error_curve(cfg).n_prime
+    assert len(threads) == 2 + 4 * n_prime
+    assert set(threads) == {threading.get_ident()}
+    assert refills == {(s,): n_prime - 1 for s in (12, 13, 15, 16)}
+
+
+@pytest.mark.parametrize("case", ["below-threshold", "ddim", "ccdf-64x64"])
+def test_no_refill_for_small_blocks_or_noise_free_steps(monkeypatch, case):
+    _, refills = _watch_draws(monkeypatch)
+    if case == "below-threshold":
+        run_error_curve(_refill_cell(SamplerKind.DDPM, trials=511))
+    elif case == "ddim":
+        run_error_curve(_refill_cell(SamplerKind.DDIM))
+    else:
+        ref = make_phantom("ellipses", (64, 64), seed=3)
+        op = IdentityOp(ref.shape, ref)
+        cfg = CcdfConfig(t0=0.05, N=100, kind=SamplerKind.SMLD, corrector_r=0.16)
+        ccdf_sample(ref, op, cfg, VE100, ConditionalScoreOracle(ref), RngStream(8))
+    assert refills == {}
+
+
+def test_shared_reverse_noise_refills_once_per_step(monkeypatch):
+    _, refills = _watch_draws(monkeypatch)
+    n_prime = run_error_curve(
+        _refill_cell(SamplerKind.DDPM, shared_reverse_noise=True)).n_prime
+    assert refills == {(12,): n_prime - 1}
+
+
+@pytest.mark.parametrize("kind, op_name, kw", [
+    (SamplerKind.DDPM, "inpaint", {}),
+    (SamplerKind.SMLD, "identity", {"corrector_r": 0.16}),
+    (SamplerKind.SMLD, "inpaint", {"shared_reverse_noise": True}),
+], ids=["ddpm-inpaint", "smld-corrected", "smld-shared"])
+def test_refills_leave_the_error_curve_bit_identical(monkeypatch, kind, op_name, kw):
+    cfg = _refill_cell(kind, op_name, **kw)
+    refilled = run_error_curve(cfg)
+    monkeypatch.setattr(RngStream, "refill", lambda self, buf: None)
+    drawn = run_error_curve(cfg)
+    for name in ("mse", "stderr", "bound_recursive", "bound_simple"):
+        assert getattr(refilled, name).tobytes() == getattr(drawn, name).tobytes()
 
 
 # -------------------------------- sweeps ------------------------------------
