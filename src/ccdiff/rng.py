@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,35 +28,52 @@ STREAM_REVERSE = 1
 STREAM_CONSISTENCY = 2
 STREAM_CORRECTOR = 3
 
-# The one thread that runs every refill, started on first use.
+# The one thread that runs every refill, started on first use, and the last
+# fill handed to it: it runs fills in order, so once that one is done all are.
 _worker = None
+_last_fill = None
 _worker_lock = threading.Lock()
 
 
-def _fill_worker() -> ThreadPoolExecutor:
-    global _worker
+def _fill_into(fill, buf: np.ndarray) -> None:
+    # Returns nothing, so the last finished fill does not keep ``buf`` alive.
+    fill(out=buf)
+
+
+def _submit_fill(fill, buf: np.ndarray):
+    global _worker, _last_fill
     with _worker_lock:
         if _worker is None:
+            # Imported here, so a process that never refills does not load it.
+            from concurrent.futures import ThreadPoolExecutor
             _worker = ThreadPoolExecutor(1, thread_name_prefix="ccdiff-refill")
-        return _worker
+        _last_fill = _worker.submit(_fill_into, fill, buf)
+        return _last_fill
 
 
 def _finish_fills_before_fork() -> None:
     # A fill still running at the fork would leave its generator locked, and
-    # its future unfinished, in the child for good.
-    if _worker is not None:
-        _worker.submit(int).result()
+    # its future unfinished, in the child for good.  The lock is held until
+    # the fork is done, so no other thread starts one after the wait.
+    _worker_lock.acquire()
+    if _last_fill is not None:
+        _last_fill.exception()      # waits; a failed fill raises in normal()
+
+
+def _release_after_fork_in_parent() -> None:
+    _worker_lock.release()
 
 
 def _forget_worker_in_child() -> None:
     # The child has no worker thread: an inherited executor would queue its
     # first fill forever.  The next refill starts a new one.
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+    global _worker, _last_fill, _worker_lock
+    _worker, _last_fill, _worker_lock = None, None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_finish_fills_before_fork,
+                        after_in_parent=_release_after_fork_in_parent,
                         after_in_child=_forget_worker_in_child)
 
 
@@ -91,8 +107,7 @@ class RngStream:
             raise ValidationError("refill needs a writeable C-contiguous float64 array")
         self._settle()
         state = self._gen.bit_generator.state
-        self._fill = (_fill_worker().submit(self._gen.standard_normal, out=buf),
-                      buf, state)
+        self._fill = (_submit_fill(self._gen.standard_normal, buf), buf, state)
 
     def _settle(self) -> None:
         """Wait for a pending refill and rewind the stream to before it."""

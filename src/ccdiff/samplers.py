@@ -34,9 +34,12 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_CORRECTOR_R = 0.16
 
-# Smallest draw refilled on the worker thread: a 64x64 block (4096 values,
-# about 85 us to fill) costs less to draw in place than to hand off.
-REFILL_MIN_VALUES = 1 << 15
+# Smallest draw refilled on the worker thread; below it the hand-off costs
+# more than the overlap saves.  With every draw refilled, recon-mri (4096
+# values per draw) lost a third of its throughput (0/10 pairs).  Coupled-pair
+# cells ran faster refilled at 2^16 values per draw (27 of 32 pairs) but not
+# at 2^15 (15 of 32).  Both sets of runs are in BENCH_6.json.
+REFILL_MIN_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)

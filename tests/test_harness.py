@@ -127,8 +127,8 @@ def test_error_curve_names_the_step_that_turned_non_finite():
 # ------------------------- noise refills in the loop ------------------------
 
 
-def _refill_cell(kind, op_name="identity", trials=512, **kw):
-    # 512 trials x 64 values is exactly REFILL_MIN_VALUES per draw.
+def _refill_cell(kind, op_name="identity", trials=1024, **kw):
+    # 1024 trials x 64 values is exactly REFILL_MIN_VALUES per draw.
     sch = VE100 if kind is SamplerKind.SMLD else VP100
     cfg = _identity_cfg(kind, sch, t0=0.06, trials=trials, seed=31, **kw)
     if op_name == "inpaint":
@@ -159,7 +159,7 @@ def _watch_draws(monkeypatch):
 @pytest.mark.parametrize("op_name", ["identity", "inpaint"])
 def test_error_curve_draws_on_the_calling_thread_and_refills_its_reverse_streams(
         monkeypatch, kind, op_name):
-    assert 512 * 64 == REFILL_MIN_VALUES
+    assert 1024 * 64 == REFILL_MIN_VALUES
     cfg = _refill_cell(kind, op_name)
     threads, refills = _watch_draws(monkeypatch)
     n_prime = run_error_curve(cfg).n_prime
@@ -185,7 +185,7 @@ def test_error_curve_refills_corrector_streams_too(monkeypatch):
 def test_no_refill_for_small_blocks_or_noise_free_steps(monkeypatch, case):
     _, refills = _watch_draws(monkeypatch)
     if case == "below-threshold":
-        run_error_curve(_refill_cell(SamplerKind.DDPM, trials=511))
+        run_error_curve(_refill_cell(SamplerKind.DDPM, trials=1023))
     elif case == "ddim":
         run_error_curve(_refill_cell(SamplerKind.DDIM))
     else:

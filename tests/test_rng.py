@@ -1,5 +1,6 @@
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from ccdiff import ValidationError
+from ccdiff import rng
 from ccdiff.rng import RngStream
 
 SHAPES = [(3,), (2, 4), (40,)]
@@ -104,6 +106,69 @@ def test_refills_from_many_threads_keep_every_stream_exact():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def test_importing_the_package_loads_no_executor():
+    # The worker's executor is imported, and started, by the first refill.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, ccdiff; assert 'concurrent.futures.thread' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_no_fill_starts_between_the_fork_hooks():
+    # The before-fork hook waits for every fill and holds the worker lock
+    # until the fork is done, so a refill from another thread cannot leave
+    # the child a fill its missing worker never finishes.
+    s = RngStream(11)
+    s.refill(np.empty((512, 512)))
+    other = RngStream(12)
+    rng._finish_fills_before_fork()
+    try:
+        assert s._fill[0].done()
+        t = threading.Thread(target=other.refill, args=(np.empty(8),))
+        t.start()
+        t.join(timeout=0.2)
+        assert t.is_alive() and other._fill is None
+    finally:
+        rng._release_after_fork_in_parent()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert np.array_equal(other.normal(8), RngStream(12).normal(8))
+    assert np.array_equal(s.normal((512, 512)), RngStream(11).normal((512, 512)))
+
+
+def test_fork_hook_waits_for_a_refill_being_submitted(monkeypatch):
+    s = RngStream(13)
+    s.refill(np.empty(8))               # starts the worker
+    s.normal(8)
+    in_submit, go = threading.Event(), threading.Event()
+    submit = rng._worker.submit
+
+    def held_submit(*args):
+        in_submit.set()
+        go.wait(timeout=60)
+        return submit(*args)
+
+    monkeypatch.setattr(rng._worker, "submit", held_submit)
+    refiller = threading.Thread(target=s.refill, args=(np.empty((512, 512)),))
+    refiller.start()
+    assert in_submit.wait(timeout=60)
+    hook = threading.Thread(target=rng._finish_fills_before_fork)
+    hook.start()
+    hook.join(timeout=0.2)
+    waited = hook.is_alive()
+    go.set()
+    refiller.join(timeout=60)
+    hook.join(timeout=60)
+    try:
+        assert waited and not hook.is_alive() and not refiller.is_alive()
+        assert s._fill[0].done()
+    finally:
+        rng._release_after_fork_in_parent()
+    ref = RngStream(13)
+    ref.normal(8)
+    assert np.array_equal(s.normal((512, 512)), ref.normal((512, 512)))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
