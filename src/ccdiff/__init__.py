@@ -3,10 +3,9 @@ certificates: discrete noise schedules, analytic score oracles, reverse
 samplers with non-expansive data-consistency operators, and the closed-form
 error-bound machinery that certifies shortened reverse paths."""
 
-from .analysis import (ContractionReport, ShortcutResult, TauEstimate,
-                       contraction_rate, contraction_report, error_bound,
-                       forward_error, minimal_shortcut, noise_constant,
-                       noise_constant_per_step, tau_of)
+from .analysis import (ContractionReport, ShortcutResult, contraction_rate,
+                       contraction_report, error_bound, forward_error,
+                       minimal_shortcut, noise_constant, noise_constant_per_step)
 from .consistency import (ConsistencyOp, IdentityOp, InpaintOp, MriOp, SrOp,
                           certify_nonexpansive, gaussian1d_mask,
                           hutchinson_tau, inpaint_projection,
@@ -24,6 +23,6 @@ from .schedules import (ForwardCoeffs, SamplerKind, Schedule, forward_coeffs,
                         make_ve_schedule, make_vp_schedule,
                         step_index_of_time, write_schedule_csv)
 from .score import (ConditionalScoreOracle, GaussianScoreOracle, ScoreOracle,
-                    ZeroScoreOracle, eval_score, score_jacobian_diag)
+                    ZeroScoreOracle)
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consistency import hutchinson_tau
 from .errors import ValidationError
 from .samplers import RULES
 from .schedules import SamplerKind, Schedule, check_step_index
@@ -86,8 +85,8 @@ def forward_error(eps0: float, schedule: Schedule, kind: SamplerKind,
     With independent noise draws, err_{N'} = a_{N'}^2 eps0 + 2 b_{N'}^2 n for
     the contraction-coordinate coefficients (a, b).
     """
-    if eps0 < 0.0:
-        raise ValidationError("eps0 is a squared distance and must be >= 0")
+    if not 0.0 <= eps0 < np.inf:
+        raise ValidationError("eps0 is a squared distance and must be finite and >= 0")
     a, b = contraction_forward_coeffs(schedule, kind, n_prime)
     return float(a * a * eps0 + 2.0 * b * b * n)
 
@@ -105,11 +104,11 @@ def bound_traces(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
     cs = np.asarray(c_per_step, dtype=np.float64)
     if lam.shape != cs.shape or lam.ndim != 1:
         raise ValidationError("lambda and C traces must be 1D arrays of equal length")
-    if tau < 0.0:
-        raise ValidationError("tau must be nonnegative")
+    if not 0.0 <= tau < np.inf:
+        raise ValidationError(f"tau must be finite and nonnegative, got {tau}")
     n_prime = lam.size
     lam_max = float(lam.max(initial=0.0))
-    if lam_max >= 1.0:
+    if not lam_max < 1.0:
         raise ValidationError(f"contraction requires lambda < 1, got {lam_max}")
     rec = np.empty(n_prime + 1)
     rec[n_prime] = fwd_err
@@ -131,23 +130,6 @@ def error_bound(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
     """
     simple, rec = bound_traces(lambda_per_step, c_per_step, tau, fwd_err)
     return float(simple[0]), float(rec[0])
-
-
-@dataclass(frozen=True)
-class TauEstimate:
-    value: float
-    stderr: float
-    exact: bool
-
-
-def tau_of(op, n_probes: int = 256, seed: int = 0) -> TauEstimate:
-    """Trace ratio Tr(A^T A)/n: exact when the operator provides it, else
-    the Hutchinson estimate with its standard error."""
-    tau = getattr(op, "tau", None)
-    if tau is not None:
-        return TauEstimate(value=float(tau), stderr=0.0, exact=True)
-    est, se = hutchinson_tau(op.apply_linear, op.shape, n_probes=n_probes, seed=seed)
-    return TauEstimate(value=est, stderr=se, exact=False)
 
 
 @dataclass(frozen=True)
@@ -225,12 +207,12 @@ def minimal_shortcut(eps0: float, mu: float, schedule: Schedule,
     satisfies the stated inequalities by construction; infeasibility is
     reported, never guessed.
     """
-    if eps0 <= 0.0:
-        raise ValidationError("eps0 must be positive")
+    if not 0.0 < eps0 < np.inf:
+        raise ValidationError(f"eps0 must be finite and positive, got {eps0}")
     if not 0.0 < mu <= 1.0:
         raise ValidationError("mu must lie in (0, 1]")
-    if tau < 0.0:
-        raise ValidationError("tau must be nonnegative")
+    if not 0.0 <= tau < np.inf:
+        raise ValidationError(f"tau must be finite and nonnegative, got {tau}")
     if n < 1:
         raise ValidationError(f"data dimension n must be >= 1, got {n}")
     checks, ok, reason = RULES[kind].shortcut(schedule, eps0, mu, tau, n)

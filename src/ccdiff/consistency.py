@@ -7,9 +7,9 @@ measurement is complete.  The offset b_i re-injects the measurement, either
 as a forward-diffused copy (super-resolution, inpainting) or as the constant
 zero-filled reconstruction (MRI k-space).
 
-Operators are immutable after construction and their ``apply`` is reentrant;
-the per-step randomness for b_i comes from the caller's RNG stream, keeping
-the operators themselves stateless.
+Operators are immutable after construction, so ``apply_linear`` and
+``offset`` are reentrant; the per-step randomness for b_i comes from the
+caller's RNG stream, keeping the operators themselves stateless.
 """
 
 from __future__ import annotations
@@ -61,16 +61,13 @@ class ConsistencyOp:
 
     Subclasses provide ``apply_linear`` (the action of A) and ``offset``
     (the vector b_i, possibly drawn from the supplied RNG).  ``tau`` is the
-    exact trace ratio Tr(A^T A)/n when a closed form exists, else None and
-    ``hutchinson_tau`` can estimate it.
+    exact trace ratio Tr(A^T A)/n, which every operator gives in closed form.
     """
 
     def __init__(self, shape, tau, description):
         self.shape = tuple(int(s) for s in shape)
-        self.n = int(np.prod(self.shape))
-        self.tau = None if tau is None else float(tau)
+        self.tau = float(tau)
         self.description = str(description)
-        self.sigma_max_cert = None
 
     def apply_linear(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -79,9 +76,6 @@ class ConsistencyOp:
         """The offset b_i.  SR and inpainting draw its anchor noise from
         ``rng`` and refuse None; the identity and MRI offsets are constant."""
         raise NotImplementedError
-
-    def apply(self, x: np.ndarray, i: int, rng: RngStream) -> np.ndarray:
-        return self.apply_linear(np.asarray(x, dtype=np.float64)) + self.offset(i, rng)
 
     def vanilla_init(self) -> np.ndarray:
         """The corrupted measurement embedded in image space (used as x0)."""
@@ -116,7 +110,6 @@ class _DiffusedAnchorOp(ConsistencyOp):
         self.measurement = _image_measurement(measurement, self.shape)
         check_family(schedule, kind, f"a {kind.value} anchor")
         self.schedule = schedule
-        self.kind = kind
 
     def diffused_measurement(self, i, rng, batch_shape=()):
         """x_hat_i = a_i x_hat_0 + b_i z with z drawn once from rng."""
@@ -196,7 +189,6 @@ class InpaintOp(_DiffusedAnchorOp):
         super().__init__(mask.shape, (n - m) / n, f"inpaint kept={m}/{n}",
                          measurement, schedule, kind)
         self.mask = mask
-        self.kept = m
 
     def apply_linear(self, x):
         return np.where(self.mask, 0.0, np.asarray(x, dtype=np.float64))
@@ -220,9 +212,9 @@ class MriOp(ConsistencyOp):
     ``apply_linear`` works on the real sampler state with a real FFT, and
     only along the axes on which the mask varies: along an axis where D is
     constant, F^-1 F = I.  A column mask (every ``gaussian1d_mask``) thus
-    costs one 1-D ``rfft`` per row and its inverse.  ``apply_linear_complex``,
-    ``apply_complex`` and ``residual`` keep the full complex 2D definition,
-    on numpy's FFT, as the independent reference.
+    costs one 1-D ``rfft`` per row and its inverse.  ``apply_linear_complex``
+    and ``residual`` keep the full complex 2D definition, on numpy's FFT, as
+    the independent reference.
     """
 
     def __init__(self, mask, y):
@@ -269,9 +261,6 @@ class MriOp(ConsistencyOp):
 
     def offset(self, i, rng, batch_shape=()):
         return self._zero_filled.real
-
-    def apply_complex(self, x, i, rng):
-        return self.apply_linear_complex(x) + self._zero_filled
 
     def residual(self, x) -> float:
         """Relative consistency residual ||D F x - y|| / ||y|| on the mask support."""
@@ -323,8 +312,8 @@ def gaussian1d_mask(shape, accel: float, acs_fraction: float,
     H, W = (int(s) for s in shape)
     if H < 1 or W < 2:
         raise ValidationError(f"mask shape must be at least (1, 2), got {(H, W)}")
-    if accel < 1.0:
-        raise ValidationError("acceleration factor must be >= 1")
+    if not 1.0 <= accel < np.inf:
+        raise ValidationError(f"acceleration factor must be finite and >= 1, got {accel}")
     if not 0.0 < acs_fraction <= 1.0:
         raise ValidationError("acs fraction must lie in (0, 1]")
     target = max(1, int(round(W / accel)))
@@ -364,17 +353,14 @@ def is_conjugate_symmetric(mask: np.ndarray) -> bool:
     return bool(np.array_equal(mask, flipped))
 
 
-def hutchinson_tau(apply_linear, shape, n_probes: int = 256,
-                   rng: RngStream | None = None, seed: int = 0):
-    """Randomized estimate of Tr(A^T A)/n via Rademacher probes.
+def hutchinson_tau(apply_linear, shape, rng: RngStream, n_probes: int = 256):
+    """Randomized estimate of Tr(A^T A)/n via Rademacher probes drawn from ``rng``.
 
     Uses the identity v^T A^T A v = ||A v||^2, so only forward applications
     of A are needed.  Returns (estimate, standard error).
     """
     if n_probes < 2:
         raise ValidationError("need at least 2 probes for a standard error")
-    if rng is None:
-        rng = RngStream(seed, (0x74726163,))
     n = int(np.prod(shape))
     gen = rng.generator()
     samples = np.empty(n_probes)
@@ -396,8 +382,8 @@ def certify_nonexpansive(op: ConsistencyOp, trials: int = 64,
 
     Power iteration (>= 50 iterations, a few random restarts) estimates the
     spectral norm of the linear part; ``trials`` random pairs additionally
-    verify ||A x - A x'|| <= ||x - x'|| directly.  The estimate is cached on
-    ``op.sigma_max_cert``.  Raises NumericFailure when the certificate fails.
+    verify ||A x - A x'|| <= ||x - x'|| directly.  Returns the estimate and
+    raises NumericFailure when the certificate fails.
     """
     if rng is None:
         rng = RngStream(0, (0x63657274,))
@@ -437,5 +423,4 @@ def certify_nonexpansive(op: ConsistencyOp, trials: int = 64,
             f"operator {op.description} failed the non-expansiveness certificate: "
             f"sigma_max estimate {best:.12g} > 1 + {NONEXPANSIVE_SLACK}"
         )
-    op.sigma_max_cert = float(best)
     return float(best)

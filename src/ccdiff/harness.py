@@ -17,12 +17,13 @@ deterministic pairwise summation, so statistics are reproducible from
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import (bound_traces, contraction_rate, forward_error,
-                       noise_constant_per_step, tau_of)
+                       noise_constant_per_step)
 from .errors import ValidationError
 from .rng import RngStream
 from .samplers import (DEFAULT_CORRECTOR_R, RULES, CcdfConfig, ccdf_sample,
@@ -55,6 +56,10 @@ class ExperimentConfig:
             raise ValidationError(f"t0 must lie in (0, 1], got {self.t0}")
         if np.shape(self.ground_truth) != np.shape(self.init):
             raise ValidationError("ground truth and init must share a shape")
+        tau = getattr(self.op, "tau", None)
+        if not (isinstance(tau, numbers.Real) and 0.0 <= tau <= 1.0):
+            raise ValidationError(
+                f"the operator's tau must be a number in [0, 1], got {tau!r}")
 
 
 @dataclass(frozen=True)
@@ -184,9 +189,8 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
 
     _, lam_steps = contraction_rate(schedule, kind, n_prime)
     c_steps = noise_constant_per_step(schedule, kind, n_prime, n)
-    tau = tau_of(cfg.op).value
     fwd = forward_error(eps0, schedule, kind, n_prime, n)
-    simple, rec = bound_traces(lam_steps, c_steps, tau, fwd)
+    simple, rec = bound_traces(lam_steps, c_steps, cfg.op.tau, fwd)
     steps = np.arange(n_prime, -1, -1)
     return TrajectoryStats(
         kind=kind, t0=cfg.t0, n_prime=n_prime, trials=M, n=n, eps0=eps0,

@@ -63,8 +63,8 @@ class CcdfConfig:
             raise ValidationError(f"t0 must lie in (0, 1], got {self.t0}")
         if self.N < 2:
             raise ValidationError(f"N must be >= 2, got {self.N}")
-        if self.corrector_r < 0.0:
-            raise ValidationError("corrector_r must be nonnegative")
+        if not 0.0 <= self.corrector_r < np.inf:
+            raise ValidationError("corrector_r must be finite and nonnegative")
 
     @property
     def n_prime(self) -> int:

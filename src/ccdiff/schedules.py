@@ -113,9 +113,9 @@ def make_ve_schedule(sigma_min: float, sigma_max: float, N: int) -> Schedule:
     """
     if N < 2:
         raise ValidationError(f"N must be >= 2, got {N}")
-    if not (0.0 < sigma_min < sigma_max):
+    if not (0.0 < sigma_min < sigma_max < np.inf):
         raise ValidationError(
-            f"need 0 < sigma_min < sigma_max, got ({sigma_min}, {sigma_max})"
+            f"need 0 < sigma_min < sigma_max < inf, got ({sigma_min}, {sigma_max})"
         )
     i = np.arange(N + 1, dtype=np.float64)
     sigma = sigma_min * (sigma_max / sigma_min) ** ((i - 1.0) / (N - 1.0))

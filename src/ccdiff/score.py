@@ -62,8 +62,8 @@ class GaussianScoreOracle(ScoreOracle):
     def __init__(self, mu: np.ndarray, var) -> None:
         self.mu = np.asarray(mu, dtype=np.float64)
         self.var = np.asarray(var, dtype=np.float64)
-        if np.any(self.var < 0.0):
-            raise ValidationError("prior variances must be nonnegative")
+        if not np.all((0.0 <= self.var) & (self.var < np.inf)):
+            raise ValidationError("prior variances must be finite and nonnegative")
 
     def score(self, x, i, schedule):
         c = forward_coeffs(schedule, i)
@@ -87,24 +87,3 @@ class ZeroScoreOracle(ScoreOracle):
         check_step_index(schedule, i)
         return np.zeros_like(np.asarray(x, dtype=np.float64))
 
-
-def eval_score(oracle: ScoreOracle, x: np.ndarray, i: int,
-               schedule: Schedule) -> np.ndarray:
-    """Validated score evaluation: finite input, step index in [1, N]."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("score input contains non-finite values")
-    check_step_index(schedule, i)
-    out = oracle.score(x, i, schedule)
-    assert out.shape == x.shape
-    return out
-
-
-def score_jacobian_diag(oracle: ScoreOracle, x: np.ndarray, i: int,
-                        schedule: Schedule) -> np.ndarray:
-    """Validated exact Jacobian diagonal of the oracle at (x, i)."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("score input contains non-finite values")
-    check_step_index(schedule, i)
-    return oracle.jacobian_diag(x, i, schedule)

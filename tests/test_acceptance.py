@@ -18,8 +18,7 @@ from ccdiff import (CcdfConfig, ConditionalScoreOracle, ExperimentConfig,
                     minimal_shortcut, mri_measure, mri_projection,
                     noise_constant_per_step, resolve_init, reverse_step_ddim,
                     reverse_step_ddpm, reverse_step_smld, run_error_curve,
-                    run_mri_demo, run_t0_sweep, score_jacobian_diag,
-                    sr_projection)
+                    run_mri_demo, run_t0_sweep, sr_projection)
 from ccdiff.cli import main as cli_main
 from ccdiff.imgio import save_image
 from ccdiff.rng import RngStream
@@ -309,7 +308,7 @@ def test_criterion_08_jacobian_finite_differences():
         i = 1 + int(rng.substream(500 + trial).uniform(0, 1000))
         c = forward_coeffs(VP1000, i)
         for oracle in oracles:
-            exact = score_jacobian_diag(oracle, x, i, VP1000)
+            exact = oracle.jacobian_diag(x, i, VP1000)
             if isinstance(oracle, ConditionalScoreOracle):
                 assert np.allclose(exact, -1.0 / c.b ** 2, rtol=1e-14)
             for k in range(6):

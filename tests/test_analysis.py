@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from ccdiff import (ConditionalScoreOracle, IdentityOp, SamplerKind,
-                    ValidationError, contraction_rate, error_bound,
+from ccdiff import (ConditionalScoreOracle, ExperimentConfig, IdentityOp,
+                    SamplerKind, ValidationError, contraction_rate, error_bound,
                     forward_error, inpaint_projection, make_ve_schedule,
                     make_vp_schedule, minimal_shortcut, noise_constant,
-                    noise_constant_per_step, reverse_step_ddpm, sr_projection,
-                    tau_of)
+                    noise_constant_per_step, reverse_step_ddpm, sr_projection)
 from ccdiff.analysis import (bound_traces, contraction_forward_coeffs,
                              contraction_report, noise_constant_candidates)
 from ccdiff.rng import RngStream
@@ -152,8 +151,9 @@ def test_forward_error_ddim_uses_reparameterized_coordinates():
 
 
 def test_forward_error_rejects_negative_eps0():
-    with pytest.raises(ValidationError):
-        forward_error(-1.0, VP, SamplerKind.DDPM, 10, 4)
+    for eps0 in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            forward_error(eps0, VP, SamplerKind.DDPM, 10, 4)
 
 
 # -------------------------------- bounds ------------------------------------
@@ -208,6 +208,11 @@ def test_bound_traces_are_stepwise_ordered():
 def test_error_bound_rejects_non_contracting_lambda():
     with pytest.raises(ValidationError):
         error_bound(np.array([1.0]), np.array([0.0]), 1.0, 1.0)
+    with pytest.raises(ValidationError):
+        error_bound(np.array([0.5, np.nan]), np.array([0.0, 0.0]), 1.0, 1.0)
+    for tau in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            error_bound(np.array([0.5]), np.array([1.0]), tau, 1.0)
 
 
 # ----------------------------- minimal shortcut -----------------------------
@@ -282,6 +287,13 @@ def test_shortcut_validates_inputs():
         minimal_shortcut(1.0, 0.0, VE, SamplerKind.DDIM, 1.0, 64)
     with pytest.raises(ValidationError):
         minimal_shortcut(1.0, 2.0, VE, SamplerKind.DDIM, 1.0, 64)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            minimal_shortcut(bad, 1.0, VE, SamplerKind.DDIM, 1.0, 64)
+        with pytest.raises(ValidationError):
+            minimal_shortcut(1.0, bad, VE, SamplerKind.DDIM, 1.0, 64)
+        with pytest.raises(ValidationError):
+            minimal_shortcut(1.0, 1.0, VE, SamplerKind.DDIM, bad, 64)
     for n in (0, -5):
         with pytest.raises(ValidationError, match="n must be >= 1"):
             minimal_shortcut(1.0, 1.0, VE, SamplerKind.SMLD, 1.0, n)
@@ -348,33 +360,45 @@ def test_shortcut_is_the_first_step_meeting_its_checks():
 # ---------------------------------- tau -------------------------------------
 
 
-def test_tau_of_shipped_operators_is_exact():
-    assert tau_of(IdentityOp((16,), np.zeros(16))).value == 1.0
+def test_shipped_operators_carry_exact_tau():
+    assert IdentityOp((16,), np.zeros(16)).tau == 1.0
     gen = RngStream(6, (2,)).generator()
     mask = gen.uniform(size=(16, 16)) < 0.5
     mask.flat[0] = True
     op = inpaint_projection(mask, np.zeros((16, 16)), VP, SamplerKind.DDPM)
-    est = tau_of(op)
-    assert est.exact and est.stderr == 0.0
     m = int(mask.sum())
-    assert est.value == pytest.approx((256 - m) / 256, rel=1e-15)
+    assert op.tau == pytest.approx((256 - m) / 256, rel=1e-15)
     sr = sr_projection(4, np.zeros((32, 32)), VP, SamplerKind.DDPM)
-    assert tau_of(sr).value == pytest.approx(15.0 / 16.0, rel=1e-15)
+    assert sr.tau == pytest.approx(15.0 / 16.0, rel=1e-15)
 
 
-def test_tau_of_black_box_uses_hutchinson():
+def test_experiment_config_refuses_an_operator_without_exact_tau():
+    gt = np.zeros(64)
+
     class BlackBox:
         shape = (64,)
-        tau = None
 
         def apply_linear(self, v):
             out = np.asarray(v).copy()
             out[::2] = 0.0  # projection dropping half the coordinates
             return out
 
-    est = tau_of(BlackBox(), n_probes=256, seed=7)
-    assert not est.exact and est.stderr >= 0.0
-    assert est.value == pytest.approx(0.5, abs=0.01)
+        def offset(self, i, rng, batch_shape=()):
+            return 0.0
+
+    def config(op):
+        return ExperimentConfig(schedule=VP, kind=SamplerKind.DDPM, t0=0.1,
+                                trials=4, ground_truth=gt, init=gt, op=op,
+                                oracle=ConditionalScoreOracle(gt), seed=0)
+
+    with pytest.raises(ValidationError, match="tau"):
+        config(BlackBox())
+    for tau in (None, np.nan, np.inf, -0.5, 1.5, "0.5"):
+        op = IdentityOp((64,), gt)
+        op.tau = tau
+        with pytest.raises(ValidationError, match="tau"):
+            config(op)
+    assert config(IdentityOp((64,), gt)).op.tau == 1.0
 
 
 def test_contraction_report_assembles_consistently():

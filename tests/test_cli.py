@@ -226,7 +226,6 @@ def test_check_op_reports_certificates(tmp_path, phantom_file):
     assert float(pairs["sigma_max"]) <= 1.0 + 1e-6
     assert float(pairs["idempotence_residual"]) <= 1e-12
     assert float(pairs["tau"]) == pytest.approx(15 / 16)
-    assert pairs["tau_exact"] == "True"
     assert float(pairs["tau_hutchinson"]) == pytest.approx(15 / 16, rel=0.01)
 
 
@@ -254,6 +253,11 @@ def test_exit_codes_for_bad_usage(tmp_path):
     ("shortcut --eps0 1 --n -5", None),
     ("contract --n-prime 0", None),
     ("contract --n 0", None),
+    ("shortcut --eps0 inf", None),
+    ("shortcut --eps0 1 --tau nan", None),
+    ("contract --tau nan", None),
+    ("contract --kind ddim --eps0 inf", None),
+    ("simulate --seed 1 --op mri --size 16x16 --accel-factor nan", None),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):

@@ -392,6 +392,9 @@ def test_ccdf_validates_configuration():
         CcdfConfig(t0=0.0, N=100, kind=SamplerKind.DDPM)
     with pytest.raises(ValidationError):
         CcdfConfig(t0=1.5, N=100, kind=SamplerKind.DDPM)
+    for r in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            CcdfConfig(t0=0.5, N=100, kind=SamplerKind.SMLD, corrector_r=r)
     cfg = CcdfConfig(t0=0.5, N=999, kind=SamplerKind.DDPM)
     with pytest.raises(ValidationError):
         ccdf_sample(ref, op, cfg, VP, oracle, RngStream(1))  # N mismatch

@@ -132,7 +132,7 @@ def test_vp_rejects_bad_arguments(args):
 
 @pytest.mark.parametrize("args", [
     (0.0, 378, 100), (-0.01, 378, 100), (378, 0.01, 100),
-    (0.01, 0.01, 100), (0.01, 378, 1),
+    (0.01, 0.01, 100), (0.01, 378, 1), (0.01, np.inf, 4), (np.nan, 378, 100),
 ])
 def test_ve_rejects_bad_arguments(args):
     with pytest.raises(ValidationError):

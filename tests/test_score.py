@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from ccdiff import (ConditionalScoreOracle, GaussianScoreOracle,
-                    ValidationError, ZeroScoreOracle, eval_score,
-                    forward_coeffs, make_ve_schedule, make_vp_schedule,
-                    reverse_step_ddpm, score_jacobian_diag)
+                    ValidationError, ZeroScoreOracle, forward_coeffs,
+                    make_ve_schedule, make_vp_schedule, reverse_step_ddpm)
 from ccdiff.rng import RngStream
 
 VP = make_vp_schedule(1e-4, 0.02, 1000)
@@ -15,7 +14,7 @@ def test_conditional_score_vanishes_at_kernel_mean():
     x_ref = RngStream(0).normal((32,))
     oracle = ConditionalScoreOracle(x_ref)
     c = forward_coeffs(VP, 257)
-    out = eval_score(oracle, c.a * x_ref, 257, VP)
+    out = oracle.score(c.a * x_ref, 257, VP)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -25,8 +24,7 @@ def test_gaussian_with_zero_variance_degenerates_to_conditional():
     cond = ConditionalScoreOracle(mu)
     x = RngStream(2).normal((16,))
     for i in (1, 100, 1000):
-        assert np.allclose(eval_score(g, x, i, VP), eval_score(cond, x, i, VP),
-                           rtol=1e-14)
+        assert np.allclose(g.score(x, i, VP), cond.score(x, i, VP), rtol=1e-14)
 
 
 def test_conditional_score_one_noise_std_from_mean():
@@ -34,7 +32,7 @@ def test_conditional_score_one_noise_std_from_mean():
     oracle = ConditionalScoreOracle(x_ref)
     c = forward_coeffs(VP, 1000)
     x = c.a * x_ref + c.b * np.ones(8)
-    out = eval_score(oracle, x, 1000, VP)
+    out = oracle.score(x, 1000, VP)
     assert np.allclose(out, -np.ones(8) / c.b, rtol=1e-12)
     assert c.b == pytest.approx(0.99998, abs=1e-5)
 
@@ -45,11 +43,11 @@ def test_jacobian_closed_forms():
     cond = ConditionalScoreOracle(x_ref)
     for schedule, i in ((VP, 400), (VE, 400)):
         c = forward_coeffs(schedule, i)
-        jd = score_jacobian_diag(cond, x, i, schedule)
+        jd = cond.jacobian_diag(x, i, schedule)
         assert np.allclose(jd, -1.0 / c.b ** 2, rtol=1e-14)
     g0 = GaussianScoreOracle(mu=x_ref, var=0.0)
-    assert np.allclose(score_jacobian_diag(g0, x, 123, VP),
-                       score_jacobian_diag(cond, x, 123, VP), rtol=1e-14)
+    assert np.allclose(g0.jacobian_diag(x, 123, VP),
+                       cond.jacobian_diag(x, 123, VP), rtol=1e-14)
 
 
 def test_gaussian_unit_variance_jacobian_is_minus_one_on_vp():
@@ -57,7 +55,7 @@ def test_gaussian_unit_variance_jacobian_is_minus_one_on_vp():
     g = GaussianScoreOracle(mu=np.zeros(6), var=1.0)
     x = RngStream(6).normal((6,))
     for i in (1, 77, 1000):
-        assert np.allclose(score_jacobian_diag(g, x, i, VP), -1.0, rtol=1e-14)
+        assert np.allclose(g.jacobian_diag(x, i, VP), -1.0, rtol=1e-14)
 
 
 def _fd_jacobian_diag(oracle, x, i, schedule, h=1e-5):
@@ -83,7 +81,7 @@ def test_finite_difference_jacobian_matches_closed_form(make_oracle):
         x = rng.substream(10 + trial).normal((9,))
         i = int(rng.substream(100 + trial).uniform(1, VP.N + 1))
         fd = _fd_jacobian_diag(oracle, x, i, VP)
-        exact = score_jacobian_diag(oracle, x, i, VP)
+        exact = oracle.jacobian_diag(x, i, VP)
         assert np.allclose(fd, exact, rtol=1e-6)
 
 
@@ -112,8 +110,8 @@ def test_score_is_affine_in_x():
     oracle = GaussianScoreOracle(mu=rng.substream(0).normal((7,)), var=0.5)
     x, y = rng.substream(1).normal((7,)), rng.substream(2).normal((7,))
     for a in (0.0, 0.3, 1.0):
-        mix = eval_score(oracle, a * x + (1 - a) * y, 321, VP)
-        parts = a * eval_score(oracle, x, 321, VP) + (1 - a) * eval_score(oracle, y, 321, VP)
+        mix = oracle.score(a * x + (1 - a) * y, 321, VP)
+        parts = a * oracle.score(x, 321, VP) + (1 - a) * oracle.score(y, 321, VP)
         assert np.allclose(mix, parts, rtol=1e-12)
 
 
@@ -121,19 +119,18 @@ def test_validation_errors():
     oracle = ZeroScoreOracle()
     x = np.zeros(4)
     with pytest.raises(ValidationError):
-        eval_score(oracle, np.array([1.0, np.nan, 0.0, 0.0]), 1, VP)
+        oracle.score(x, 0, VP)
     with pytest.raises(ValidationError):
-        eval_score(oracle, x, 0, VP)
+        oracle.score(x, VP.N + 1, VP)
     with pytest.raises(ValidationError):
-        eval_score(oracle, x, VP.N + 1, VP)
-    with pytest.raises(ValidationError):
-        score_jacobian_diag(oracle, np.full(3, np.inf), 1, VP)
-    with pytest.raises(ValidationError):
-        GaussianScoreOracle(mu=np.zeros(3), var=-1.0)
+        oracle.jacobian_diag(x, VP.N + 1, VP)
+    for var in (-1.0, np.nan, np.inf, [0.5, np.nan, 0.5]):
+        with pytest.raises(ValidationError):
+            GaussianScoreOracle(mu=np.zeros(3), var=var)
 
 
 def test_output_shape_matches_input_shape():
     oracle = ConditionalScoreOracle(np.zeros((4, 4)))
     x = RngStream(10).normal((3, 4, 4))  # leading batch axis broadcasts
-    out = eval_score(oracle, x, 11, VP)
+    out = oracle.score(x, 11, VP)
     assert out.shape == x.shape
