@@ -70,6 +70,8 @@ class ConsistencyOp:
         self.description = str(description)
 
     def apply_linear(self, x: np.ndarray) -> np.ndarray:
+        """A x as a new array, or as ``x`` itself when A = I: the reverse
+        path adds the offset to the result in place."""
         raise NotImplementedError
 
     def offset(self, i: int, rng: RngStream, batch_shape: tuple = ()):
@@ -117,7 +119,10 @@ class _DiffusedAnchorOp(ConsistencyOp):
             raise ValidationError(
                 f"{type(self).__name__} needs an RNG stream to draw its anchor noise")
         c = forward_coeffs(self.schedule, i)
-        return c.a * self.measurement + c.b * rng.normal(tuple(batch_shape) + self.shape)
+        z = rng.normal(tuple(batch_shape) + self.shape)
+        z *= c.b
+        z += c.a * self.measurement
+        return z
 
 
 class SrOp(_DiffusedAnchorOp):
@@ -145,19 +150,24 @@ class SrOp(_DiffusedAnchorOp):
                          f"sr factor={D}", measurement, schedule, kind)
         self.factor = D
 
+    def _blocks(self, x):
+        """``x`` viewed as D x D blocks, and the mean of each block."""
+        D = self.factor
+        H, W = self.shape
+        xv = x.reshape(x.shape[:-2] + (H // D, D, W // D, D))
+        return xv, xv.mean(axis=(-3, -1), keepdims=True)
+
     def project(self, x):
         """Apply P: per-block mean, replicated back to full resolution."""
         x = np.asarray(x, dtype=np.float64)
-        D = self.factor
-        H, W = self.shape
-        lead = x.shape[:-2]
-        xv = x.reshape(lead + (H // D, D, W // D, D))
-        m = xv.mean(axis=(-3, -1), keepdims=True)
+        xv, m = self._blocks(x)
         return np.broadcast_to(m, xv.shape).reshape(x.shape)
 
     def apply_linear(self, x):
+        # x - P x with the block means broadcast, never replicated in memory.
         x = np.asarray(x, dtype=np.float64)
-        return x - self.project(x)
+        xv, m = self._blocks(x)
+        return np.subtract(xv, m).reshape(x.shape)
 
     def offset(self, i, rng, batch_shape=()):
         return self.diffused_measurement(i, rng, batch_shape)

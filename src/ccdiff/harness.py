@@ -128,8 +128,8 @@ def resolve_init(mode: str, ground_truth: np.ndarray, op, seed: int) -> np.ndarr
             eps0 = float(mode.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"eps0 must be a number, got {mode!r}") from None
-        if eps0 < 0:
-            raise ValidationError("eps0 must be nonnegative")
+        if not 0.0 <= eps0 < np.inf:
+            raise ValidationError(f"eps0 must be finite and nonnegative, got {mode!r}")
         direction = RngStream(seed, (0x696E6974,)).normal(ground_truth.shape)
         norm = np.linalg.norm(direction)
         return ground_truth + direction * (np.sqrt(eps0) / norm)
@@ -137,7 +137,9 @@ def resolve_init(mode: str, ground_truth: np.ndarray, op, seed: int) -> np.ndarr
 
 
 def _sq_norms(d: np.ndarray) -> np.ndarray:
-    return np.sum(d.reshape(d.shape[0], -1) ** 2, axis=1)
+    """Per-trial squared norms of ``d`` (trials on axis 0); squares ``d`` in place."""
+    d = d.reshape(d.shape[0], -1)
+    return np.sum(np.multiply(d, d, out=d), axis=1)
 
 
 def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
@@ -172,12 +174,18 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
 
     pair = [forward_diffuse(x0, n_prime, schedule, r_fwd_x.normal((M,) + shape)),
             forward_diffuse(g, n_prime, schedule, r_fwd_g.normal((M,) + shape))]
+
+    def sq_errors(states, i):
+        d = states[0] - states[1]
+        d *= scale(schedule, i)
+        return _sq_norms(d)
+
     sq = np.empty((n_prime + 1, M))
-    sq[0] = _sq_norms((pair[0] - pair[1]) * scale(schedule, n_prime))
+    sq[0] = sq_errors(pair, n_prime)
 
     def record(i, states):
         k = n_prime - i + 1
-        sq[k] = _sq_norms((states[0] - states[1]) * scale(schedule, i - 1))
+        sq[k] = sq_errors(states, i - 1)
         if not np.isfinite(sq[k]).all():
             raise ValidationError(f"non-finite squared error after step {i}")
 

@@ -7,6 +7,9 @@ on one trajectory (``ccdf_sample``) or on the harness's coupled pairs.
 
 Forward diffusion, the stochastic reverse steps and the corrector are pure
 functions of the standard-normal draw ``z`` they are given (DDIM has none).
+They never write ``x`` or ``z``: each finishes its update in place in the
+array the score returned or in one array of its own, so a call allocates at
+most its result and one temporary.
 Only the loops (``ccdf_sample``, ``reverse_path``, ``run_error_curve``) and
 the SR/inpaint offsets draw, so which draws a coupled pair shares is decided
 in one place.  ``reverse_path`` hands each spent reverse or corrector draw of
@@ -73,10 +76,15 @@ class CcdfConfig:
 
 def forward_diffuse(x0: np.ndarray, n_prime: int, schedule: Schedule,
                     z: np.ndarray) -> np.ndarray:
-    """Single-step forward diffusion x_{N'} = a_{N'} x0 + b_{N'} z."""
+    """Single-step forward diffusion x_{N'} = a_{N'} x0 + b_{N'} z.
+
+    ``z`` has the shape of the result: x0's, with any leading batch axes.
+    """
     x0 = np.asarray(x0, dtype=np.float64)
     c = forward_coeffs(schedule, n_prime)
-    return c.a * x0 + c.b * z
+    out = c.b * z
+    out += c.a * x0
+    return out
 
 
 def reverse_step_ddpm(x: np.ndarray, i: int, schedule: Schedule,
@@ -90,8 +98,11 @@ def reverse_step_ddpm(x: np.ndarray, i: int, schedule: Schedule,
     x = np.asarray(x, dtype=np.float64)
     s = oracle.score(x, i, schedule)
     alpha_i = schedule.alpha[i]
-    mean = (x + (1.0 - alpha_i) * s) / np.sqrt(alpha_i)
-    return mean + np.sqrt(float(schedule.beta[i])) * z
+    s *= 1.0 - alpha_i
+    s += x
+    s /= np.sqrt(alpha_i)
+    s += np.sqrt(float(schedule.beta[i])) * z
+    return s
 
 
 def reverse_step_smld(x: np.ndarray, i: int, schedule: Schedule,
@@ -106,7 +117,10 @@ def reverse_step_smld(x: np.ndarray, i: int, schedule: Schedule,
     x = np.asarray(x, dtype=np.float64)
     dv = float(schedule.sigma[i] ** 2 - schedule.sigma[i - 1] ** 2)
     s = oracle.score(x, i, schedule)
-    return x + dv * s + np.sqrt(dv) * z
+    s *= dv
+    s += x
+    s += np.sqrt(dv) * z
+    return s
 
 
 def reverse_step_ddim(x: np.ndarray, i: int, schedule: Schedule,
@@ -123,9 +137,16 @@ def reverse_step_ddim(x: np.ndarray, i: int, schedule: Schedule,
     x = np.asarray(x, dtype=np.float64)
     ab_i = schedule.alpha_bar[i]
     ab_prev = schedule.alpha_bar[i - 1]
-    z_hat = -oracle.score(x, i, schedule) * np.sqrt(1.0 - ab_i)
-    x0_hat = (x - np.sqrt(1.0 - ab_i) * z_hat) / np.sqrt(ab_i)
-    return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * z_hat
+    z_hat = oracle.score(x, i, schedule)
+    np.negative(z_hat, out=z_hat)
+    z_hat *= np.sqrt(1.0 - ab_i)
+    out = np.sqrt(1.0 - ab_i) * z_hat
+    np.subtract(x, out, out=out)
+    out /= np.sqrt(ab_i)           # x0_hat
+    out *= np.sqrt(ab_prev)
+    z_hat *= np.sqrt(1.0 - ab_prev)
+    out += z_hat
+    return out
 
 
 def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
@@ -170,11 +191,15 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
         eps = 2.0 * (r * z_norm / s_norm) ** 2
     else:
         eps = 2.0 * r * z_norm / s_norm
-    j_max = np.max(np.abs(oracle.jacobian_diag(x, i, schedule)),
-                   axis=data_axes, keepdims=True)
+    j = oracle.jacobian_diag(x, i, schedule)
+    j_max = np.max(np.abs(j, out=j), axis=data_axes, keepdims=True)
+    del j    # freed before the noise term's temporary
     eps = np.where(j_max > 0.0, np.minimum(eps, 1.0 / np.maximum(j_max, 1e-300)),
                    eps)
-    return x + eps * s + np.sqrt(2.0 * eps) * z
+    s *= eps
+    s += x
+    s += np.sqrt(2.0 * eps) * z
+    return s
 
 
 class KindRule:
@@ -395,7 +420,11 @@ def _consistency(states: list, op, i: int, rng: RngStream, batch_axes: int) -> N
     """x <- A x + b_i on every trajectory, with one offset b_i shared by all."""
     b = op.offset(i, rng, batch_shape=states[0].shape[:batch_axes])
     for k in range(len(states)):
-        states[k] = op.apply_linear(states[k]) + b
+        # In place is safe: apply_linear returns a new array or the state itself,
+        # which the loop owns.
+        x = op.apply_linear(states[k])
+        x += b
+        states[k] = x
 
 
 def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,

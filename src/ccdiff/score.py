@@ -21,11 +21,16 @@ class ScoreOracle(abc.ABC):
 
     @abc.abstractmethod
     def score(self, x: np.ndarray, i: int, schedule: Schedule) -> np.ndarray:
-        """Raw score evaluation; callers guarantee finite x and a valid i."""
+        """Raw score evaluation; callers guarantee finite x and a valid i.
+
+        Returns a new array that the caller may overwrite: the reverse steps
+        finish their update in it.
+        """
 
     @abc.abstractmethod
     def jacobian_diag(self, x: np.ndarray, i: int, schedule: Schedule) -> np.ndarray:
-        """Exact diagonal of d s(x, i) / d x, same shape as x."""
+        """Exact diagonal of d s(x, i) / d x, same shape as x, as a new array
+        that the caller may overwrite."""
 
 
 class ConditionalScoreOracle(ScoreOracle):
@@ -41,7 +46,10 @@ class ConditionalScoreOracle(ScoreOracle):
 
     def score(self, x, i, schedule):
         c = forward_coeffs(schedule, i)
-        return -(np.asarray(x) - c.a * self.x_ref) / (c.b * c.b)
+        s = np.subtract(x, c.a * self.x_ref)
+        np.negative(s, out=s)
+        s /= c.b * c.b
+        return s
 
     def jacobian_diag(self, x, i, schedule):
         c = forward_coeffs(schedule, i)
@@ -67,8 +75,10 @@ class GaussianScoreOracle(ScoreOracle):
 
     def score(self, x, i, schedule):
         c = forward_coeffs(schedule, i)
-        denom = c.a * c.a * self.var + c.b * c.b
-        return -(np.asarray(x) - c.a * self.mu) / denom
+        s = np.subtract(x, c.a * self.mu)
+        np.negative(s, out=s)
+        s /= c.a * c.a * self.var + c.b * c.b
+        return s
 
     def jacobian_diag(self, x, i, schedule):
         c = forward_coeffs(schedule, i)

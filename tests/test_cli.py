@@ -242,6 +242,16 @@ def test_exit_codes_for_bad_usage(tmp_path):
     assert not (tmp_path / "p.pgm").exists()
 
 
+# What the error line must name, for inputs refused by a check with a message
+# of its own rather than by a later failure.
+REFUSAL_NAMES = {
+    "simulate --seed 1 --n 4 --trials 4 --init eps0:inf": "'eps0:inf'",
+    "simulate --seed 1 --n 4 --trials 4 --init eps0:nan": "'eps0:nan'",
+    "shortcut --kind smld --sigma-max 1e200 --eps0 1": "sigma_max^2",
+    "shortcut --kind smld --sigma-min 1e-170 --eps0 1": "sigma_min^2",
+}
+
+
 @pytest.mark.parametrize("argv, op_config", [
     ("simulate --seed 1 --t0 0.2,abc", None),
     ("simulate --seed 1 --init eps0:abc", None),
@@ -258,9 +268,14 @@ def test_exit_codes_for_bad_usage(tmp_path):
     ("contract --tau nan", None),
     ("contract --kind ddim --eps0 inf", None),
     ("simulate --seed 1 --op mri --size 16x16 --accel-factor nan", None),
+    ("simulate --seed 1 --n 4 --trials 4 --init eps0:inf", None),
+    ("simulate --seed 1 --n 4 --trials 4 --init eps0:nan", None),
+    ("shortcut --kind smld --sigma-max 1e200 --eps0 1", None),
+    ("shortcut --kind smld --sigma-min 1e-170 --eps0 1", None),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):
+    names = REFUSAL_NAMES.get(argv, "")
     argv = argv.split()
     if op_config is not None:
         cfg = tmp_path / "op.cfg"
@@ -268,7 +283,9 @@ def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
         argv += ["--op-config", str(cfg)]
     code, _ = run_cli(*argv)
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert names in err
 
 
 def test_exit_code_two_for_numeric_failure(tmp_path, phantom_file, monkeypatch):

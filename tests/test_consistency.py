@@ -62,6 +62,16 @@ def test_sr_projection_is_idempotent_and_symmetric():
     _probe_projection_identities(op, (24, 24))
 
 
+@pytest.mark.parametrize("factor", [2, 4, 8])
+def test_sr_apply_linear_needs_no_replicated_means(peak_states, factor):
+    # (1152, 16, 16): one state is larger than a 2 MiB L2.  The output is
+    # one state; the block means and numpy's reduction buffers stay under half.
+    op = sr_projection(factor, make_phantom("blocks", (16, 16), seed=6), VP, DDPM)
+    x = RngStream(7).normal((1152, 16, 16))
+    assert np.array_equal(op.apply_linear(x), x - op.project(x))
+    assert peak_states(lambda: op.apply_linear(x), x) <= 1.5
+
+
 def test_sr_block_constant_measurement_is_projection_fixed_point():
     meas = make_phantom("blocks", (64, 64), seed=5)  # 8x8 constant blocks
     op = sr_projection(4, meas, VP, DDPM)

@@ -11,7 +11,9 @@ from ccdiff import (CcdfConfig, ConditionalScoreOracle, ExperimentConfig,
                     GaussianScoreOracle, IdentityOp, SamplerKind, ValidationError,
                     ccdf_sample, inpaint_projection,
                     make_phantom, make_ve_schedule, make_vp_schedule, psnr,
-                    resolve_init, run_error_curve, run_mri_demo, run_t0_sweep)
+                    resolve_init, run_error_curve, run_mri_demo, run_t0_sweep,
+                    sr_projection)
+from ccdiff import harness
 from ccdiff.consistency import gaussian1d_mask
 from ccdiff.harness import write_sweep_csv, write_trajectory_csv
 from ccdiff.rng import RngStream
@@ -124,6 +126,31 @@ def test_error_curve_names_the_step_that_turned_non_finite():
         run_error_curve(replace(cfg, oracle=InfAtStep4(cfg.ground_truth)))
 
 
+def test_recording_a_step_allocates_one_state(monkeypatch, peak_states):
+    # Wrap the loop's on_step hook, the per-step error record, and measure
+    # it at a (1152, 16, 16) state, larger than a 2 MiB L2.
+    peaks = []
+    loop = harness.reverse_path
+
+    def measured_path(*args):
+        *args, record = args
+
+        def hook(i, states):
+            peaks.append(peak_states(lambda: record(i, states), states[0]))
+        return loop(*args, hook)
+
+    monkeypatch.setattr(harness, "reverse_path", measured_path)
+    gt = make_phantom("ellipses", (16, 16), seed=22)
+    op = IdentityOp(gt.shape, gt)
+    for kind in (SamplerKind.DDPM, SamplerKind.DDIM):   # plain and scaled errors
+        run_error_curve(ExperimentConfig(
+            schedule=VP100, kind=kind, t0=0.03, trials=1152, ground_truth=gt,
+            init=resolve_init("eps0:4.0", gt, op, seed=22), op=op,
+            oracle=ConditionalScoreOracle(gt), seed=22))
+    assert len(peaks) == 6
+    assert max(peaks) <= 1 + 1 / 16
+
+
 # ------------------------- noise refills in the loop ------------------------
 
 
@@ -229,6 +256,30 @@ def test_t0_sweep_golden_csv_regression_lock():
     assert digest == ("95faedbdd1992b9dd65da9c6e7bf99fcf75438c4"
                       "41e42b895dd31b72a6fa68bf")
     assert sweep.beats_full_path is not None
+
+
+def test_error_curve_golden_regression_lock():
+    # Frozen before the reverse steps, score, consistency and error recording
+    # moved to in-place arithmetic: every kind on every operator whose bits
+    # do not depend on the FFT backend, with the pair corrector on SMLD.
+    vp, ve = make_vp_schedule(1e-4, 0.02, 50), make_ve_schedule(0.01, 378, 50)
+    gt = make_phantom("ellipses", (8, 8), seed=21)
+    mask = np.zeros((8, 8), dtype=bool)
+    mask[:, ::2] = True
+    digest = hashlib.sha256()
+    for kind in (SamplerKind.DDPM, SamplerKind.SMLD, SamplerKind.DDIM):
+        sch = ve if kind is SamplerKind.SMLD else vp
+        for op in (IdentityOp(gt.shape, gt), inpaint_projection(mask, gt, sch, kind),
+                   sr_projection(2, gt, sch, kind)):
+            cfg = ExperimentConfig(
+                schedule=sch, kind=kind, t0=0.4, trials=16, ground_truth=gt,
+                init=resolve_init("eps0:4.0", gt, op, seed=21), op=op,
+                oracle=ConditionalScoreOracle(gt), seed=21,
+                corrector_r=0.16 if kind is SamplerKind.SMLD else 0.0)
+            stats = run_error_curve(cfg)
+            digest.update(stats.mse.tobytes() + stats.stderr.tobytes())
+    assert digest.hexdigest() == ("eed1121b24e71c301ce19bbd35c2db31"
+                                  "0e2457106818248a16639463f1d3f4b9")
 
 
 def test_t0_sweep_rejects_empty_grid():

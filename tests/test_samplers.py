@@ -419,3 +419,51 @@ def test_rng_streams_are_reproducible_and_independent():
     assert not np.array_equal(a, c)
     s = RngStream(42).substream(1, 2).normal((8,))
     assert np.array_equal(a, s)
+
+
+# --------------------------- memory and aliasing ----------------------------
+
+# One (1152, 16, 16) float64 state is 2.25 MiB, more than a 2 MiB L2, as in
+# the benchmark's coupled-pair cells.  The allowance over whole states covers
+# numpy's iterator buffers and the per-trial step sizes.
+STATE = (1152, 16, 16)
+ALLOWANCE = 1 / 16
+
+
+@pytest.mark.parametrize("step", ["ddpm", "smld", "ddim", "corrector"])
+def test_steps_allocate_two_states_and_leave_x_and_z_alone(peak_states, step):
+    ref = make_phantom("ellipses", STATE[1:], seed=33)
+    x = RngStream(34).normal(STATE)
+    z = RngStream(35).normal(STATE)
+    x_copy, z_copy = x.copy(), z.copy()
+    oracle = ConditionalScoreOracle(ref)
+    call = {
+        "ddpm": lambda: reverse_step_ddpm(x, 40, VP, oracle, z),
+        "smld": lambda: reverse_step_smld(x, 40, VE, oracle, z),
+        "ddim": lambda: reverse_step_ddim(x, 40, VP.with_kind(SamplerKind.DDIM), oracle),
+        "corrector": lambda: langevin_corrector(x, 40, VE, oracle, 0.16, z, batch_axes=1),
+    }[step]
+    out = call()
+    assert out is not x and out is not z
+    assert peak_states(call, x) <= 2 + ALLOWANCE
+    assert np.array_equal(x, x_copy) and np.array_equal(z, z_copy)
+
+
+def test_reverse_path_leaves_oracle_and_operator_data_alone():
+    ph = make_phantom("ellipses", (16, 16), seed=36)
+    mask = gaussian1d_mask((16, 16), 4.0, 0.1, seed=36)
+    mri = mri_projection(mask, mri_measure(ph, mask))
+    cases = [
+        (mri, GaussianScoreOracle(mu=ph, var=0.25), SamplerKind.SMLD, VE, 0.16),
+        (IdentityOp(ph.shape, ph), ConditionalScoreOracle(ph), SamplerKind.DDPM, VP, 0.0),
+        (IdentityOp(ph.shape, ph), ConditionalScoreOracle(ph), SamplerKind.DDIM, VP, 0.0),
+    ]
+    for op, oracle, kind, sch, r in cases:
+        init = op.vanilla_init()
+        data = [init, op.offset(1, None), getattr(oracle, "x_ref", None),
+                getattr(oracle, "mu", None)]
+        before = [None if a is None else np.copy(a) for a in data]
+        cfg = CcdfConfig(t0=0.05, N=1000, kind=kind, corrector_r=r)
+        ccdf_sample(init, op, cfg, sch, oracle, RngStream(37))
+        for a, b in zip(data, before):
+            assert a is None or np.array_equal(a, b)
