@@ -117,11 +117,14 @@ def make_ve_schedule(sigma_min: float, sigma_max: float, N: int) -> Schedule:
         raise ValidationError(
             f"need 0 < sigma_min < sigma_max < inf, got ({sigma_min}, {sigma_max})"
         )
+    # Python float products and quotients over- and underflow without a warning.
     for name, s in (("sigma_min", sigma_min), ("sigma_max", sigma_max)):
-        # A Python float product over- and underflows without a warning.
         if not 0.0 < float(s) * float(s) < np.inf:
             raise ValidationError(
                 f"{name}^2 must be a positive finite float, got {name} = {s}")
+    if not float(sigma_max) / float(sigma_min) < np.inf:
+        raise ValidationError(
+            f"sigma_max / sigma_min overflows, got ({sigma_min}, {sigma_max})")
     i = np.arange(N + 1, dtype=np.float64)
     sigma = sigma_min * (sigma_max / sigma_min) ** ((i - 1.0) / (N - 1.0))
     return Schedule(kind=SamplerKind.SMLD, N=int(N), beta=None, alpha=None,

@@ -249,6 +249,8 @@ REFUSAL_NAMES = {
     "simulate --seed 1 --n 4 --trials 4 --init eps0:nan": "'eps0:nan'",
     "shortcut --kind smld --sigma-max 1e200 --eps0 1": "sigma_max^2",
     "shortcut --kind smld --sigma-min 1e-170 --eps0 1": "sigma_min^2",
+    "shortcut --kind smld --sigma-min 1e-160 --sigma-max 1e150 --eps0 1":
+        "sigma_max / sigma_min",
 }
 
 
@@ -272,6 +274,7 @@ REFUSAL_NAMES = {
     ("simulate --seed 1 --n 4 --trials 4 --init eps0:nan", None),
     ("shortcut --kind smld --sigma-max 1e200 --eps0 1", None),
     ("shortcut --kind smld --sigma-min 1e-170 --eps0 1", None),
+    ("shortcut --kind smld --sigma-min 1e-160 --sigma-max 1e150 --eps0 1", None),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):
