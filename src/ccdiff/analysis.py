@@ -68,26 +68,16 @@ def noise_constant_candidates(schedule: Schedule, kind: SamplerKind,
             **RULES[kind].c_candidates(schedule, n_prime, n)}
 
 
-def contraction_forward_coeffs(schedule: Schedule, kind: SamplerKind,
-                               i: int) -> tuple[float, float]:
-    """Forward coefficients (a_i, b_i) in the coordinates of the contraction,
-    from the kind's rule.  For DDIM the forward kernel in the reparameterized
-    coordinates is x_bar_i = x_bar_0 + sigma_i z, so (a_i, b_i) = (1, sigma_i).
-    """
-    i = check_step_index(schedule, i)
-    return RULES[kind].coords(schedule, i)
-
-
 def forward_error(eps0: float, schedule: Schedule, kind: SamplerKind,
                   n_prime: int, n: int) -> float:
     """Expected squared distance after forward-diffusing both trajectories.
 
     With independent noise draws, err_{N'} = a_{N'}^2 eps0 + 2 b_{N'}^2 n for
-    the contraction-coordinate coefficients (a, b).
+    the contraction-coordinate coefficients (a, b) of the kind's rule.
     """
     if not 0.0 <= eps0 < np.inf:
         raise ValidationError("eps0 is a squared distance and must be finite and >= 0")
-    a, b = contraction_forward_coeffs(schedule, kind, n_prime)
+    a, b = RULES[kind].coords(schedule, check_step_index(schedule, n_prime))
     return float(a * a * eps0 + 2.0 * b * b * n)
 
 
@@ -119,17 +109,6 @@ def bound_traces(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
     simple = (2.0 * c_max * tau / (1.0 - lam_max ** 2)
               + lam_max ** (2.0 * steps_left) * fwd_err)
     return simple, rec
-
-
-def error_bound(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
-                tau: float, fwd_err: float) -> tuple[float, float]:
-    """End-to-end bounds on the reverse-path error at step 0.
-
-    Returns (bound_simple, bound_recursive); the recursive product-form
-    bound never exceeds the simple geometric one.
-    """
-    simple, rec = bound_traces(lambda_per_step, c_per_step, tau, fwd_err)
-    return float(simple[0]), float(rec[0])
 
 
 @dataclass(frozen=True)
@@ -173,13 +152,13 @@ def contraction_report(schedule: Schedule, kind: SamplerKind, n_prime: int,
     lam, lam_steps = contraction_rate(schedule, kind, n_prime)
     c_steps = noise_constant_per_step(schedule, kind, n_prime, n)
     fwd = forward_error(eps0, schedule, kind, n_prime, n)
-    simple, recursive = error_bound(lam_steps, c_steps, tau, fwd)
+    simple, recursive = bound_traces(lam_steps, c_steps, tau, fwd)
     return ContractionReport(
         kind=kind, n_prime=n_prime, n=n, lam=lam, lambda_per_step=lam_steps,
         C=noise_constant(schedule, kind, n_prime, n),
         c_candidates=noise_constant_candidates(schedule, kind, n_prime, n),
         tau=float(tau), eps0=float(eps0), forward_error=fwd,
-        bound_simple=simple, bound_recursive=recursive,
+        bound_simple=float(simple[0]), bound_recursive=float(recursive[0]),
     )
 
 

@@ -20,7 +20,7 @@ from .errors import NumericFailure, ValidationError
 from .rng import RngStream
 from .samplers import CcdfConfig, DEFAULT_CORRECTOR_R, ccdf_sample
 from .schedules import (SamplerKind, Schedule, make_ve_schedule,
-                        make_vp_schedule, write_schedule_csv)
+                        make_vp_schedule, schedule_rows, step_index_of_time)
 from .score import ConditionalScoreOracle, GaussianScoreOracle, ScoreOracle
 
 
@@ -101,49 +101,39 @@ def build_op(op_name: str | None, cfg: dict, schedule: Schedule,
     elif cfg_kind is not None and cfg_kind != op_name:
         raise ValidationError(
             f"operator kind mismatch: --op {op_name} vs config kind={cfg_kind}")
-    measurement = None
-    if "measurement" in cfg:
-        measurement = imgio.load_image(cfg["measurement"])
+    if op_name not in ("identity", "sr", "inpaint", "mri"):
+        raise ValidationError(f"unknown operator {op_name!r}")
+    if "measurement" not in cfg:
+        raise ValidationError(f"{op_name} op needs measurement=<path> in the config")
+    measurement = imgio.load_image(cfg["measurement"])
 
     if op_name == "identity":
-        if measurement is None:
-            raise ValidationError("identity op needs measurement=<path> in the config")
         return consistency.IdentityOp(measurement.shape, measurement)
 
     if op_name == "sr":
-        if measurement is None:
-            raise ValidationError("sr op needs measurement=<path> in the config")
         factor = _number(cfg.get("factor", "4"), int, "factor")
-        return consistency.sr_projection(factor, measurement, schedule, kind)
+        return consistency.SrOp(factor, measurement, schedule, kind)
 
     if op_name == "inpaint":
-        if measurement is None:
-            raise ValidationError("inpaint op needs measurement=<path> in the config")
         if "mask-path" in cfg:
             mask = imgio.read_mask(cfg["mask-path"])
         elif "box" in cfg:
             mask = _box_hole_mask(measurement.shape, cfg["box"])
         else:
             raise ValidationError("inpaint op needs mask-path= or box= in the config")
-        return consistency.inpaint_projection(mask, measurement, schedule, kind)
+        return consistency.InpaintOp(mask, measurement, schedule, kind)
 
-    if op_name == "mri":
-        if measurement is None:
-            raise ValidationError("mri op needs measurement=<path> in the config")
-        if "mask-path" in cfg:
-            mask = imgio.read_mask(cfg["mask-path"])
-        else:
-            mask = consistency.gaussian1d_mask(
-                measurement.shape,
-                accel=_number(cfg.get("accel-factor", "4.0"), float, "accel-factor"),
-                acs_fraction=_number(cfg.get("acs-fraction", "0.08"), float,
-                                     "acs-fraction"),
-                seed=_number(cfg.get("seed", "0"), int, "seed"),
-            )
-        y = consistency.mri_measure(measurement, mask)
-        return consistency.mri_projection(mask, y)
-
-    raise ValidationError(f"unknown operator {op_name!r}")
+    if "mask-path" in cfg:
+        mask = imgio.read_mask(cfg["mask-path"])
+    else:
+        mask = consistency.gaussian1d_mask(
+            measurement.shape,
+            accel=_number(cfg.get("accel-factor", "4.0"), float, "accel-factor"),
+            acs_fraction=_number(cfg.get("acs-fraction", "0.08"), float,
+                                 "acs-fraction"),
+            seed=_number(cfg.get("seed", "0"), int, "seed"),
+        )
+    return consistency.MriOp(mask, consistency.mri_measure(measurement, mask))
 
 
 def _parse_oracle(spec: str, ground_truth: np.ndarray) -> ScoreOracle:
@@ -196,14 +186,14 @@ def _parse_size(text: str) -> tuple[int, int]:
 def cmd_schedule(args) -> int:
     schedule, _ = build_schedule(args)
     with _output(args.out) as fh:
-        write_schedule_csv(schedule, fh)
+        imgio.write_csv(fh, schedule_rows(schedule))
     return 0
 
 
 def cmd_contract(args) -> int:
     schedule, kind = build_schedule(args)
-    n_prime = args.n_prime if args.n_prime is not None else CcdfConfig(
-        t0=args.t0, N=schedule.N, kind=kind).n_prime
+    n_prime = (args.n_prime if args.n_prime is not None
+               else step_index_of_time(args.t0, schedule.N))
     report = analysis.contraction_report(schedule, kind, n_prime,
                                          args.n, args.tau, args.eps0)
     with _output(args.out) as fh:
@@ -249,20 +239,19 @@ def _simulate_op(args, ground_truth, schedule, kind):
         mask = gen.uniform(size=ground_truth.shape) < args.keep_fraction
         if not mask.any():
             mask.flat[0] = True
-        return consistency.inpaint_projection(mask, ground_truth, schedule, kind)
+        return consistency.InpaintOp(mask, ground_truth, schedule, kind)
     if args.op == "sr":
         if ground_truth.ndim != 2:
             raise ValidationError("sr simulation needs --size HxW")
         blocky = consistency.SrOp(args.factor, ground_truth, schedule, kind).project(
             ground_truth)
-        return consistency.sr_projection(args.factor, blocky, schedule, kind)
+        return consistency.SrOp(args.factor, blocky, schedule, kind)
     if args.op == "mri":
         if ground_truth.ndim != 2:
             raise ValidationError("mri simulation needs --size HxW")
         mask = consistency.gaussian1d_mask(ground_truth.shape, args.accel_factor,
                                            args.acs_fraction, args.seed)
-        y = consistency.mri_measure(ground_truth, mask)
-        return consistency.mri_projection(mask, y)
+        return consistency.MriOp(mask, consistency.mri_measure(ground_truth, mask))
     raise ValidationError(f"unknown operator {args.op!r}")
 
 
@@ -298,10 +287,10 @@ def cmd_simulate(args) -> int:
     with _output(args.out) as fh:
         if len(t0_values) == 1:
             stats = harness.run_error_curve(cfg)
-            harness.write_trajectory_csv(stats, fh)
+            imgio.write_csv(fh, stats.rows())
         else:
             sweep = harness.run_t0_sweep(cfg, t0_values)
-            harness.write_sweep_csv(sweep, fh)
+            imgio.write_csv(fh, sweep.rows())
             print(f"argmin_t0,{sweep.argmin_t0}", file=sys.stderr)
             if sweep.beats_full_path is not None:
                 print(f"beats_full_path,{sweep.beats_full_path}", file=sys.stderr)

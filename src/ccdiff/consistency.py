@@ -23,7 +23,7 @@ except ImportError:  # pragma: no cover - numpy fallback
 
 from .errors import NumericFailure, ValidationError
 from .rng import RngStream
-from .schedules import SamplerKind, Schedule, check_family, forward_coeffs
+from .schedules import check_family, forward_coeffs
 
 # Extra keyword arguments of every MRI transform.  None, so they run
 # single-threaded: at the sizes the operator sees (one 64x64 image to 10^4
@@ -62,6 +62,7 @@ class ConsistencyOp:
     Subclasses provide ``apply_linear`` (the action of A) and ``offset``
     (the vector b_i, possibly drawn from the supplied RNG).  ``tau`` is the
     exact trace ratio Tr(A^T A)/n, which every operator gives in closed form.
+    ``reverse_path`` treats the axes of a state in front of ``shape`` as batch axes.
     """
 
     def __init__(self, shape, tau, description):
@@ -130,8 +131,10 @@ class SrOp(_DiffusedAnchorOp):
 
     P averages each D x D block and broadcasts the mean back, which is an
     exact orthogonal projection (idempotent and symmetric), so tau has the
-    closed form 1 - 1/D^2.  The offset is the forward-diffused measurement
-    itself; block-constant measurements are fixed points of P.
+    closed form 1 - 1/D^2.  The offset is the whole forward-diffused
+    measurement x_hat_i = a_i y + b_i z, not its projection P x_hat_i: a
+    block-constant y is a fixed point of P, but the anchor noise b_i z is not,
+    so the offset also carries its unmeasured part (I - P) b_i z.
     """
 
     def __init__(self, factor, measurement, schedule, kind):
@@ -199,12 +202,15 @@ class InpaintOp(_DiffusedAnchorOp):
         super().__init__(mask.shape, (n - m) / n, f"inpaint kept={m}/{n}",
                          measurement, schedule, kind)
         self.mask = mask
+        self._unmeasured = ~mask
 
     def apply_linear(self, x):
         return np.where(self.mask, 0.0, np.asarray(x, dtype=np.float64))
 
     def offset(self, i, rng, batch_shape=()):
-        return np.where(self.mask, self.diffused_measurement(i, rng, batch_shape), 0.0)
+        d = self.diffused_measurement(i, rng, batch_shape)
+        np.copyto(d, 0.0, where=self._unmeasured)
+        return d
 
     def vanilla_init(self):
         return np.where(self.mask, self.measurement, 0.0)
@@ -292,21 +298,10 @@ def mri_measure(image: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, np.fft.fft2(image, norm="ortho"), 0.0)
 
 
-def sr_projection(factor: int, measurement: np.ndarray, schedule: Schedule,
-                  kind: SamplerKind) -> SrOp:
-    """Build the super-resolution consistency operator (see SrOp)."""
-    return SrOp(factor, measurement, schedule, kind)
-
-
-def inpaint_projection(mask: np.ndarray, measurement: np.ndarray,
-                       schedule: Schedule, kind: SamplerKind) -> InpaintOp:
-    """Build the inpainting consistency operator (see InpaintOp)."""
-    return InpaintOp(mask, measurement, schedule, kind)
-
-
-def mri_projection(mask: np.ndarray, y: np.ndarray) -> MriOp:
-    """Build the MRI k-space consistency operator (see MriOp)."""
-    return MriOp(mask, y)
+# Other names for the operator classes.
+sr_projection = SrOp
+inpaint_projection = InpaintOp
+mri_projection = MriOp
 
 
 def gaussian1d_mask(shape, accel: float, acs_fraction: float,

@@ -16,7 +16,6 @@ deterministic pairwise summation, so statistics are reproducible from
 
 from __future__ import annotations
 
-import csv
 import numbers
 from dataclasses import dataclass, replace
 
@@ -95,16 +94,6 @@ class TrajectoryStats:
                 "bound_recursive": repr(float(self.bound_recursive[k])),
                 "bound_simple": repr(float(self.bound_simple[k])),
             }
-
-
-TRAJECTORY_CSV_COLUMNS = ("step", "mse", "stderr", "bound_recursive", "bound_simple")
-
-
-def write_trajectory_csv(stats: TrajectoryStats, fileobj) -> None:
-    writer = csv.DictWriter(fileobj, fieldnames=TRAJECTORY_CSV_COLUMNS)
-    writer.writeheader()
-    for row in stats.rows():
-        writer.writerow(row)
 
 
 def resolve_init(mode: str, ground_truth: np.ndarray, op, seed: int) -> np.ndarray:
@@ -190,7 +179,7 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
             raise ValidationError(f"non-finite squared error after step {i}")
 
     reverse_path(pair, path, schedule, cfg.oracle, cfg.op, [r_rev_x, r_rev_g],
-                 [r_cor_x, r_cor_g], r_anchor, 1, record)
+                 [r_cor_x, r_cor_g], r_anchor, record)
 
     mse = sq.mean(axis=1)
     stderr = sq.std(axis=1, ddof=1) / np.sqrt(M)
@@ -224,17 +213,6 @@ class SweepResult:
                 "bound_recursive": repr(float(st.bound_recursive[-1])),
                 "bound_simple": repr(float(st.bound_simple[-1])),
             }
-
-
-SWEEP_CSV_COLUMNS = ("t0", "n_prime", "final_mse", "final_stderr",
-                     "bound_recursive", "bound_simple")
-
-
-def write_sweep_csv(result: SweepResult, fileobj) -> None:
-    writer = csv.DictWriter(fileobj, fieldnames=SWEEP_CSV_COLUMNS)
-    writer.writeheader()
-    for row in result.rows():
-        writer.writerow(row)
 
 
 def run_t0_sweep(cfg: ExperimentConfig, t0_grid) -> SweepResult:

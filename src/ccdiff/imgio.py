@@ -1,4 +1,4 @@
-"""Image and array file formats used by the CLI.
+"""Image and array file formats used by the CLI, and its CSV table writer.
 
 Two formats are supported for measurements and reconstructions:
 
@@ -11,6 +11,7 @@ Sampling masks are bilevel PGM files (zero = unmeasured).
 
 from __future__ import annotations
 
+import csv
 import struct
 from pathlib import Path
 
@@ -21,6 +22,16 @@ from .errors import ValidationError
 RAW_MAGIC = b"CCF1"
 RAW_DTYPE_F64 = 1
 _RAW_HEADER = struct.Struct("<4sIII")
+
+
+def write_csv(fileobj, rows) -> None:
+    """Write dict rows as CSV under a header row of the first row's keys."""
+    writer = None
+    for row in rows:
+        if writer is None:
+            writer = csv.DictWriter(fileobj, fieldnames=list(row))
+            writer.writeheader()
+        writer.writerow(row)
 
 
 def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:

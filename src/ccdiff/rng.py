@@ -81,10 +81,11 @@ class RngStream:
     """A named, reproducible Gaussian noise stream."""
 
     def __init__(self, seed: int, stream: tuple[int, ...] = ()):
-        if not isinstance(seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {seed!r}")
-        self.seed = int(seed)
         self.stream = tuple(int(s) for s in stream)
+        if not isinstance(seed, (int, np.integer)) or min((seed,) + self.stream) < 0:
+            raise ValidationError("seed and stream ids must be nonnegative integers, "
+                                  f"got {seed!r} and {self.stream}")
+        self.seed = int(seed)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.stream)
         self._gen = np.random.Generator(np.random.Philox(ss))
         self._fill = None    # (future, buffer, state before the fill) of a refill

@@ -384,15 +384,14 @@ RULES = {SamplerKind.DDPM: _DdpmRule(), SamplerKind.SMLD: _SmldRule(),
 
 
 def _check_op(op, shape) -> None:
-    for attr in ("apply_linear", "offset"):
+    for attr in ("apply_linear", "offset", "shape"):
         if not hasattr(op, attr):
             raise ValidationError(
-                f"consistency operator lacks required method {attr!r}"
+                f"consistency operator lacks required attribute {attr!r}"
             )
-    op_shape = getattr(op, "shape", None)
-    if op_shape is not None and tuple(shape)[-len(op_shape):] != tuple(op_shape):
+    if tuple(shape)[-len(op.shape):] != tuple(op.shape):
         raise ValidationError(
-            f"input shape {tuple(shape)} does not end with operator shape {tuple(op_shape)}"
+            f"input shape {tuple(shape)} does not end with operator shape {tuple(op.shape)}"
         )
 
 
@@ -429,7 +428,7 @@ def _consistency(states: list, op, i: int, rng: RngStream, batch_axes: int) -> N
 
 def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
                  oracle: ScoreOracle, op, noise, corrector_noise,
-                 anchor_rng: RngStream, batch_axes: int, on_step) -> list:
+                 anchor_rng: RngStream, on_step) -> list:
     """Run reverse steps i = N'..1 on coupled trajectories, updating ``states`` in place.
 
     Each step applies the kind's reverse update to every trajectory, then the
@@ -438,12 +437,14 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     second consistency map.  ``noise[k]`` and ``corrector_noise[k]`` are the
     streams of trajectory k; one handed the same stream as the trajectory
     before it shares its draws, and each spent draw goes back to its stream
-    to be refilled while the loop computes.  The leading ``batch_axes`` axes
-    hold independent samples.  ``on_step(i, states)`` runs after step i.
+    to be refilled while the loop computes.  The axes in front of the
+    operator's ``shape`` hold independent samples.  ``on_step(i, states)``
+    runs after step i.
     """
     if cfg.N != schedule.N:
         raise ValidationError(f"config N={cfg.N} does not match schedule N={schedule.N}")
     _check_op(op, states[0].shape)
+    batch_axes = states[0].ndim - len(op.shape)
     if not all(np.isfinite(x).all() for x in states):
         raise ValidationError(f"non-finite state at the start of step {cfg.n_prime}")
     rule = RULES[cfg.kind]
@@ -488,5 +489,5 @@ def ccdf_sample(x0_init: np.ndarray, op, cfg: CcdfConfig, schedule: Schedule,
                         rng.substream(STREAM_FORWARD).normal(np.shape(x0_init)))
     [x] = reverse_path([x], cfg, schedule, oracle, op, [rng.substream(STREAM_REVERSE)],
                        [rng.substream(STREAM_CORRECTOR)],
-                       rng.substream(STREAM_CONSISTENCY), 0, _check_finite)
+                       rng.substream(STREAM_CONSISTENCY), _check_finite)
     return x

@@ -13,9 +13,7 @@ geometric series evaluated at i = 0.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,21 +167,12 @@ def step_index_of_time(t: float, N: int) -> int:
     return min(int(N), max(1, int(np.floor(t * N + 0.5))))
 
 
-_CSV_COLUMNS = ("i", "beta", "alpha", "alpha_bar", "sigma", "ddim_sigma")
-
-
 def schedule_rows(schedule: Schedule):
-    """Yield one dict per step index i = 0..N; missing columns are empty."""
+    """Yield one dict per step index i = 0..N, keys in column order; the
+    columns a VE schedule lacks are empty."""
     for i in range(schedule.N + 1):
-        row = {"i": i, "sigma": repr(float(schedule.sigma[i]))}
-        for name in ("beta", "alpha", "alpha_bar", "ddim_sigma"):
+        row = {"i": i}
+        for name in ("beta", "alpha", "alpha_bar", "sigma", "ddim_sigma"):
             arr = getattr(schedule, name)
             row[name] = repr(float(arr[i])) if arr is not None else ""
         yield row
-
-
-def write_schedule_csv(schedule: Schedule, fileobj: io.TextIOBase) -> None:
-    writer = csv.DictWriter(fileobj, fieldnames=_CSV_COLUMNS)
-    writer.writeheader()
-    for row in schedule_rows(schedule):
-        writer.writerow(row)

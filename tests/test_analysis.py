@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from ccdiff import (ConditionalScoreOracle, ExperimentConfig, IdentityOp,
-                    SamplerKind, ValidationError, contraction_rate, error_bound,
+                    SamplerKind, ValidationError, contraction_rate,
                     forward_error, inpaint_projection, make_ve_schedule,
                     make_vp_schedule, minimal_shortcut, noise_constant,
                     noise_constant_per_step, reverse_step_ddpm, sr_projection)
-from ccdiff.analysis import (bound_traces, contraction_forward_coeffs,
-                             contraction_report, noise_constant_candidates)
+from ccdiff.analysis import (bound_traces, contraction_report,
+                             noise_constant_candidates)
 from ccdiff.rng import RngStream
+from ccdiff.samplers import RULES
 from ccdiff.schedules import forward_coeffs
 
 VP = make_vp_schedule(1e-4, 0.02, 1000)
@@ -114,7 +115,7 @@ def test_noise_constant_candidates_surface_alternatives():
 
 def test_forward_error_zero_eps0():
     for kind, sch in ((SamplerKind.DDPM, VP), (SamplerKind.SMLD, VE)):
-        a, b = contraction_forward_coeffs(sch, kind, 123)
+        a, b = RULES[kind].coords(sch, 123)
         assert forward_error(0.0, sch, kind, 123, 32) == \
             pytest.approx(2 * b * b * 32, rel=1e-15)
 
@@ -163,17 +164,17 @@ def test_error_bound_ddim_is_pure_contraction_of_forward_error():
     lam, per = contraction_rate(VP, SamplerKind.DDIM, 50)
     cs = noise_constant_per_step(VP, SamplerKind.DDIM, 50, 64)
     fwd = forward_error(2.0, VP, SamplerKind.DDIM, 50, 64)
-    simple, recursive = error_bound(per, cs, 1.0, fwd)
-    assert simple == pytest.approx(lam ** 100 * fwd, rel=1e-12)
-    assert recursive == pytest.approx(np.prod(per ** 2) * fwd, abs=1e-300)
+    simple, recursive = bound_traces(per, cs, 1.0, fwd)
+    assert simple[0] == pytest.approx(lam ** 100 * fwd, rel=1e-12)
+    assert recursive[0] == pytest.approx(np.prod(per ** 2) * fwd, abs=1e-300)
 
 
 def test_error_bound_trivial_arithmetic():
     per = np.array([0.5, 0.5])
     cs = np.zeros(2)
-    simple, recursive = error_bound(per, cs, 1.0, 8.0)
-    assert simple == pytest.approx(0.5 ** 4 * 8.0, rel=1e-15)
-    assert recursive == pytest.approx(0.5, rel=1e-15)
+    simple, recursive = bound_traces(per, cs, 1.0, 8.0)
+    assert simple[0] == pytest.approx(0.5 ** 4 * 8.0, rel=1e-15)
+    assert recursive[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_recursive_bound_never_exceeds_simple_bound():
@@ -189,8 +190,8 @@ def test_recursive_bound_never_exceeds_simple_bound():
             _, per = contraction_rate(sch, kind, n_prime)
             cs = noise_constant_per_step(sch, kind, n_prime, n)
             fwd = forward_error(eps0, sch, kind, n_prime, n)
-            simple, recursive = error_bound(per, cs, tau, fwd)
-            assert recursive <= simple + 1e-12
+            simple, recursive = bound_traces(per, cs, tau, fwd)
+            assert recursive[0] <= simple[0] + 1e-12
             count += 1
     assert count >= 1000
 
@@ -207,12 +208,12 @@ def test_bound_traces_are_stepwise_ordered():
 
 def test_error_bound_rejects_non_contracting_lambda():
     with pytest.raises(ValidationError):
-        error_bound(np.array([1.0]), np.array([0.0]), 1.0, 1.0)
+        bound_traces(np.array([1.0]), np.array([0.0]), 1.0, 1.0)
     with pytest.raises(ValidationError):
-        error_bound(np.array([0.5, np.nan]), np.array([0.0, 0.0]), 1.0, 1.0)
+        bound_traces(np.array([0.5, np.nan]), np.array([0.0, 0.0]), 1.0, 1.0)
     for tau in (-1.0, np.nan, np.inf):
         with pytest.raises(ValidationError):
-            error_bound(np.array([0.5]), np.array([1.0]), tau, 1.0)
+            bound_traces(np.array([0.5]), np.array([1.0]), tau, 1.0)
 
 
 # ----------------------------- minimal shortcut -----------------------------

@@ -251,6 +251,9 @@ REFUSAL_NAMES = {
     "shortcut --kind smld --sigma-min 1e-170 --eps0 1": "sigma_min^2",
     "shortcut --kind smld --sigma-min 1e-160 --sigma-max 1e150 --eps0 1":
         "sigma_max / sigma_min",
+    "simulate --seed -1 --n 4 --trials 4": "seed",
+    "ccdf --seed -1 --op identity --t0 0.1": "seed",
+    "ccdf --seed 1 --kind smld --op mri --t0 0.02": "seed",
 }
 
 
@@ -275,6 +278,9 @@ REFUSAL_NAMES = {
     ("shortcut --kind smld --sigma-max 1e200 --eps0 1", None),
     ("shortcut --kind smld --sigma-min 1e-170 --eps0 1", None),
     ("shortcut --kind smld --sigma-min 1e-160 --sigma-max 1e150 --eps0 1", None),
+    ("simulate --seed -1 --n 4 --trials 4", None),
+    ("ccdf --seed -1 --op identity --t0 0.1", ""),
+    ("ccdf --seed 1 --kind smld --op mri --t0 0.02", "seed=-3"),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):

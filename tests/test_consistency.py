@@ -72,6 +72,17 @@ def test_sr_apply_linear_needs_no_replicated_means(peak_states, factor):
     assert peak_states(lambda: op.apply_linear(x), x) <= 1.5
 
 
+def test_inpaint_offset_zeroes_its_own_draw(peak_states):
+    # The offset is the masked anchor draw itself, not a masked copy of it;
+    # the 1/16 covers numpy's 64 KiB iterator buffers.
+    mask = RngStream(8).uniform(shape=(16, 16)) < 0.5
+    op = inpaint_projection(mask, make_phantom("blocks", (16, 16), seed=6), VP, DDPM)
+    b = op.offset(10, RngStream(9), (1152,))
+    d = op.diffused_measurement(10, RngStream(9), (1152,))
+    assert b.tobytes() == np.where(mask, d, 0.0).tobytes()
+    assert peak_states(lambda: op.offset(10, RngStream(9), (1152,)), b) <= 1 + 1 / 16
+
+
 def test_sr_block_constant_measurement_is_projection_fixed_point():
     meas = make_phantom("blocks", (64, 64), seed=5)  # 8x8 constant blocks
     op = sr_projection(4, meas, VP, DDPM)

@@ -15,7 +15,7 @@ from ccdiff import (CcdfConfig, ConditionalScoreOracle, ExperimentConfig,
                     sr_projection)
 from ccdiff import harness
 from ccdiff.consistency import gaussian1d_mask
-from ccdiff.harness import write_sweep_csv, write_trajectory_csv
+from ccdiff.imgio import write_csv
 from ccdiff.rng import RngStream
 from ccdiff.samplers import REFILL_MIN_VALUES
 
@@ -80,8 +80,8 @@ def test_trajectory_csv_rows_reproducible_bit_for_bit():
     cfg = _identity_cfg(SamplerKind.SMLD, VE100, t0=0.1, trials=64, seed=4)
     a, b = run_error_curve(cfg), run_error_curve(cfg)
     buf_a, buf_b = io.StringIO(), io.StringIO()
-    write_trajectory_csv(a, buf_a)
-    write_trajectory_csv(b, buf_b)
+    write_csv(buf_a, a.rows())
+    write_csv(buf_b, b.rows())
     assert buf_a.getvalue() == buf_b.getvalue()
 
 
@@ -251,7 +251,7 @@ def test_t0_sweep_golden_csv_regression_lock():
     cfg = _identity_cfg(SamplerKind.DDPM, VP100, t0=0.05, trials=256, seed=11)
     sweep = run_t0_sweep(cfg, (0.05, 0.1, 0.2, 0.5, 1.0))
     buf = io.StringIO()
-    write_sweep_csv(sweep, buf)
+    write_csv(buf, sweep.rows())
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == ("95faedbdd1992b9dd65da9c6e7bf99fcf75438c4"
                       "41e42b895dd31b72a6fa68bf")

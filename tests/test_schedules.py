@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ccdiff import (SamplerKind, ValidationError, forward_coeffs,
-                    make_ve_schedule, make_vp_schedule, step_index_of_time,
-                    write_schedule_csv)
+                    make_ve_schedule, make_vp_schedule, step_index_of_time)
+from ccdiff.imgio import write_csv
+from ccdiff.schedules import schedule_rows
 
 # High-precision product of (1 - beta_i) for VP(1e-4, 0.02, 1000), computed
 # once with mpmath at 50 digits (see test_alpha_bar_against_mpmath_oracle).
@@ -171,7 +172,7 @@ def test_with_kind_retag():
 def test_schedule_csv_round_trip_fields():
     s = make_vp_schedule(1e-4, 0.02, 5)
     buf = io.StringIO()
-    write_schedule_csv(s, buf)
+    write_csv(buf, schedule_rows(s))
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "i,beta,alpha,alpha_bar,sigma,ddim_sigma"
     assert len(lines) == 7  # header + rows 0..5
@@ -180,6 +181,6 @@ def test_schedule_csv_round_trip_fields():
 
     v = make_ve_schedule(0.01, 378, 4)
     buf = io.StringIO()
-    write_schedule_csv(v, buf)
+    write_csv(buf, schedule_rows(v))
     row = buf.getvalue().strip().splitlines()[1].split(",")
     assert row[1] == "" and row[5] == ""  # beta / ddim_sigma absent for VE
