@@ -94,8 +94,8 @@ def bound_traces(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
     cs = np.asarray(c_per_step, dtype=np.float64)
     if lam.shape != cs.shape or lam.ndim != 1:
         raise ValidationError("lambda and C traces must be 1D arrays of equal length")
-    if not 0.0 <= tau < np.inf:
-        raise ValidationError(f"tau must be finite and nonnegative, got {tau}")
+    if not 0.0 <= tau <= 1.0:
+        raise ValidationError(f"tau must lie in [0, 1], got {tau}")
     n_prime = lam.size
     lam_max = float(lam.max(initial=0.0))
     if not lam_max < 1.0:
@@ -190,8 +190,8 @@ def minimal_shortcut(eps0: float, mu: float, schedule: Schedule,
         raise ValidationError(f"eps0 must be finite and positive, got {eps0}")
     if not 0.0 < mu <= 1.0:
         raise ValidationError("mu must lie in (0, 1]")
-    if not 0.0 <= tau < np.inf:
-        raise ValidationError(f"tau must be finite and nonnegative, got {tau}")
+    if not 0.0 <= tau <= 1.0:
+        raise ValidationError(f"tau must lie in [0, 1], got {tau}")
     if n < 1:
         raise ValidationError(f"data dimension n must be >= 1, got {n}")
     checks, ok, reason = RULES[kind].shortcut(schedule, eps0, mu, tau, n)

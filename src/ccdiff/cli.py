@@ -42,7 +42,7 @@ def build_schedule(args) -> tuple[Schedule, SamplerKind]:
     kind = SamplerKind.parse(args.kind)
     if kind is SamplerKind.SMLD:
         return make_ve_schedule(args.sigma_min, args.sigma_max, args.n_steps), kind
-    return make_vp_schedule(args.beta_min, args.beta_max, args.n_steps, kind=kind), kind
+    return make_vp_schedule(args.beta_min, args.beta_max, args.n_steps), kind
 
 
 def _number(text: str, kind, what: str):
@@ -139,10 +139,9 @@ def build_op(op_name: str | None, cfg: dict, schedule: Schedule,
 def _parse_oracle(spec: str, ground_truth: np.ndarray) -> ScoreOracle:
     if spec == "conditional":
         return ConditionalScoreOracle(ground_truth)
-    if spec.startswith("gaussian"):
-        var = 0.25
-        if ":" in spec:
-            var = _number(spec.split(":", 1)[1], float, "the gaussian oracle variance")
+    name, colon, var = spec.partition(":")
+    if name == "gaussian":
+        var = _number(var, float, "the gaussian oracle variance") if colon else 0.25
         return GaussianScoreOracle(mu=ground_truth, var=var)
     raise ValidationError(f"unknown oracle spec {spec!r}")
 
@@ -235,6 +234,9 @@ def _simulate_op(args, ground_truth, schedule, kind):
     if args.op == "identity":
         return consistency.IdentityOp(ground_truth.shape, ground_truth)
     if args.op == "inpaint":
+        if not 0.0 < args.keep_fraction <= 1.0:
+            raise ValidationError(
+                f"--keep-fraction must lie in (0, 1], got {args.keep_fraction}")
         gen = RngStream(args.seed, (0x6D6B,)).generator()
         mask = gen.uniform(size=ground_truth.shape) < args.keep_fraction
         if not mask.any():
@@ -270,6 +272,8 @@ plot "{csv}" using 1:2 with lines lw 2, \\
 
 
 def cmd_simulate(args) -> int:
+    if args.gnuplot and args.out in (None, "-"):
+        raise ValidationError("--gnuplot plots the CSV file named by --out; pass --out")
     schedule, kind = build_schedule(args)
     gt = _simulate_ground_truth(args)
     op = _simulate_op(args, gt, schedule, kind)
@@ -296,7 +300,7 @@ def cmd_simulate(args) -> int:
                 print(f"beats_full_path,{sweep.beats_full_path}", file=sys.stderr)
     if args.gnuplot:
         Path(args.gnuplot).write_text(
-            _GNUPLOT_TEMPLATE.format(csv=args.out or "trajectory.csv"))
+            _GNUPLOT_TEMPLATE.format(csv=args.out))
     return 0
 
 

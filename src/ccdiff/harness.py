@@ -6,7 +6,8 @@ trajectory started at the ground truth and an estimate trajectory started at
 the chosen initialization.  Forward and reverse noise are independent per
 trajectory (the regime of the error bounds), while the per-step consistency
 offsets are shared within each pair, which is exactly the coupling the
-bound analysis assumes.  A shared-reverse-noise mode exists solely for
+bound analysis assumes.  A shared-reverse-noise mode, which gives both
+trajectories the same reverse and corrector stream ids, exists solely for
 verifying the per-step contraction factors bit-exactly.
 
 Trials are vectorized along the leading axis and reduced with numpy's
@@ -154,11 +155,10 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
 
     root = RngStream(cfg.seed)
     r_fwd_x, r_fwd_g = root.substream(10), root.substream(11)
-    r_rev_x, r_rev_g = root.substream(12), root.substream(13)
+    shared = cfg.shared_reverse_noise
+    r_rev_x, r_rev_g = root.substream(12), root.substream(12 if shared else 13)
     r_anchor = root.substream(14)
-    r_cor_x, r_cor_g = root.substream(15), root.substream(16)
-    if cfg.shared_reverse_noise:
-        r_rev_g, r_cor_g = r_rev_x, r_cor_x
+    r_cor_x, r_cor_g = root.substream(15), root.substream(15 if shared else 16)
     scale = RULES[kind].scale
 
     pair = [forward_diffuse(x0, n_prime, schedule, r_fwd_x.normal((M,) + shape)),

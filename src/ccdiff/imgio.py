@@ -66,7 +66,12 @@ def read_pgm(path) -> np.ndarray:
         magic = fh.readline().strip()
         if magic != b"P5":
             raise ValidationError(f"{path}: not a binary PGM (P5) file")
-        W, H, maxval = (int(t) for t in _read_pgm_tokens(fh, 3))
+        try:
+            W, H, maxval = (int(t) for t in _read_pgm_tokens(fh, 3))
+        except ValueError:
+            raise ValidationError(f"{path}: non-integer PGM header field") from None
+        if H < 1 or W < 1:
+            raise ValidationError(f"{path}: PGM size {W}x{H} is below 1x1")
         if maxval <= 0 or maxval > 65535:
             raise ValidationError(f"{path}: unsupported PGM maxval {maxval}")
         dtype = ">u2" if maxval > 255 else np.uint8
@@ -98,6 +103,8 @@ def read_raw(path) -> np.ndarray:
             raise ValidationError(f"{path}: bad raw magic {magic!r}")
         if dtype != RAW_DTYPE_F64:
             raise ValidationError(f"{path}: unsupported raw dtype code {dtype}")
+        if H < 1 or W < 1:
+            raise ValidationError(f"{path}: raw size {H}x{W} is below 1x1")
         data = fh.read(H * W * 8)
     values = np.frombuffer(data, dtype="<f8")
     if values.size != H * W:

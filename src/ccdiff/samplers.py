@@ -11,11 +11,11 @@ They never write ``x`` or ``z``: each finishes its update in place in the
 array the score returned or in one array of its own, so a call allocates at
 most its result and one temporary.
 Only the loops (``ccdf_sample``, ``reverse_path``, ``run_error_curve``) and
-the SR/inpaint offsets draw, so which draws a coupled pair shares is decided
-in one place.  ``reverse_path`` hands each spent reverse or corrector draw of
-at least ``REFILL_MIN_VALUES`` values back to its stream, which refills it
-with the next block on a worker thread while the step computes; the draws'
-values do not change.
+the SR/inpaint offsets draw; a coupled pair shares the draws of the streams
+its caller gives the same ids.  ``reverse_path`` hands each spent reverse or
+corrector draw of at least ``REFILL_MIN_VALUES`` values back to its stream,
+which refills it with the next block on a worker thread while the step
+computes; the draws' values do not change.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ class KindRule:
 
 class _DdpmRule(KindRule):
     """lambda_i = sqrt(alpha_i) (1 - alpha_bar_{i-1}) / (1 - alpha_bar_i),
-    g_i^2 = beta_i, (a_i, b_i) = (sqrt(alpha_bar_i), sqrt(1 - alpha_bar_i)).
+    g_i^2 = beta_i, (a_i, b_i) from ``forward_coeffs``.
 
     Shortcut: N' beta_{N'} >= 2 log(4n / (mu eps0)) and
     N' beta_{N'} <= mu eps0 / (4 n tau).  The source algebra also prints
@@ -253,8 +253,8 @@ class _DdpmRule(KindRule):
         return self._vp(schedule).beta[i]
 
     def coords(self, schedule, i):
-        ab = self._vp(schedule).alpha_bar[i]
-        return float(np.sqrt(ab)), float(np.sqrt(1.0 - ab))
+        c = forward_coeffs(self._vp(schedule), i)
+        return c.a, c.b
 
     def shortcut(self, schedule, eps0, mu, tau, n):
         s = self._vp(schedule)
@@ -279,7 +279,7 @@ class _DdpmRule(KindRule):
 
 class _SmldRule(KindRule):
     """lambda_i = (sigma_{i-1}^2 - sigma_0^2) / (sigma_i^2 - sigma_0^2),
-    g_i^2 = sigma_i^2 - sigma_{i-1}^2, (a_i, b_i) = (1, sqrt(sigma_i^2 - sigma_0^2)).
+    g_i^2 = sigma_i^2 - sigma_{i-1}^2, (a_i, b_i) from ``forward_coeffs``.
 
     Shortcut: sigma_min^2 < mu^(3/2) eps0 / (8n), sigma_max^2 > mu eps0 / (4n),
     and (N'-1)/(N-1) inside
@@ -307,8 +307,9 @@ class _SmldRule(KindRule):
         return s[i] ** 2 - s[i - 1] ** 2
 
     def coords(self, schedule, i):
-        s = self.sigma(schedule)
-        return 1.0, float(np.sqrt(s[i] ** 2 - s[0] ** 2))
+        self.sigma(schedule)                 # the family check
+        c = forward_coeffs(schedule, i)
+        return c.a, c.b
 
     def shortcut(self, schedule, eps0, mu, tau, n):
         s, N = self.sigma(schedule), schedule.N
@@ -395,24 +396,12 @@ def _check_op(op, shape) -> None:
         )
 
 
-def _noise(streams, k: int, z, shape):
-    """Trajectory k's draw: the previous trajectory's ``z`` when both were
-    handed the same stream, else a fresh draw from streams[k]."""
-    if k and streams[k] is streams[k - 1]:
-        return z
-    return streams[k].normal(shape)
-
-
-def _refill(streams, k: int, z, i: int):
-    """After step i consumed trajectory k's draw ``z``: hand it to its stream
-    to refill with the next block (see ``RngStream.refill``) and return None,
-    or return ``z`` unchanged when trajectory k+1 shares it, when i = 1
-    (nothing is drawn after it) or when the block is too small to pay."""
-    if (z is None or i == 1 or z.size < REFILL_MIN_VALUES
-            or (k + 1 < len(streams) and streams[k + 1] is streams[k])):
-        return z
-    streams[k].refill(z)
-    return None
+def _refill(stream: RngStream, z, i: int) -> None:
+    """After step i consumed ``z``: hand it back to its stream to refill with
+    the next block (see ``RngStream.refill``), unless there is no draw, i = 1
+    (nothing is drawn after it) or the block is too small to pay."""
+    if z is not None and i > 1 and z.size >= REFILL_MIN_VALUES:
+        stream.refill(z)
 
 
 def _consistency(states: list, op, i: int, rng: RngStream, batch_axes: int) -> None:
@@ -435,11 +424,11 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     consistency map with one offset from ``anchor_rng`` shared by all.  Only
     SMLD with corrector_r > 0 follows with a Langevin corrector step and a
     second consistency map.  ``noise[k]`` and ``corrector_noise[k]`` are the
-    streams of trajectory k; one handed the same stream as the trajectory
-    before it shares its draws, and each spent draw goes back to its stream
-    to be refilled while the loop computes.  The axes in front of the
-    operator's ``shape`` hold independent samples.  ``on_step(i, states)``
-    runs after step i.
+    streams of trajectory k, and each spent draw goes back to its stream to
+    be refilled while the loop computes.  Trajectories share draws only if
+    the caller hands them streams with the same seed and ids.  The axes in
+    front of the operator's ``shape`` hold independent samples.
+    ``on_step(i, states)`` runs after step i.
     """
     if cfg.N != schedule.N:
         raise ValidationError(f"config N={cfg.N} does not match schedule N={schedule.N}")
@@ -451,20 +440,18 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     corrected = rule.corrected and cfg.corrector_r > 0.0
     for i in range(cfg.n_prime, 0, -1):
         # Indexing, not a loop variable, so no old state outlives its update.
-        z = None
         for k in range(len(states)):
-            if rule.noisy:
-                z = _noise(noise, k, z, states[k].shape)
+            z = noise[k].normal(states[k].shape) if rule.noisy else None
             states[k] = rule.step(states[k], i, schedule, oracle, z)
-            z = _refill(noise, k, z, i)
+            _refill(noise[k], z, i)
         _consistency(states, op, i, anchor_rng, batch_axes)
         if corrected:
             for k in range(len(states)):
-                z = _noise(corrector_noise, k, z, states[k].shape)
+                z = corrector_noise[k].normal(states[k].shape)
                 states[k] = langevin_corrector(
                     states[k], i, schedule, oracle, cfg.corrector_r, z,
                     batch_axes=batch_axes, squared_step=cfg.corrector_squared_step)
-                z = _refill(corrector_noise, k, z, i)
+                _refill(corrector_noise[k], z, i)
             _consistency(states, op, i, anchor_rng, batch_axes)
         if on_step is not None:
             on_step(i, states)

@@ -14,7 +14,7 @@ geometric series evaluated at i = 0.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +39,14 @@ class SamplerKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Precomputed noise-schedule arrays plus the sampler kind.
+    """Precomputed noise-schedule arrays; the caller passes the sampler kind.
 
-    For VP schedules (kind DDPM or DDIM) all arrays are populated and
+    For VP schedules (run by DDPM or DDIM) all arrays are populated and
     ``sigma[i]`` holds the default reverse-noise standard deviation
-    sqrt(beta_i).  For VE schedules (kind SMLD) only ``sigma`` is populated;
+    sqrt(beta_i).  For VE schedules (run by SMLD) only ``sigma`` is populated;
     ``beta``, ``alpha``, ``alpha_bar`` and ``ddim_sigma`` are None.
     """
 
-    kind: SamplerKind
     N: int
     beta: np.ndarray | None
     alpha: np.ndarray | None
@@ -60,9 +59,9 @@ class Schedule:
         return self.alpha_bar is not None
 
     def with_kind(self, kind: SamplerKind) -> "Schedule":
-        """Re-tag a VP schedule as DDPM or DDIM (they share the same grid)."""
-        check_family(self, kind, f"re-tagging as {kind.value}")
-        return replace(self, kind=kind)
+        """This schedule, after checking that ``kind`` can run on it."""
+        check_family(self, kind, f"sampler kind {kind.value}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def make_vp_schedule(beta_min: float, beta_max: float, N: int,
-                     kind: SamplerKind = SamplerKind.DDPM) -> Schedule:
+def make_vp_schedule(beta_min: float, beta_max: float, N: int) -> Schedule:
     """Linear-in-step beta grid: beta_i interpolates beta_min..beta_max over i = 1..N."""
     if N < 2:
         raise ValidationError(f"N must be >= 2, got {N}")
@@ -88,8 +86,6 @@ def make_vp_schedule(beta_min: float, beta_max: float, N: int,
         raise ValidationError(
             f"need 0 < beta_min < beta_max < 1, got ({beta_min}, {beta_max})"
         )
-    if kind is SamplerKind.SMLD:
-        raise ValidationError("VP schedules are tagged DDPM or DDIM, not SMLD")
     i = np.arange(N + 1, dtype=np.float64)
     beta = beta_min + (i - 1.0) * (beta_max - beta_min) / (N - 1.0)
     beta[0] = 0.0
@@ -98,7 +94,7 @@ def make_vp_schedule(beta_min: float, beta_max: float, N: int,
     # alpha_bar[0] = 1 by the empty-product convention (alpha[0] = 1).
     sigma = np.sqrt(beta)
     ddim_sigma = np.sqrt(1.0 - alpha_bar) / np.sqrt(alpha_bar)
-    return Schedule(kind=kind, N=int(N), beta=_freeze(beta), alpha=_freeze(alpha),
+    return Schedule(N=int(N), beta=_freeze(beta), alpha=_freeze(alpha),
                     alpha_bar=_freeze(alpha_bar), sigma=_freeze(sigma),
                     ddim_sigma=_freeze(ddim_sigma))
 
@@ -125,8 +121,8 @@ def make_ve_schedule(sigma_min: float, sigma_max: float, N: int) -> Schedule:
             f"sigma_max / sigma_min overflows, got ({sigma_min}, {sigma_max})")
     i = np.arange(N + 1, dtype=np.float64)
     sigma = sigma_min * (sigma_max / sigma_min) ** ((i - 1.0) / (N - 1.0))
-    return Schedule(kind=SamplerKind.SMLD, N=int(N), beta=None, alpha=None,
-                    alpha_bar=None, sigma=_freeze(sigma), ddim_sigma=None)
+    return Schedule(N=int(N), beta=None, alpha=None, alpha_bar=None,
+                    sigma=_freeze(sigma), ddim_sigma=None)
 
 
 def check_step_index(schedule: Schedule, i: int, lowest: int = 1) -> int:

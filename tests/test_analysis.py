@@ -333,7 +333,7 @@ def test_shortcut_is_the_first_step_meeting_its_checks():
             schedule = make_ve_schedule(smin, smin * draw(st.floats(2.0, 1e5)), N)
         else:
             bmin = draw(st.floats(1e-5, 1e-2))
-            schedule = make_vp_schedule(bmin, draw(st.floats(2e-2, 0.5)), N, kind=kind)
+            schedule = make_vp_schedule(bmin, draw(st.floats(2e-2, 0.5)), N)
         eps0 = 10.0 ** draw(st.floats(-3.0, 4.0))
         mu = draw(st.floats(1e-3, 1.0))
         tau = draw(st.sampled_from([0.0, 1e-3, 0.25, 1.0]))

@@ -1,5 +1,6 @@
 import csv
 import io
+import struct
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from ccdiff import make_phantom
 from ccdiff.cli import main, read_op_config
-from ccdiff.imgio import read_pgm, save_image, write_mask
+from ccdiff.imgio import RAW_DTYPE_F64, RAW_MAGIC, read_pgm, save_image, write_mask
 
 
 def run_cli(*argv):
@@ -254,6 +255,31 @@ REFUSAL_NAMES = {
     "simulate --seed -1 --n 4 --trials 4": "seed",
     "ccdf --seed -1 --op identity --t0 0.1": "seed",
     "ccdf --seed 1 --kind smld --op mri --t0 0.02": "seed",
+    "check-op --op identity --seed 1": "non-integer",
+    "check-op --op identity --seed 2": "below 1x1",
+    "ccdf --seed 1 --op identity --t0 0.1": "below 1x1",
+    "ccdf --seed 2 --op identity --t0 0.1": "below 1x1",
+    "simulate --seed 1 --n 4 --trials 4 --oracle gaussian2": "'gaussian2'",
+    "simulate --seed 1 --n 4 --trials 4 --oracle gaussianXYZ": "'gaussianXYZ'",
+    "simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction nan":
+        "keep-fraction",
+    "simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction 0":
+        "keep-fraction",
+    "simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction 1.5":
+        "keep-fraction",
+    "simulate --seed 1 --n 4 --trials 4 --gnuplot {tmp}/p.gp": "--out",
+    "contract --tau 2": "tau",
+    "shortcut --tau 5 --eps0 100": "tau",
+}
+
+# Malformed image files, written to the test's directory; ``{tmp}`` in a case
+# below names that directory.  Cases that differ only in their op config
+# differ in --seed too, so that REFUSAL_NAMES tells them apart.
+BAD_IMAGES = {
+    "nonint.pgm": b"P5\nabc 4\n255\n" + bytes(16),
+    "negative.pgm": b"P5\n-2 -2\n255\n" + bytes(4),
+    "empty.pgm": b"P5\n0 0\n255\n",
+    "empty.raw": struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 0, 4),   # H = 0
 }
 
 
@@ -281,14 +307,29 @@ REFUSAL_NAMES = {
     ("simulate --seed -1 --n 4 --trials 4", None),
     ("ccdf --seed -1 --op identity --t0 0.1", ""),
     ("ccdf --seed 1 --kind smld --op mri --t0 0.02", "seed=-3"),
+    ("check-op --op identity --seed 1", "measurement={tmp}/nonint.pgm"),
+    ("check-op --op identity --seed 2", "measurement={tmp}/negative.pgm"),
+    ("ccdf --seed 1 --op identity --t0 0.1", "measurement={tmp}/empty.pgm"),
+    ("ccdf --seed 2 --op identity --t0 0.1", "measurement={tmp}/empty.raw"),
+    ("simulate --seed 1 --n 4 --trials 4 --oracle gaussian2", None),
+    ("simulate --seed 1 --n 4 --trials 4 --oracle gaussianXYZ", None),
+    ("simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction nan", None),
+    ("simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction 0", None),
+    ("simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction 1.5", None),
+    ("simulate --seed 1 --n 4 --trials 4 --gnuplot {tmp}/p.gp", None),
+    ("contract --tau 2", None),
+    ("shortcut --tau 5 --eps0 100", None),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):
     names = REFUSAL_NAMES.get(argv, "")
-    argv = argv.split()
+    for name, data in BAD_IMAGES.items():
+        (tmp_path / name).write_bytes(data)
+    argv = argv.format(tmp=tmp_path).split()
     if op_config is not None:
         cfg = tmp_path / "op.cfg"
-        cfg.write_text(f"measurement={phantom_file}\n{op_config}\n")
+        # A later measurement= line overrides the phantom.
+        cfg.write_text(f"measurement={phantom_file}\n{op_config.format(tmp=tmp_path)}\n")
         argv += ["--op-config", str(cfg)]
     code, _ = run_cli(*argv)
     assert code == 1

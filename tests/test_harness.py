@@ -223,11 +223,13 @@ def test_no_refill_for_small_blocks_or_noise_free_steps(monkeypatch, case):
     assert refills == {}
 
 
-def test_shared_reverse_noise_refills_once_per_step(monkeypatch):
+def test_shared_reverse_noise_refills_each_trajectory_stream(monkeypatch):
+    # Shared mode hands both trajectories their own stream with ids (12,),
+    # and each stream refills its own spent draw.
     _, refills = _watch_draws(monkeypatch)
     n_prime = run_error_curve(
         _refill_cell(SamplerKind.DDPM, shared_reverse_noise=True)).n_prime
-    assert refills == {(12,): n_prime - 1}
+    assert refills == {(12,): 2 * (n_prime - 1)}
 
 
 @pytest.mark.parametrize("kind, op_name, kw", [
@@ -242,6 +244,21 @@ def test_refills_leave_the_error_curve_bit_identical(monkeypatch, kind, op_name,
     drawn = run_error_curve(cfg)
     for name in ("mse", "stderr", "bound_recursive", "bound_simple"):
         assert getattr(refilled, name).tobytes() == getattr(drawn, name).tobytes()
+
+
+@pytest.mark.parametrize("kind, op_name, kw, digest", [
+    (SamplerKind.DDPM, "identity", {},
+     "727017e2c637d75d7948d963d5fe04a4d619359393c3ef8697d36b96f2e094c4"),
+    (SamplerKind.SMLD, "inpaint", {"corrector_r": 0.16},
+     "8a17ab873f0388a120c36b48a468b77a5677d74537bf71794dc5340ab37899c3"),
+    (SamplerKind.DDIM, "identity", {},
+     "74b665143f087d3d2599d496d3f905b7e5c41a9a5465d2c7988745491f8cd2e7"),
+], ids=["ddpm-identity", "smld-inpaint-corrected", "ddim-identity"])
+def test_shared_noise_error_curve_golden_regression_lock(kind, op_name, kw, digest):
+    # Shared mode at the refill block size: the pair's reverse and corrector
+    # draws must stay bit-identical however the sharing is arranged.
+    st = run_error_curve(_refill_cell(kind, op_name, shared_reverse_noise=True, **kw))
+    assert hashlib.sha256(st.mse.tobytes() + st.stderr.tobytes()).hexdigest() == digest
 
 
 # -------------------------------- sweeps ------------------------------------

@@ -18,7 +18,6 @@ def test_vp_endpoints_match_reference_hyperparameters():
     assert s.beta[1] == 1e-4
     assert s.beta[1000] == 0.02
     assert s.N == 1000
-    assert s.kind is SamplerKind.DDPM
 
 
 def test_vp_two_point_schedule_is_exact():
@@ -68,7 +67,6 @@ def test_ve_endpoints_match_reference_hyperparameters():
     v = make_ve_schedule(0.01, 378, 1000)
     assert v.sigma[1] == pytest.approx(0.01, rel=1e-15)
     assert v.sigma[1000] == pytest.approx(378.0, rel=1e-12)
-    assert v.kind is SamplerKind.SMLD
 
 
 def test_ve_two_point_schedule_extrapolates_sigma0():
@@ -159,9 +157,7 @@ def test_step_index_of_time():
 
 def test_with_kind_retag():
     s = make_vp_schedule(1e-4, 0.02, 10)
-    d = s.with_kind(SamplerKind.DDIM)
-    assert d.kind is SamplerKind.DDIM
-    assert np.array_equal(d.alpha_bar, s.alpha_bar)
+    assert s.with_kind(SamplerKind.DDIM) is s
     with pytest.raises(ValidationError):
         s.with_kind(SamplerKind.SMLD)
     v = make_ve_schedule(0.01, 378, 10)
