@@ -240,7 +240,9 @@ def _simulate_op(args, ground_truth, schedule, kind):
         gen = RngStream(args.seed, (0x6D6B,)).generator()
         mask = gen.uniform(size=ground_truth.shape) < args.keep_fraction
         if not mask.any():
-            mask.flat[0] = True
+            raise ValidationError(
+                f"--keep-fraction {args.keep_fraction} keeps no pixel of the "
+                f"n={mask.size} image drawn with --seed {args.seed}")
         return consistency.InpaintOp(mask, ground_truth, schedule, kind)
     if args.op == "sr":
         if ground_truth.ndim != 2:

@@ -63,7 +63,11 @@ class ConsistencyOp:
     (the vector b_i, possibly drawn from the supplied RNG).  ``tau`` is the
     exact trace ratio Tr(A^T A)/n, which every operator gives in closed form.
     ``reverse_path`` treats the axes of a state in front of ``shape`` as batch axes.
+    ``draws_anchor`` says that ``offset`` returns the very array it drew from
+    ``rng``, which the caller may then hand back to the stream to refill.
     """
+
+    draws_anchor = False
 
     def __init__(self, shape, tau, description):
         self.shape = tuple(int(s) for s in shape)
@@ -107,6 +111,8 @@ class IdentityOp(ConsistencyOp):
 
 class _DiffusedAnchorOp(ConsistencyOp):
     """Shared machinery for operators whose b_i is a forward-diffused measurement."""
+
+    draws_anchor = True
 
     def __init__(self, shape, tau, description, measurement, schedule, kind):
         super().__init__(shape, tau, description)
@@ -251,6 +257,8 @@ class MriOp(ConsistencyOp):
         self.y = np.where(mask, y, 0.0)
         _require_finite(self.y, "k-space on the mask support")
         self._zero_filled = np.fft.ifft2(self.y, norm="ortho")
+        # Every caller of offset and vanilla_init gets a view of it.
+        self._zero_filled.flags.writeable = False
         # The mask on the axes it varies on (the last one if it is constant),
         # halved along the last of them to match the real half spectrum.
         axes = [a for a in (0, 1) if (mask != mask.take([0], axis=a)).any()] or [1]

@@ -27,7 +27,7 @@ from .analysis import (bound_traces, contraction_rate, forward_error,
 from .errors import ValidationError
 from .rng import RngStream
 from .samplers import (DEFAULT_CORRECTOR_R, RULES, CcdfConfig, ccdf_sample,
-                       forward_diffuse, reverse_path)
+                       forward_diffuse, prefetch, reverse_path)
 from .schedules import SamplerKind, Schedule, make_ve_schedule
 from .score import GaussianScoreOracle, ScoreOracle
 from .consistency import MriOp, mri_measure
@@ -161,6 +161,7 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
     r_cor_x, r_cor_g = root.substream(15), root.substream(15 if shared else 16)
     scale = RULES[kind].scale
 
+    prefetch(r_fwd_g, (M,) + shape)     # filled while the estimate's is drawn
     pair = [forward_diffuse(x0, n_prime, schedule, r_fwd_x.normal((M,) + shape)),
             forward_diffuse(g, n_prime, schedule, r_fwd_g.normal((M,) + shape))]
 

@@ -12,10 +12,13 @@ array the score returned or in one array of its own, so a call allocates at
 most its result and one temporary.
 Only the loops (``ccdf_sample``, ``reverse_path``, ``run_error_curve``) and
 the SR/inpaint offsets draw; a coupled pair shares the draws of the streams
-its caller gives the same ids.  ``reverse_path`` hands each spent reverse or
-corrector draw of at least ``REFILL_MIN_VALUES`` values back to its stream,
-which refills it with the next block on a worker thread while the step
-computes; the draws' values do not change.
+its caller gives the same ids.  Blocks of at least ``REFILL_MIN_VALUES``
+values are filled ahead of their draw by ``RngStream.refill`` while the loop
+computes: ``reverse_path`` hands each spent reverse, corrector and anchor
+draw back to its stream to hold the next block, and fills each trajectory's
+first reverse block in a fresh buffer before step N'; ``run_error_curve``
+does the same for the reference trajectory's forward draw.  The draws'
+values do not change, and smaller blocks are drawn as they are needed.
 """
 
 from __future__ import annotations
@@ -404,6 +407,13 @@ def _refill(stream: RngStream, z, i: int) -> None:
         stream.refill(z)
 
 
+def prefetch(stream: RngStream, shape) -> None:
+    """Have ``stream`` fill its next block of ``shape`` in a fresh buffer
+    ahead of the draw, if the block is large enough to pay."""
+    if math.prod(shape) >= REFILL_MIN_VALUES:
+        stream.refill(np.empty(shape))
+
+
 def _consistency(states: list, op, i: int, rng: RngStream, batch_axes: int) -> None:
     """x <- A x + b_i on every trajectory, with one offset b_i shared by all."""
     b = op.offset(i, rng, batch_shape=states[0].shape[:batch_axes])
@@ -413,6 +423,9 @@ def _consistency(states: list, op, i: int, rng: RngStream, batch_axes: int) -> N
         x = op.apply_linear(states[k])
         x += b
         states[k] = x
+    # Only an anchor draw is the loop's to hand back; a constant offset is the
+    # operator's own array.
+    _refill(rng, b if getattr(op, "draws_anchor", False) else None, i)
 
 
 def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
@@ -424,8 +437,9 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     consistency map with one offset from ``anchor_rng`` shared by all.  Only
     SMLD with corrector_r > 0 follows with a Langevin corrector step and a
     second consistency map.  ``noise[k]`` and ``corrector_noise[k]`` are the
-    streams of trajectory k, and each spent draw goes back to its stream to
-    be refilled while the loop computes.  Trajectories share draws only if
+    streams of trajectory k; each large first block is filled ahead, and each
+    large spent draw, the anchor's included, goes back to its stream to be
+    refilled while the loop computes.  Trajectories share draws only if
     the caller hands them streams with the same seed and ids.  The axes in
     front of the operator's ``shape`` hold independent samples.
     ``on_step(i, states)`` runs after step i.
@@ -438,6 +452,9 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
         raise ValidationError(f"non-finite state at the start of step {cfg.n_prime}")
     rule = RULES[cfg.kind]
     corrected = rule.corrected and cfg.corrector_r > 0.0
+    if rule.noisy:
+        for k in range(len(states)):
+            prefetch(noise[k], states[k].shape)
     for i in range(cfg.n_prime, 0, -1):
         # Indexing, not a loop variable, so no old state outlives its update.
         for k in range(len(states)):

@@ -267,6 +267,8 @@ REFUSAL_NAMES = {
         "keep-fraction",
     "simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction 1.5":
         "keep-fraction",
+    "simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction 0.001":
+        "--keep-fraction 0.001 keeps no pixel of the n=4 image drawn with --seed 1",
     "simulate --seed 1 --n 4 --trials 4 --gnuplot {tmp}/p.gp": "--out",
     "contract --tau 2": "tau",
     "shortcut --tau 5 --eps0 100": "tau",
@@ -316,6 +318,7 @@ BAD_IMAGES = {
     ("simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction nan", None),
     ("simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction 0", None),
     ("simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction 1.5", None),
+    ("simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction 0.001", None),
     ("simulate --seed 1 --n 4 --trials 4 --gnuplot {tmp}/p.gp", None),
     ("contract --tau 2", None),
     ("shortcut --tau 5 --eps0 100", None),

@@ -170,6 +170,18 @@ def test_mri_full_mask_returns_zero_filled_regardless_of_input():
     assert op.tau == 0.0
 
 
+def test_mri_zero_filled_image_is_read_only():
+    # offset and vanilla_init hand out views of the operator's own array.
+    img = make_phantom("ellipses", (16, 16), seed=10)
+    mask = gaussian1d_mask((16, 16), 2.0, 0.2, seed=19)
+    op = mri_projection(mask, mri_measure(img, mask))
+    before = op.vanilla_init().copy()
+    for view in (op.offset(1, None), op.vanilla_init()):
+        with pytest.raises(ValueError):
+            view += 1.0
+    assert np.array_equal(op.vanilla_init(), before)
+
+
 def test_mri_consistency_residual_after_apply():
     img = make_phantom("ellipses", (32, 32), seed=11)
     mask = gaussian1d_mask((32, 32), 4.0, 0.1, seed=12)

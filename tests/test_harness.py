@@ -14,7 +14,7 @@ from ccdiff import (CcdfConfig, ConditionalScoreOracle, ExperimentConfig,
                     resolve_init, run_error_curve, run_mri_demo, run_t0_sweep,
                     sr_projection)
 from ccdiff import harness
-from ccdiff.consistency import gaussian1d_mask
+from ccdiff.consistency import MriOp, gaussian1d_mask, mri_measure
 from ccdiff.imgio import write_csv
 from ccdiff.rng import RngStream
 from ccdiff.samplers import REFILL_MIN_VALUES
@@ -195,8 +195,12 @@ def test_error_curve_draws_on_the_calling_thread_and_refills_its_reverse_streams
     # draw per trajectory and step, one anchor draw per step when anchored.
     assert len(threads) == 2 + 2 * n_prime + n_prime * anchored
     assert set(threads) == {threading.get_ident()}
-    # Substreams 12 and 13 are the pair's reverse noise; 14, the anchor, is not refilled.
-    assert refills == {(12,): n_prime - 1, (13,): n_prime - 1}
+    # Substream 11 is the reference's forward draw, 12 and 13 the pair's
+    # reverse noise (first blocks included) and 14 the anchor.
+    want = {(11,): 1, (12,): n_prime, (13,): n_prime}
+    if anchored:
+        want[(14,)] = n_prime - 1
+    assert refills == want
 
 
 def test_error_curve_refills_corrector_streams_too(monkeypatch):
@@ -205,13 +209,15 @@ def test_error_curve_refills_corrector_streams_too(monkeypatch):
     n_prime = run_error_curve(cfg).n_prime
     assert len(threads) == 2 + 4 * n_prime
     assert set(threads) == {threading.get_ident()}
-    assert refills == {(s,): n_prime - 1 for s in (12, 13, 15, 16)}
+    assert refills == {(11,): 1, (12,): n_prime, (13,): n_prime,
+                       (15,): n_prime - 1, (16,): n_prime - 1}
 
 
 @pytest.mark.parametrize("case", ["below-threshold", "ddim", "ccdf-64x64"])
 def test_no_refill_for_small_blocks_or_noise_free_steps(monkeypatch, case):
     _, refills = _watch_draws(monkeypatch)
     if case == "below-threshold":
+        # Below the cutoff nothing is refilled, the forward draw included.
         run_error_curve(_refill_cell(SamplerKind.DDPM, trials=1023))
     elif case == "ddim":
         run_error_curve(_refill_cell(SamplerKind.DDIM))
@@ -220,7 +226,8 @@ def test_no_refill_for_small_blocks_or_noise_free_steps(monkeypatch, case):
         op = IdentityOp(ref.shape, ref)
         cfg = CcdfConfig(t0=0.05, N=100, kind=SamplerKind.SMLD, corrector_r=0.16)
         ccdf_sample(ref, op, cfg, VE100, ConditionalScoreOracle(ref), RngStream(8))
-    assert refills == {}
+    # DDIM's reverse steps draw nothing; only its forward draw is refilled.
+    assert refills == ({(11,): 1} if case == "ddim" else {})
 
 
 def test_shared_reverse_noise_refills_each_trajectory_stream(monkeypatch):
@@ -229,7 +236,34 @@ def test_shared_reverse_noise_refills_each_trajectory_stream(monkeypatch):
     _, refills = _watch_draws(monkeypatch)
     n_prime = run_error_curve(
         _refill_cell(SamplerKind.DDPM, shared_reverse_noise=True)).n_prime
-    assert refills == {(12,): 2 * (n_prime - 1)}
+    assert refills == {(11,): 1, (12,): 2 * n_prime}
+
+
+def test_mri_loops_never_refill_the_operator_s_offset(monkeypatch):
+    # MriOp's offset is its own zero-filled image, not an anchor draw: no loop
+    # may hand it to the anchor stream to be overwritten, batched or not.
+    cfg = _refill_cell(SamplerKind.SMLD, corrector_r=0.16)
+    gt = cfg.ground_truth.reshape(8, 8)
+    mask = gaussian1d_mask(gt.shape, 2.0, 0.25, seed=31)
+    op = MriOp(mask, mri_measure(gt, mask))
+    before = op.vanilla_init().copy()
+    cfg = replace(cfg, ground_truth=gt, init=cfg.init.reshape(8, 8), op=op,
+                  oracle=ConditionalScoreOracle(gt))
+    _, refills = _watch_draws(monkeypatch)
+    n_prime = run_error_curve(cfg).n_prime
+    assert np.array_equal(op.vanilla_init(), before)
+    assert refills == {(11,): 1, (12,): n_prime, (13,): n_prime,
+                       (15,): n_prime - 1, (16,): n_prime - 1}
+    # One 256x256 image: the offset alone is as large as REFILL_MIN_VALUES.
+    big = make_phantom("ellipses", (256, 256), seed=32)
+    mask = gaussian1d_mask(big.shape, 4.0, 0.1, seed=32)
+    op = MriOp(mask, mri_measure(big, mask))
+    before = op.vanilla_init().copy()
+    path = CcdfConfig(t0=0.03, N=100, kind=SamplerKind.SMLD, corrector_r=0.16)
+    refills.clear()
+    ccdf_sample(before, op, path, VE100, ConditionalScoreOracle(big), RngStream(32))
+    assert np.array_equal(op.vanilla_init(), before)
+    assert refills == {(1,): path.n_prime, (3,): path.n_prime - 1}
 
 
 @pytest.mark.parametrize("kind, op_name, kw", [

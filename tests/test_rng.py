@@ -16,36 +16,33 @@ SHAPES = [(3,), (2, 4), (40,)]
 
 
 def test_refill_is_only_a_hint():
+    # Two streams, each used on a thread of its own, in an interleaved order.
+    # "busy" queues a large fill of a third stream, which keeps the worker
+    # busy: a draw then finds its own fill untaken and fills it itself, or
+    # finds it running and fills the other stream's meanwhile.
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
+    from concurrent.futures import ThreadPoolExecutor
 
-    shapes = st.sampled_from(SHAPES)
-    calls = st.lists(st.one_of(
-        st.tuples(st.just("refill"), shapes),
-        st.tuples(st.just("refill_last"), shapes),
-        st.tuples(st.just("normal"), shapes),
-        st.tuples(st.just("uniform"), shapes),
-        st.tuples(st.just("generator"), shapes),
-    ), max_size=25)
+    # Each example draws in two shapes, so a draw often matches its refill;
+    # the large one is slow enough to be found running.
+    shapes = st.lists(st.sampled_from(SHAPES + [(256, 256)]), min_size=2, max_size=2)
+    calls = st.lists(st.tuples(st.integers(0, 1), st.sampled_from(
+        ["refill", "refill_last", "normal", "uniform", "generator", "busy"]),
+        st.integers(0, 1)), max_size=25)
 
-    @hyp.settings(max_examples=300, deadline=None, database=None)
-    @hyp.given(calls, st.integers(0, 2**32 - 1))
-    def check(calls, seed):
-        hinted, plain = RngStream(seed, (5,)), RngStream(seed, (5,))
-        last = None
-        for name, shape in calls:
-            if name == "refill":
-                hinted.refill(np.empty(shape))
-                continue
-            if name == "refill_last":
-                # reverse_path hands back the array the last draw returned.
-                if last is not None:
-                    hinted.refill(last)
-                    last = None
-                continue
+    def call(k, name, shape, hinted, plain, last):
+        if name == "refill":
+            hinted.refill(np.empty(shape))
+        elif name == "refill_last":
+            # reverse_path hands back the array the last draw returned.
+            if last[k] is not None:
+                hinted.refill(last[k])
+                last[k] = None
+        else:
             if name == "normal":
                 got, want = hinted.normal(shape), plain.normal(shape)
-                last = got
+                last[k] = got
             elif name == "uniform":
                 got, want = hinted.uniform(-1.0, 2.0, shape), plain.uniform(-1.0, 2.0, shape)
             else:
@@ -53,9 +50,36 @@ def test_refill_is_only_a_hint():
                 want = plain.generator().standard_normal(shape)
             # Compared at once: a later refill may write into ``got``.
             assert np.array_equal(got, want)
+
+    def last_draw(hinted, plain):
         assert np.array_equal(hinted.normal((7,)), plain.normal((7,)))
 
-    check()
+    @hyp.settings(max_examples=300, deadline=None, database=None)
+    @hyp.given(calls, shapes, st.integers(0, 2**32 - 1), st.booleans())
+    def check(calls, shapes, seed, swap):
+        hinted = [RngStream(seed, (5,)), RngStream(seed, (6,))]
+        plain = [RngStream(seed, (5,)), RngStream(seed, (6,))]
+        last = [None, None]
+        busy = RngStream(seed, (7,))
+        for k, name, j in calls:
+            shape = shapes[j]
+            if name == "busy":
+                busy.refill(np.empty((512, 512)))
+                continue
+            threads[k].submit(call, k, name, shape, hinted[k], plain[k],
+                              last).result(timeout=60)
+        # The last draws run at once, in either order.
+        order = (1, 0) if swap else (0, 1)
+        ends = [threads[k].submit(last_draw, hinted[k], plain[k]) for k in order]
+        for end in ends:
+            end.result(timeout=60)
+
+    threads = [ThreadPoolExecutor(1), ThreadPoolExecutor(1)]
+    try:
+        check()
+    finally:
+        for pool in threads:
+            pool.shutdown()
 
 
 def test_refill_accepts_int_and_list_shapes():
@@ -205,3 +229,64 @@ def test_refill_and_draw_work_in_a_forked_child():
         pytest.fail("the forked child hung on its first draw")
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
     assert np.array_equal(s.normal(shape), want[2])
+
+
+class _HeldGenerator:
+    """A generator whose fills signal ``started`` and then wait for ``go``."""
+
+    def __init__(self, gen, started, go):
+        self._gen, self.bit_generator = gen, gen.bit_generator
+        self.started, self.go = started, go
+
+    def standard_normal(self, *args, **kw):
+        self.started.set()
+        self.go.wait(timeout=60)
+        return self._gen.standard_normal(*args, **kw)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_fork_waits_for_a_fill_on_a_helping_thread():
+    # The worker is in the middle of a's fill, so a thread drawing from a
+    # takes b's pending fill meanwhile; the process forks with both running.
+    shape = (64, 64)
+    warm = RngStream(20)
+    warm.refill(np.empty(8))            # starts the worker
+    warm.normal(8)
+    a, b = RngStream(21), RngStream(22)
+    started = [threading.Event(), threading.Event()]
+    go = threading.Event()
+    a._gen = _HeldGenerator(a._gen, started[0], go)
+    b._gen = _HeldGenerator(b._gen, started[1], go)
+    a.refill(np.empty(shape))
+    assert started[0].wait(timeout=60)          # the worker took a's fill
+    b.refill(np.empty(shape))
+    drawn = []
+    helper = threading.Thread(target=lambda: drawn.append(a.normal(shape)))
+    helper.start()
+    assert started[1].wait(timeout=60)          # the helper took b's fill
+    threading.Timer(0.3, go.set).start()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(b.normal(shape), RngStream(22).normal(shape)) else 2
+        finally:
+            os._exit(code)
+    # The before-fork hook returned only once both fills were done.
+    waited = go.is_set()
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung on a fill its helper never finished")
+    assert waited and os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    helper.join(timeout=60)
+    assert not helper.is_alive()
+    assert np.array_equal(drawn[0], RngStream(21).normal(shape))
+    assert np.array_equal(b.normal(shape), RngStream(22).normal(shape))
