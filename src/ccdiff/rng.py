@@ -6,18 +6,13 @@ Gaussian draws; distinct stream ids give statistically independent streams.
 Philox is counter based, so the mapping is stable across platforms.
 
 ``RngStream.refill`` lets a loop overlap the next block's fill with its own
-arithmetic: numpy's fills release the interpreter lock, so two threads can
-fill at once.  The first thread to take a queued fill runs it: the worker
-thread, the stream's owner if the worker has not started it, or a thread
-waiting on a running fill, which meanwhile takes the oldest untaken fill of
-another stream.  A fill draws from its own stream's generator at the state
-the refill recorded, so a refill never changes which values a stream yields,
-and a fork waits for every fill, on whichever thread it runs.
+arithmetic: numpy's fills release the interpreter lock, so one worker thread
+does them on a second core.  A refill never changes which values a stream
+yields.
 """
 
 from __future__ import annotations
 
-import collections
 import os
 import threading
 
@@ -33,96 +28,42 @@ STREAM_REVERSE = 1
 STREAM_CONSISTENCY = 2
 STREAM_CORRECTOR = 3
 
-
-class _Fill:
-    """A block to fill from one stream's generator, by the first thread that
-    takes it.  Finishing needs no lock, so the fork hook can wait for it."""
-
-    def __init__(self, fill, buf: np.ndarray):
-        self._fill, self._buf, self.error = fill, buf, None
-        self._finished = threading.Event()
-
-    def done(self) -> bool:
-        return self._finished.is_set()
-
-    def run(self, cancel: bool = False) -> None:
-        self.error = RuntimeError("the refill was interrupted")
-        try:
-            if not cancel:
-                self._fill(out=self._buf)
-            self.error = None
-        except Exception as exc:    # raised again by the owner's next draw
-            self.error = exc
-        finally:
-            self._fill = self._buf = None   # so a finished fill holds no buffer
-            self._finished.set()
-
-
-# The worker thread, started by the first refill; the fills nobody has taken,
-# oldest first; and the taken ones, pruned of finished fills on each take.
+# The one thread that runs every refill, started on first use, and the fills
+# handed to it that had not finished at the last hand-over.
 _worker = None
-_untaken = collections.deque()
-_taken = []
+_queued = []
 _worker_lock = threading.Lock()
 
 
-def _take(fill: _Fill | None = None) -> _Fill | None:
-    """Take ``fill`` or, if None, the oldest untaken fill; None if there is none."""
-    global _taken
-    with _worker_lock:
-        if fill is None:
-            fill = _untaken.popleft() if _untaken else None
-        elif fill in _untaken:
-            _untaken.remove(fill)
-        else:
-            fill = None
-        if fill is not None:
-            _taken = [f for f in _taken if not f.done()] + [fill]
-        return fill
+def _fill_into(fill, buf: np.ndarray) -> None:
+    # Returns nothing, so a finished fill's future does not keep ``buf`` alive.
+    fill(out=buf)
 
 
-def _run_oldest() -> None:
-    # One worker task per queued fill, so none is left untaken.
-    fill = _take()
-    if fill is not None:
-        fill.run()
-
-
-def _queue(fill: _Fill) -> None:
-    global _worker
+def _submit_fill(fill, buf: np.ndarray):
+    global _worker, _queued
     with _worker_lock:
         if _worker is None:
             # Imported here, so a process that never refills does not load it.
             from concurrent.futures import ThreadPoolExecutor
             _worker = ThreadPoolExecutor(1, thread_name_prefix="ccdiff-refill")
-        _untaken.append(fill)
-        _worker.submit(_run_oldest)
-
-
-def _finish(fill: _Fill) -> None:
-    """Run ``fill`` if untaken, else run other untaken fills until it is done;
-    raise if it failed."""
-    if _take(fill) is not None:
-        fill.run()
-    while not fill.done():
-        other = _take()
-        if other is None:
-            fill._finished.wait()
-        else:
-            other.run()
-    if fill.error is not None:
-        raise fill.error
+        future = _worker.submit(_fill_into, fill, buf)
+        _queued = [f for f in _queued if not f.done()] + [future]
+        return future
 
 
 def _finish_fills_before_fork() -> None:
     # A fill still running at the fork would leave its generator locked, and
-    # its block unfinished, in the child for good.  The lock is held until
-    # the fork is done, so no thread takes or queues a fill after the wait.
+    # its future unfinished, in the child for good.  Newest first, fills not
+    # yet started are cancelled (their owners fill the blocks themselves), so
+    # the worker starts none after the running one.  (Queuing a no-op to wait
+    # on would deadlock: concurrent.futures' own before-fork hook holds the
+    # lock ``submit`` takes.)  The lock is held until the fork is done, so no
+    # other thread queues a fill after the wait.
     _worker_lock.acquire()
-    while _untaken:
-        _untaken.popleft().run()
-    for fill in _taken:
-        fill._finished.wait()       # a failed fill raises in normal()
+    for future in reversed(_queued):
+        if not future.cancel():
+            future.exception()      # waits; a failed fill raises in normal()
 
 
 def _release_after_fork_in_parent() -> None:
@@ -131,10 +72,9 @@ def _release_after_fork_in_parent() -> None:
 
 def _forget_worker_in_child() -> None:
     # The child has no worker thread: an inherited executor would queue its
-    # first task forever.  The next refill starts a new one.
-    global _worker, _untaken, _taken, _worker_lock
-    _worker, _untaken, _taken = None, collections.deque(), []
-    _worker_lock = threading.Lock()
+    # first fill forever.  The next refill starts a new one.
+    global _worker, _queued, _worker_lock
+    _worker, _queued, _worker_lock = None, [], threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -154,53 +94,51 @@ class RngStream:
         self.seed = int(seed)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.stream)
         self._gen = np.random.Generator(np.random.Philox(ss))
-        self._fill = None    # (fill, buffer, state before the fill) of a refill
+        self._fill = None    # (future, buffer, state before the fill) of a refill
 
     def substream(self, *ids: int) -> "RngStream":
         """Derive an independent stream; same ids always give the same stream."""
         return RngStream(self.seed, self.stream + ids)
 
     def refill(self, buf: np.ndarray) -> None:
-        """Queue a fill of ``buf`` with this stream's next standard normals,
-        for the next ``normal(buf.shape)`` to return.
+        """Queue a fill of ``buf`` with this stream's next standard normals on
+        the worker thread, for the next ``normal(buf.shape)`` to return.
 
-        The first thread to take the fill runs it, at this stream's state
-        now: the worker, this stream's owner if the worker has not started
-        it, or a thread that would otherwise wait on another running fill.
-        A fork waits for it on whichever thread it runs.  A refill is only a
-        hint: any other next request cancels a fill nobody took, or waits
-        for it and rewinds the stream, so every call yields what it would
-        have without the refill.  ``buf`` must be a writeable C-contiguous
-        float64 array that the caller no longer reads.
+        If the worker has not started the fill by then, that draw cancels it
+        and fills ``buf`` on the calling thread instead of waiting; a fork
+        cancels it the same way, or waits for it if started.  A refill is
+        only a hint: any other next request cancels the fill, or waits for
+        it and rewinds the stream, so every call yields what it would have
+        without the refill.  ``buf`` must be a writeable C-contiguous float64
+        array that the caller no longer reads.
         """
         if (buf.dtype != np.float64 or not buf.flags.c_contiguous
                 or not buf.flags.writeable):
             raise ValidationError("refill needs a writeable C-contiguous float64 array")
         self._settle()
-        fill = _Fill(self._gen.standard_normal, buf)
         state = self._gen.bit_generator.state
-        _queue(fill)
-        self._fill = (fill, buf, state)
+        self._fill = (_submit_fill(self._gen.standard_normal, buf), buf, state)
 
     def _settle(self) -> None:
         """Cancel or wait for a pending refill, leaving the stream as if it
         had not been made."""
         if self._fill is not None:
-            fill, _, state = self._fill
+            future, _, state = self._fill
             self._fill = None
-            if _take(fill) is not None:
-                fill.run(cancel=True)   # never started: the generator has not moved
-            else:
-                _finish(fill)
+            if not future.cancel():     # a cancelled fill never moved the generator
+                future.result()
                 self._gen.bit_generator.state = state
 
     def normal(self, shape=()) -> np.ndarray:
         """Standard normal draws of the requested shape (float64)."""
         if self._fill is not None:
-            fill, buf, _ = self._fill
+            future, buf, _ = self._fill
             if (tuple(shape) if np.iterable(shape) else (shape,)) == buf.shape:
                 self._fill = None
-                _finish(fill)
+                if future.cancel():
+                    self._gen.standard_normal(out=buf)
+                else:
+                    future.result()
                 return buf
             self._settle()
         return self._gen.standard_normal(shape)

@@ -437,11 +437,10 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     consistency map with one offset from ``anchor_rng`` shared by all.  Only
     SMLD with corrector_r > 0 follows with a Langevin corrector step and a
     second consistency map.  ``noise[k]`` and ``corrector_noise[k]`` are the
-    streams of trajectory k; each large first block is filled ahead, and each
-    large spent draw, the anchor's included, goes back to its stream to be
-    refilled while the loop computes.  Trajectories share draws only if
-    the caller hands them streams with the same seed and ids.  The axes in
-    front of the operator's ``shape`` hold independent samples.
+    streams of trajectory k, filled ahead as the module docstring says.
+    Trajectories share draws only if the caller hands them streams with the
+    same seed and ids.  The axes in front of the operator's ``shape`` hold
+    independent samples.
     ``on_step(i, states)`` runs after step i.
     """
     if cfg.N != schedule.N:

@@ -213,21 +213,25 @@ def test_error_curve_refills_corrector_streams_too(monkeypatch):
                        (15,): n_prime - 1, (16,): n_prime - 1}
 
 
-@pytest.mark.parametrize("case", ["below-threshold", "ddim", "ccdf-64x64"])
-def test_no_refill_for_small_blocks_or_noise_free_steps(monkeypatch, case):
+@pytest.mark.parametrize("case", ["below-threshold", "ccdf-64x64"])
+def test_no_refill_for_small_blocks(monkeypatch, case):
     _, refills = _watch_draws(monkeypatch)
     if case == "below-threshold":
         # Below the cutoff nothing is refilled, the forward draw included.
         run_error_curve(_refill_cell(SamplerKind.DDPM, trials=1023))
-    elif case == "ddim":
-        run_error_curve(_refill_cell(SamplerKind.DDIM))
     else:
         ref = make_phantom("ellipses", (64, 64), seed=3)
         op = IdentityOp(ref.shape, ref)
         cfg = CcdfConfig(t0=0.05, N=100, kind=SamplerKind.SMLD, corrector_r=0.16)
         ccdf_sample(ref, op, cfg, VE100, ConditionalScoreOracle(ref), RngStream(8))
-    # DDIM's reverse steps draw nothing; only its forward draw is refilled.
-    assert refills == ({(11,): 1} if case == "ddim" else {})
+    assert refills == {}
+
+
+def test_ddim_refills_only_its_forward_draw(monkeypatch):
+    # DDIM's reverse steps draw nothing, so no reverse stream is refilled.
+    _, refills = _watch_draws(monkeypatch)
+    run_error_curve(_refill_cell(SamplerKind.DDIM))
+    assert refills == {(11,): 1}
 
 
 def test_shared_reverse_noise_refills_each_trajectory_stream(monkeypatch):

@@ -18,8 +18,8 @@ SHAPES = [(3,), (2, 4), (40,)]
 def test_refill_is_only_a_hint():
     # Two streams, each used on a thread of its own, in an interleaved order.
     # "busy" queues a large fill of a third stream, which keeps the worker
-    # busy: a draw then finds its own fill untaken and fills it itself, or
-    # finds it running and fills the other stream's meanwhile.
+    # busy: a draw then finds its own fill unstarted and fills it itself, or
+    # finds it running and waits for it.
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     from concurrent.futures import ThreadPoolExecutor
@@ -246,34 +246,30 @@ class _HeldGenerator:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-def test_fork_waits_for_a_fill_on_a_helping_thread():
-    # The worker is in the middle of a's fill, so a thread drawing from a
-    # takes b's pending fill meanwhile; the process forks with both running.
+def test_fork_waits_for_a_running_fill_and_cancels_a_queued_one():
+    # The worker is in the middle of a's fill and b's waits behind it when
+    # the process forks; each stream's owner then draws in parent and child.
     shape = (64, 64)
     warm = RngStream(20)
     warm.refill(np.empty(8))            # starts the worker
     warm.normal(8)
     a, b = RngStream(21), RngStream(22)
-    started = [threading.Event(), threading.Event()]
-    go = threading.Event()
-    a._gen = _HeldGenerator(a._gen, started[0], go)
-    b._gen = _HeldGenerator(b._gen, started[1], go)
+    started, go = threading.Event(), threading.Event()
+    a._gen = _HeldGenerator(a._gen, started, go)
     a.refill(np.empty(shape))
-    assert started[0].wait(timeout=60)          # the worker took a's fill
+    assert started.wait(timeout=60)             # the worker took a's fill
     b.refill(np.empty(shape))
-    drawn = []
-    helper = threading.Thread(target=lambda: drawn.append(a.normal(shape)))
-    helper.start()
-    assert started[1].wait(timeout=60)          # the helper took b's fill
     threading.Timer(0.3, go.set).start()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = 0 if np.array_equal(b.normal(shape), RngStream(22).normal(shape)) else 2
+            ok = np.array_equal(a.normal(shape), RngStream(21).normal(shape))
+            ok = ok and np.array_equal(b.normal(shape), RngStream(22).normal(shape))
+            code = 0 if ok else 2
         finally:
             os._exit(code)
-    # The before-fork hook returned only once both fills were done.
+    # The before-fork hook returned only once a's fill was done.
     waited = go.is_set()
     deadline = time.monotonic() + 60
     while True:
@@ -284,9 +280,8 @@ def test_fork_waits_for_a_fill_on_a_helping_thread():
     if not done:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        pytest.fail("the forked child hung on a fill its helper never finished")
+        pytest.fail("the forked child hung on a fill its worker never finished")
     assert waited and os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-    helper.join(timeout=60)
-    assert not helper.is_alive()
-    assert np.array_equal(drawn[0], RngStream(21).normal(shape))
+    assert b._fill[0].cancelled()
+    assert np.array_equal(a.normal(shape), RngStream(21).normal(shape))
     assert np.array_equal(b.normal(shape), RngStream(22).normal(shape))
