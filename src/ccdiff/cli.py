@@ -39,7 +39,7 @@ def _add_schedule_args(p):
 
 
 def build_schedule(args) -> tuple[Schedule, SamplerKind]:
-    kind = SamplerKind.parse(args.kind)
+    kind = SamplerKind(args.kind)
     if kind is SamplerKind.SMLD:
         return make_ve_schedule(args.sigma_min, args.sigma_max, args.n_steps), kind
     return make_vp_schedule(args.beta_min, args.beta_max, args.n_steps), kind
@@ -82,12 +82,17 @@ def _box_hole_mask(shape, box) -> np.ndarray:
     return mask
 
 
+# Config keys each operator reads besides kind and measurement (README's table).
+OP_KEYS = {"identity": (), "sr": ("factor",), "inpaint": ("box", "mask-path"),
+           "mri": ("mask-path", "accel-factor", "acs-fraction", "seed")}
+
+
 def build_op(op_name: str | None, cfg: dict, schedule: Schedule,
              kind: SamplerKind):
     """Construct a consistency operator from an op name plus config keys.
 
-    Recognized keys: kind, measurement (PGM/raw path), factor, box,
-    mask-path, acs-fraction, accel-factor, seed.  For the MRI operator
+    Every operator reads kind and measurement (PGM/raw path), plus its keys
+    in ``OP_KEYS``; any other key is refused.  For the MRI operator
     'measurement' names the image whose masked unitary-DFT k-space
     constitutes y.  The op name may come from the flag or the config's
     'kind' key; when both are present they must agree.
@@ -101,8 +106,12 @@ def build_op(op_name: str | None, cfg: dict, schedule: Schedule,
     elif cfg_kind is not None and cfg_kind != op_name:
         raise ValidationError(
             f"operator kind mismatch: --op {op_name} vs config kind={cfg_kind}")
-    if op_name not in ("identity", "sr", "inpaint", "mri"):
+    if op_name not in OP_KEYS:
         raise ValidationError(f"unknown operator {op_name!r}")
+    unread = sorted(set(cfg) - {"kind", "measurement", *OP_KEYS[op_name]})
+    if unread:
+        raise ValidationError(f"{op_name} op does not read config key(s) "
+                              f"{', '.join(map(repr, unread))}")
     if "measurement" not in cfg:
         raise ValidationError(f"{op_name} op needs measurement=<path> in the config")
     measurement = imgio.load_image(cfg["measurement"])
@@ -280,6 +289,9 @@ def cmd_simulate(args) -> int:
     gt = _simulate_ground_truth(args)
     op = _simulate_op(args, gt, schedule, kind)
     oracle = _parse_oracle(args.oracle, gt)
+    if isinstance(oracle, GaussianScoreOracle) and oracle.var > 0:
+        raise ValidationError(f"--oracle {args.oracle!r}: the printed bounds hold only "
+                              "for the conditional score (conditional or gaussian:0)")
     if args.init.startswith("file:"):
         init = imgio.load_image(args.init.split(":", 1)[1])
     else:

@@ -7,12 +7,13 @@ Philox is counter based, so the mapping is stable across platforms.
 
 ``RngStream.refill`` lets a loop overlap the next block's fill with its own
 arithmetic: numpy's fills release the interpreter lock, so one worker thread
-does them on a second core.  A refill never changes which values a stream
-yields.
+does them on a second core, until a fork stops it.  A refill never changes
+which values a stream yields.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 
@@ -28,10 +29,8 @@ STREAM_REVERSE = 1
 STREAM_CONSISTENCY = 2
 STREAM_CORRECTOR = 3
 
-# The one thread that runs every refill, started on first use, and the fills
-# handed to it that had not finished at the last hand-over.
+# The one thread that runs every refill, started by the first one after a fork.
 _worker = None
-_queued = []
 _worker_lock = threading.Lock()
 
 
@@ -41,46 +40,35 @@ def _fill_into(fill, buf: np.ndarray) -> None:
 
 
 def _submit_fill(fill, buf: np.ndarray):
-    global _worker, _queued
+    global _worker
     with _worker_lock:
         if _worker is None:
-            # Imported here, so a process that never refills does not load it.
-            from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="ccdiff-refill")
-        future = _worker.submit(_fill_into, fill, buf)
-        _queued = [f for f in _queued if not f.done()] + [future]
-        return future
+            _worker = _executor_class()(1, thread_name_prefix="ccdiff-refill")
+        return _worker.submit(_fill_into, fill, buf)
 
 
-def _finish_fills_before_fork() -> None:
-    # A fill still running at the fork would leave its generator locked, and
-    # its future unfinished, in the child for good.  Newest first, fills not
-    # yet started are cancelled (their owners fill the blocks themselves), so
-    # the worker starts none after the running one.  (Queuing a no-op to wait
-    # on would deadlock: concurrent.futures' own before-fork hook holds the
-    # lock ``submit`` takes.)  The lock is held until the fork is done, so no
-    # other thread queues a fill after the wait.
+@functools.cache
+def _executor_class():
+    # Imported on first use, so a process that never refills does not load it.
+    # Hooks registered after concurrent.futures' own run before it at a fork,
+    # so a refill holding ``_worker_lock`` can finish the submit it is in.
+    from concurrent.futures import ThreadPoolExecutor
+    if hasattr(os, "register_at_fork"):
+        os.register_at_fork(before=_stop_worker_before_fork,
+                            after_in_parent=_worker_lock.release,
+                            after_in_child=_worker_lock.release)
+    return ThreadPoolExecutor
+
+
+def _stop_worker_before_fork() -> None:
+    # A fill running at the fork would leave its generator locked in the
+    # child.  Shutdown waits for it, cancels unstarted fills (their owners
+    # fill the blocks) and joins the thread; the held lock stops new fills.
+    global _worker
     _worker_lock.acquire()
-    for future in reversed(_queued):
-        if not future.cancel():
-            future.exception()      # waits; a failed fill raises in normal()
-
-
-def _release_after_fork_in_parent() -> None:
-    _worker_lock.release()
-
-
-def _forget_worker_in_child() -> None:
-    # The child has no worker thread: an inherited executor would queue its
-    # first fill forever.  The next refill starts a new one.
-    global _worker, _queued, _worker_lock
-    _worker, _queued, _worker_lock = None, [], threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_finish_fills_before_fork,
-                        after_in_parent=_release_after_fork_in_parent,
-                        after_in_child=_forget_worker_in_child)
+    if _worker is not None:
+        _worker.shutdown(cancel_futures=True)
+        _worker = None
 
 
 class RngStream:
@@ -105,12 +93,12 @@ class RngStream:
         the worker thread, for the next ``normal(buf.shape)`` to return.
 
         If the worker has not started the fill by then, that draw cancels it
-        and fills ``buf`` on the calling thread instead of waiting; a fork
-        cancels it the same way, or waits for it if started.  A refill is
-        only a hint: any other next request cancels the fill, or waits for
-        it and rewinds the stream, so every call yields what it would have
-        without the refill.  ``buf`` must be a writeable C-contiguous float64
-        array that the caller no longer reads.
+        and fills ``buf`` on the calling thread instead of waiting.  A fork
+        stops the worker after it finishes a running fill, cancelling the
+        rest the same way.  A refill is only a hint: any other next request
+        cancels the fill, or waits for it and rewinds the stream, so every
+        call yields what it would have without it.  ``buf`` must be a
+        writeable C-contiguous float64 array that the caller no longer reads.
         """
         if (buf.dtype != np.float64 or not buf.flags.c_contiguous
                 or not buf.flags.writeable):
@@ -120,8 +108,7 @@ class RngStream:
         self._fill = (_submit_fill(self._gen.standard_normal, buf), buf, state)
 
     def _settle(self) -> None:
-        """Cancel or wait for a pending refill, leaving the stream as if it
-        had not been made."""
+        """Cancel or wait for a pending refill, as if it had not been made."""
         if self._fill is not None:
             future, _, state = self._fill
             self._fill = None

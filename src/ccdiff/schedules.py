@@ -26,16 +26,6 @@ class SamplerKind(enum.Enum):
     SMLD = "smld"
     DDIM = "ddim"
 
-    @classmethod
-    def parse(cls, name: str) -> "SamplerKind":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValidationError(
-                f"unknown sampler kind {name!r}; expected one of "
-                f"{[k.value for k in cls]}"
-            ) from None
-
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
@@ -125,13 +115,11 @@ def make_ve_schedule(sigma_min: float, sigma_max: float, N: int) -> Schedule:
                     sigma=_freeze(sigma), ddim_sigma=None)
 
 
-def check_step_index(schedule: Schedule, i: int, lowest: int = 1) -> int:
-    """Validate a step index against the schedule range [lowest, N]."""
+def check_step_index(schedule: Schedule, i: int) -> int:
+    """Validate a step index against the schedule range [1, N]."""
     i = int(i)
-    if not lowest <= i <= schedule.N:
-        raise ValidationError(
-            f"step index {i} out of range [{lowest}, {schedule.N}]"
-        )
+    if not 1 <= i <= schedule.N:
+        raise ValidationError(f"step index {i} out of range [1, {schedule.N}]")
     return i
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ccdiff import make_phantom
-from ccdiff.cli import main, read_op_config
+from ccdiff.cli import OP_KEYS, main, read_op_config
 from ccdiff.imgio import RAW_DTYPE_F64, RAW_MAGIC, read_pgm, save_image, write_mask
 
 
@@ -272,6 +272,9 @@ REFUSAL_NAMES = {
     "simulate --seed 1 --n 4 --trials 4 --gnuplot {tmp}/p.gp": "--out",
     "contract --tau 2": "tau",
     "shortcut --tau 5 --eps0 100": "tau",
+    "simulate --oracle gaussian:0.25 --t0 0.4 --n-steps 50 --trials 500 --seed 1 --n 64":
+        "'gaussian:0.25'",
+    "check-op --op sr": "'factr'",
 }
 
 # Malformed image files, written to the test's directory; ``{tmp}`` in a case
@@ -322,6 +325,9 @@ BAD_IMAGES = {
     ("simulate --seed 1 --n 4 --trials 4 --gnuplot {tmp}/p.gp", None),
     ("contract --tau 2", None),
     ("shortcut --tau 5 --eps0 100", None),
+    ("simulate --oracle gaussian:0.25 --t0 0.4 --n-steps 50 --trials 500 --seed 1 --n 64",
+     None),
+    ("check-op --op sr", "factr=2"),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):
@@ -385,3 +391,55 @@ def test_ccdf_init_from_file_and_config_kind(tmp_path, phantom_file):
                       "--t0", "0.1", "--seed", "12", "--op", "mri",
                       "--op-config", str(cfg), "--init", "vanilla")
     assert code == 1
+
+
+def test_simulate_accepts_the_zero_variance_gaussian_oracle():
+    # gaussian:0 is the conditional score, which the bound columns assume.
+    code, text = run_cli("simulate", "--seed", "1", "--n", "4", "--trials", "4",
+                         "--n-steps", "20", "--oracle", "gaussian:0")
+    assert code == 0
+    assert "bound_recursive" in text.splitlines()[0]
+
+
+def test_check_op_exits_zero_or_one_on_any_op_config(tmp_path, capsys):
+    # Mostly the operator's own keys, sometimes any other key, with any value:
+    # check-op either runs or refuses the config with an error line, and
+    # never raises.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    image = tmp_path / "img.raw"
+    save_image(image, make_phantom("blocks", (8, 8), seed=3))
+    mask = tmp_path / "mask.pgm"
+    write_mask(mask, np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
+    text = st.text(st.characters(blacklist_characters="\n\r#", blacklist_categories=("Cs",)),
+                   max_size=10)
+    any_key = st.one_of(st.sampled_from(["kind", "measurement", *sorted(
+        {k for keys in OP_KEYS.values() for k in keys})]), text.filter(lambda k: "=" not in k))
+    values = st.one_of(
+        st.sampled_from(["1", "2", "4", "0.5", "0.08", "3,3"]),
+        st.integers(-3, 20).map(str), st.floats().map(repr), text,
+        st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(lambda hw: "%d,%d" % hw),
+        st.sampled_from([str(image), str(mask), str(tmp_path / "missing.pgm"), *OP_KEYS]))
+    cfg = tmp_path / "op.cfg"
+
+    @hyp.settings(max_examples=200, deadline=None, database=None)
+    @hyp.given(st.data())
+    def check(data):
+        op = data.draw(st.sampled_from(sorted(OP_KEYS)))
+        pairs = data.draw(st.lists(st.tuples(any_key, values), max_size=1))
+        if OP_KEYS[op]:
+            pairs += data.draw(st.lists(st.tuples(st.sampled_from(OP_KEYS[op]), values),
+                                        max_size=3))
+        lines = [f"measurement={image}"] + [f"{k}={v}" for k, v in pairs]
+        if data.draw(st.booleans()):
+            argv = ["--op", op]
+        else:
+            argv, lines = [], [f"kind={op}"] + lines
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _ = run_cli("check-op", "--op-config", str(cfg), "--trials", "2",
+                          "--n-steps", "20", *argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        assert (code == 1) == err.startswith("error: ")
+
+    check()

@@ -2,6 +2,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -147,7 +148,7 @@ def test_no_fill_starts_between_the_fork_hooks():
     s = RngStream(11)
     s.refill(np.empty((512, 512)))
     other = RngStream(12)
-    rng._finish_fills_before_fork()
+    rng._stop_worker_before_fork()
     try:
         assert s._fill[0].done()
         t = threading.Thread(target=other.refill, args=(np.empty(8),))
@@ -155,7 +156,7 @@ def test_no_fill_starts_between_the_fork_hooks():
         t.join(timeout=0.2)
         assert t.is_alive() and other._fill is None
     finally:
-        rng._release_after_fork_in_parent()
+        rng._worker_lock.release()
     t.join(timeout=60)
     assert not t.is_alive()
     assert np.array_equal(other.normal(8), RngStream(12).normal(8))
@@ -178,7 +179,7 @@ def test_fork_hook_waits_for_a_refill_being_submitted(monkeypatch):
     refiller = threading.Thread(target=s.refill, args=(np.empty((512, 512)),))
     refiller.start()
     assert in_submit.wait(timeout=60)
-    hook = threading.Thread(target=rng._finish_fills_before_fork)
+    hook = threading.Thread(target=rng._stop_worker_before_fork)
     hook.start()
     hook.join(timeout=0.2)
     waited = hook.is_alive()
@@ -189,7 +190,7 @@ def test_fork_hook_waits_for_a_refill_being_submitted(monkeypatch):
         assert waited and not hook.is_alive() and not refiller.is_alive()
         assert s._fill[0].done()
     finally:
-        rng._release_after_fork_in_parent()
+        rng._worker_lock.release()
     ref = RngStream(13)
     ref.normal(8)
     assert np.array_equal(s.normal((512, 512)), ref.normal((512, 512)))
@@ -229,6 +230,64 @@ def test_refill_and_draw_work_in_a_forked_child():
         pytest.fail("the forked child hung on its first draw")
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
     assert np.array_equal(s.normal(shape), want[2])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_fork_stops_the_worker_and_the_parent_starts_a_new_one():
+    shape = (256, 256)
+    s, ref = RngStream(30), RngStream(30)
+    s.refill(np.empty(shape))
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitpid(pid, 0)
+    assert not [t for t in threading.enumerate() if t.name.startswith("ccdiff-refill")]
+    assert np.array_equal(s.normal(shape), ref.normal(shape))
+    s.refill(np.empty(shape))
+    assert np.array_equal(s.normal(shape), ref.normal(shape))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fork_while_a_refill_is_in_submit_does_not_deadlock():
+    # concurrent.futures' before-fork hook holds the lock ``submit`` takes, so
+    # the rng hook, which waits for the submitting thread's ``_worker_lock``,
+    # must run first.  Run in a fresh process: a deadlock hangs the forker.
+    code = textwrap.dedent("""
+        import os, threading, warnings
+        import numpy as np
+        from ccdiff import rng
+        from ccdiff.rng import RngStream
+
+        warnings.simplefilter("ignore", DeprecationWarning)
+        s = RngStream(13)
+        s.refill(np.empty(8))               # starts the worker
+        s.normal(8)
+        in_submit, go = threading.Event(), threading.Event()
+        submit = rng._worker.submit
+
+        def held_submit(*args):
+            in_submit.set()
+            go.wait(timeout=60)
+            return submit(*args)
+
+        rng._worker.submit = held_submit
+        refiller = threading.Thread(target=s.refill, args=(np.empty((512, 512)),))
+        refiller.start()
+        assert in_submit.wait(timeout=60)
+        threading.Timer(0.3, go.set).start()
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        os.waitpid(pid, 0)
+        refiller.join(timeout=60)
+        ref = RngStream(13)
+        ref.normal(8)
+        assert np.array_equal(s.normal((512, 512)), ref.normal((512, 512)))
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 class _HeldGenerator:
