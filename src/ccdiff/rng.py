@@ -29,7 +29,7 @@ STREAM_REVERSE = 1
 STREAM_CONSISTENCY = 2
 STREAM_CORRECTOR = 3
 
-# The one thread that runs every refill, started by the first one after a fork.
+# One thread runs every refill: the next refill starts it, and a fork stops it.
 _worker = None
 _worker_lock = threading.Lock()
 
