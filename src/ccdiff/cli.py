@@ -87,8 +87,7 @@ OP_KEYS = {"identity": (), "sr": ("factor",), "inpaint": ("box", "mask-path"),
            "mri": ("mask-path", "accel-factor", "acs-fraction", "seed")}
 
 
-def build_op(op_name: str | None, cfg: dict, schedule: Schedule,
-             kind: SamplerKind):
+def build_op(op_name: str | None, cfg: dict):
     """Construct a consistency operator from an op name plus config keys.
 
     Every operator reads kind and measurement (PGM/raw path), plus its keys
@@ -121,7 +120,7 @@ def build_op(op_name: str | None, cfg: dict, schedule: Schedule,
 
     if op_name == "sr":
         factor = _number(cfg.get("factor", "4"), int, "factor")
-        return consistency.SrOp(factor, measurement, schedule, kind)
+        return consistency.SrOp(factor, measurement)
 
     if op_name == "inpaint":
         if "mask-path" in cfg:
@@ -130,7 +129,7 @@ def build_op(op_name: str | None, cfg: dict, schedule: Schedule,
             mask = _box_hole_mask(measurement.shape, cfg["box"])
         else:
             raise ValidationError("inpaint op needs mask-path= or box= in the config")
-        return consistency.InpaintOp(mask, measurement, schedule, kind)
+        return consistency.InpaintOp(mask, measurement)
 
     if "mask-path" in cfg:
         mask = imgio.read_mask(cfg["mask-path"])
@@ -237,9 +236,9 @@ def _simulate_ground_truth(args):
     return RngStream(args.seed, (0x6774,)).uniform(0.0, 1.0, (n,))
 
 
-def _simulate_op(args, ground_truth, schedule, kind):
+def _simulate_op(args, ground_truth):
     if args.op_config:
-        return build_op(args.op, read_op_config(args.op_config), schedule, kind)
+        return build_op(args.op, read_op_config(args.op_config))
     if args.op == "identity":
         return consistency.IdentityOp(ground_truth.shape, ground_truth)
     if args.op == "inpaint":
@@ -252,13 +251,12 @@ def _simulate_op(args, ground_truth, schedule, kind):
             raise ValidationError(
                 f"--keep-fraction {args.keep_fraction} keeps no pixel of the "
                 f"n={mask.size} image drawn with --seed {args.seed}")
-        return consistency.InpaintOp(mask, ground_truth, schedule, kind)
+        return consistency.InpaintOp(mask, ground_truth)
     if args.op == "sr":
         if ground_truth.ndim != 2:
             raise ValidationError("sr simulation needs --size HxW")
-        blocky = consistency.SrOp(args.factor, ground_truth, schedule, kind).project(
-            ground_truth)
-        return consistency.SrOp(args.factor, blocky, schedule, kind)
+        blocky = consistency.SrOp(args.factor, ground_truth).project(ground_truth)
+        return consistency.SrOp(args.factor, blocky)
     if args.op == "mri":
         if ground_truth.ndim != 2:
             raise ValidationError("mri simulation needs --size HxW")
@@ -283,11 +281,17 @@ plot "{csv}" using 1:2 with lines lw 2, \\
 
 
 def cmd_simulate(args) -> int:
+    t0_values = [_number(v, float, "--t0") for v in args.t0.split(",")]
     if args.gnuplot and args.out in (None, "-"):
         raise ValidationError("--gnuplot plots the CSV file named by --out; pass --out")
+    if args.gnuplot and len(t0_values) > 1:
+        raise ValidationError("--gnuplot plots a trajectory CSV; a --t0 sweep writes none")
     schedule, kind = build_schedule(args)
+    if kind is SamplerKind.SMLD and args.corrector_r > 0:
+        raise ValidationError("--corrector-r: the printed bounds leave out the corrector; "
+                              "pass --corrector-r 0")
     gt = _simulate_ground_truth(args)
-    op = _simulate_op(args, gt, schedule, kind)
+    op = _simulate_op(args, gt)
     oracle = _parse_oracle(args.oracle, gt)
     if isinstance(oracle, GaussianScoreOracle) and oracle.var > 0:
         raise ValidationError(f"--oracle {args.oracle!r}: the printed bounds hold only "
@@ -296,7 +300,6 @@ def cmd_simulate(args) -> int:
         init = imgio.load_image(args.init.split(":", 1)[1])
     else:
         init = harness.resolve_init(args.init, gt, op, args.seed)
-    t0_values = [_number(v, float, "--t0") for v in args.t0.split(",")]
     cfg = harness.ExperimentConfig(
         schedule=schedule, kind=kind, t0=t0_values[0], trials=args.trials,
         ground_truth=gt, init=init, op=op, oracle=oracle, seed=args.seed,
@@ -320,7 +323,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ccdf(args) -> int:
     schedule, kind = build_schedule(args)
-    op = build_op(args.op, read_op_config(args.op_config), schedule, kind)
+    op = build_op(args.op, read_op_config(args.op_config))
     consistency.certify_nonexpansive(op, trials=16, rng=RngStream(args.seed, (1,)))
     if args.init == "vanilla":
         x0 = op.vanilla_init()
@@ -355,8 +358,7 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_check_op(args) -> int:
-    schedule, kind = build_schedule(args)
-    op = build_op(args.op, read_op_config(args.op_config), schedule, kind)
+    op = build_op(args.op, read_op_config(args.op_config))
     rng = RngStream(args.seed, (0x636B,))
     sigma = consistency.certify_nonexpansive(op, trials=args.trials, rng=rng)
     gen = rng.generator()
@@ -458,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("check-op", help="non-expansiveness and trace checks")
-    _add_schedule_args(p)
     p.add_argument("--op", default=None,
                    choices=["sr", "inpaint", "mri", "identity"])
     p.add_argument("--op-config", required=True)

@@ -7,9 +7,9 @@ measurement is complete.  The offset b_i re-injects the measurement, either
 as a forward-diffused copy (super-resolution, inpainting) or as the constant
 zero-filled reconstruction (MRI k-space).
 
-Operators are immutable after construction, so ``apply_linear`` and
-``offset`` are reentrant; the per-step randomness for b_i comes from the
-caller's RNG stream, keeping the operators themselves stateless.
+Operators know no schedule: ``offset`` takes the forward coefficients
+(a_i, b_i) from the reverse loop and its noise from the caller's RNG stream,
+so operators stay immutable and ``apply_linear`` and ``offset`` reentrant.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ except ImportError:  # pragma: no cover - numpy fallback
 
 from .errors import NumericFailure, ValidationError
 from .rng import RngStream
-from .schedules import check_family, forward_coeffs
 
 # Extra keyword arguments of every MRI transform.  None, so they run
 # single-threaded: at the sizes the operator sees (one 64x64 image to 10^4
@@ -79,9 +78,10 @@ class ConsistencyOp:
         path adds the offset to the result in place."""
         raise NotImplementedError
 
-    def offset(self, i: int, rng: RngStream, batch_shape: tuple = ()):
-        """The offset b_i.  SR and inpainting draw its anchor noise from
-        ``rng`` and refuse None; the identity and MRI offsets are constant."""
+    def offset(self, c, rng: RngStream, batch_shape: tuple = ()):
+        """The offset b_i.  SR and inpainting diffuse their anchor with the
+        step's ``ForwardCoeffs`` ``c`` = (a_i, b_i) and draw its noise from
+        ``rng``, refusing None; the identity and MRI offsets are constant."""
         raise NotImplementedError
 
     def vanilla_init(self) -> np.ndarray:
@@ -102,7 +102,7 @@ class IdentityOp(ConsistencyOp):
     def apply_linear(self, x):
         return np.asarray(x, dtype=np.float64)
 
-    def offset(self, i, rng, batch_shape=()):
+    def offset(self, c, rng, batch_shape=()):
         return 0.0
 
     def vanilla_init(self):
@@ -114,18 +114,15 @@ class _DiffusedAnchorOp(ConsistencyOp):
 
     draws_anchor = True
 
-    def __init__(self, shape, tau, description, measurement, schedule, kind):
+    def __init__(self, shape, tau, description, measurement):
         super().__init__(shape, tau, description)
         self.measurement = _image_measurement(measurement, self.shape)
-        check_family(schedule, kind, f"a {kind.value} anchor")
-        self.schedule = schedule
 
-    def diffused_measurement(self, i, rng, batch_shape=()):
-        """x_hat_i = a_i x_hat_0 + b_i z with z drawn once from rng."""
+    def diffused_measurement(self, c, rng, batch_shape=()):
+        """x_hat_i = c.a x_hat_0 + c.b z with z drawn once from rng."""
         if rng is None:
             raise ValidationError(
                 f"{type(self).__name__} needs an RNG stream to draw its anchor noise")
-        c = forward_coeffs(self.schedule, i)
         z = rng.normal(tuple(batch_shape) + self.shape)
         z *= c.b
         z += c.a * self.measurement
@@ -143,7 +140,7 @@ class SrOp(_DiffusedAnchorOp):
     so the offset also carries its unmeasured part (I - P) b_i z.
     """
 
-    def __init__(self, factor, measurement, schedule, kind):
+    def __init__(self, factor, measurement):
         measurement = np.asarray(measurement, dtype=np.float64)
         if measurement.ndim != 2:
             raise ValidationError("super-resolution expects a 2D image")
@@ -156,7 +153,7 @@ class SrOp(_DiffusedAnchorOp):
                 f"image sides {(H, W)} must be divisible by the factor {D}"
             )
         super().__init__(measurement.shape, 1.0 - 1.0 / (D * D),
-                         f"sr factor={D}", measurement, schedule, kind)
+                         f"sr factor={D}", measurement)
         self.factor = D
 
     def _blocks(self, x):
@@ -178,8 +175,8 @@ class SrOp(_DiffusedAnchorOp):
         xv, m = self._blocks(x)
         return np.subtract(xv, m).reshape(x.shape)
 
-    def offset(self, i, rng, batch_shape=()):
-        return self.diffused_measurement(i, rng, batch_shape)
+    def offset(self, c, rng, batch_shape=()):
+        return self.diffused_measurement(c, rng, batch_shape)
 
     def vanilla_init(self):
         return self.measurement
@@ -192,7 +189,7 @@ class InpaintOp(_DiffusedAnchorOp):
     of the measurement; unmeasured pixels pass through untouched.
     """
 
-    def __init__(self, mask, measurement, schedule, kind):
+    def __init__(self, mask, measurement):
         mask = np.asarray(mask, dtype=bool)
         measurement = np.asarray(measurement, dtype=np.float64)
         if mask.shape != measurement.shape:
@@ -206,15 +203,15 @@ class InpaintOp(_DiffusedAnchorOp):
             )
         n = mask.size
         super().__init__(mask.shape, (n - m) / n, f"inpaint kept={m}/{n}",
-                         measurement, schedule, kind)
+                         measurement)
         self.mask = mask
         self._unmeasured = ~mask
 
     def apply_linear(self, x):
         return np.where(self.mask, 0.0, np.asarray(x, dtype=np.float64))
 
-    def offset(self, i, rng, batch_shape=()):
-        d = self.diffused_measurement(i, rng, batch_shape)
+    def offset(self, c, rng, batch_shape=()):
+        d = self.diffused_measurement(c, rng, batch_shape)
         np.copyto(d, 0.0, where=self._unmeasured)
         return d
 
@@ -283,7 +280,7 @@ class MriOp(ConsistencyOp):
         r = _ifft2(k, self._sizes, self._axes)
         return np.subtract(x, r, out=r)
 
-    def offset(self, i, rng, batch_shape=()):
+    def offset(self, c, rng, batch_shape=()):
         return self._zero_filled.real
 
     def residual(self, x) -> float:
@@ -306,9 +303,16 @@ def mri_measure(image: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, np.fft.fft2(image, norm="ortho"), 0.0)
 
 
-# Other names for the operator classes.
-sr_projection = SrOp
-inpaint_projection = InpaintOp
+# The benchmark's factories, which still pass the loop's schedule and kind;
+# the benchmark change of ROADMAP item 2 step 1 deletes the first two.
+def sr_projection(factor, measurement, schedule, kind):
+    return SrOp(factor, measurement)
+
+
+def inpaint_projection(mask, measurement, schedule, kind):
+    return InpaintOp(mask, measurement)
+
+
 mri_projection = MriOp
 
 
@@ -398,6 +402,8 @@ def certify_nonexpansive(op: ConsistencyOp, trials: int = 64,
     verify ||A x - A x'|| <= ||x - x'|| directly.  Returns the estimate and
     raises NumericFailure when the certificate fails.
     """
+    if trials < 0:
+        raise ValidationError(f"trials must be >= 0, got {trials}")
     if rng is None:
         rng = RngStream(0, (0x63657274,))
     gen = rng.generator()
@@ -419,7 +425,7 @@ def certify_nonexpansive(op: ConsistencyOp, trials: int = 64,
             est = nav
             v = av / nav
         best = max(best, est)
-    for _ in range(max(0, int(trials))):
+    for _ in range(int(trials)):
         x = gen.standard_normal(shape)
         xp = gen.standard_normal(shape)
         lhs = np.linalg.norm(np.asarray(op.apply_linear(x - xp)))

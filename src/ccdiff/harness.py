@@ -141,9 +141,10 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
     except for the deterministic sampler, which is scaled by
     1/sqrt(alpha_bar_i)); the bound traces use the matching forward error,
     so empirical and theoretical columns are directly comparable.  The bound
-    columns assume the ideal conditional score (Jacobian -1/b_i^2); under
-    any other oracle, such as a Gaussian prior with variance above 0, the
-    reverse map contracts less and the Monte Carlo columns may exceed them.
+    columns assume the ideal conditional score (Jacobian -1/b_i^2) and no
+    corrector; under any other oracle, such as a Gaussian prior with
+    variance above 0, or with corrector_r > 0 on SMLD, the Monte Carlo
+    columns may exceed them.
     """
     schedule, kind = cfg.schedule, cfg.kind
     path = CcdfConfig(t0=cfg.t0, N=schedule.N, kind=kind, corrector_r=cfg.corrector_r)

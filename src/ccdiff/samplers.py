@@ -414,9 +414,9 @@ def prefetch(stream: RngStream, shape) -> None:
         stream.refill(np.empty(shape))
 
 
-def _consistency(states: list, op, i: int, rng: RngStream, batch_axes: int) -> None:
+def _consistency(states: list, op, i: int, c, rng: RngStream, batch_axes: int) -> None:
     """x <- A x + b_i on every trajectory, with one offset b_i shared by all."""
-    b = op.offset(i, rng, batch_shape=states[0].shape[:batch_axes])
+    b = op.offset(c, rng, batch_shape=states[0].shape[:batch_axes])
     for k in range(len(states)):
         # In place is safe: apply_linear returns a new array or the state itself,
         # which the loop owns.
@@ -434,7 +434,8 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     """Run reverse steps i = N'..1 on coupled trajectories, updating ``states`` in place.
 
     Each step applies the kind's reverse update to every trajectory, then the
-    consistency map with one offset from ``anchor_rng`` shared by all.  Only
+    consistency map with one offset shared by all, drawn from ``anchor_rng``
+    with the step's forward coefficients (a_i, b_i) on ``schedule``.  Only
     SMLD with corrector_r > 0 follows with a Langevin corrector step and a
     second consistency map.  ``noise[k]`` and ``corrector_noise[k]`` are the
     streams of trajectory k, filled ahead as the module docstring says.
@@ -455,12 +456,13 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
         for k in range(len(states)):
             prefetch(noise[k], states[k].shape)
     for i in range(cfg.n_prime, 0, -1):
+        c = forward_coeffs(schedule, i)
         # Indexing, not a loop variable, so no old state outlives its update.
         for k in range(len(states)):
             z = noise[k].normal(states[k].shape) if rule.noisy else None
             states[k] = rule.step(states[k], i, schedule, oracle, z)
             _refill(noise[k], z, i)
-        _consistency(states, op, i, anchor_rng, batch_axes)
+        _consistency(states, op, i, c, anchor_rng, batch_axes)
         if corrected:
             for k in range(len(states)):
                 z = corrector_noise[k].normal(states[k].shape)
@@ -468,7 +470,7 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
                     states[k], i, schedule, oracle, cfg.corrector_r, z,
                     batch_axes=batch_axes, squared_step=cfg.corrector_squared_step)
                 _refill(corrector_noise[k], z, i)
-            _consistency(states, op, i, anchor_rng, batch_axes)
+            _consistency(states, op, i, c, anchor_rng, batch_axes)
         if on_step is not None:
             on_step(i, states)
     return states

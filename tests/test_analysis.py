@@ -384,7 +384,7 @@ def test_experiment_config_refuses_an_operator_without_exact_tau():
             out[::2] = 0.0  # projection dropping half the coordinates
             return out
 
-        def offset(self, i, rng, batch_shape=()):
+        def offset(self, c, rng, batch_shape=()):
             return 0.0
 
     def config(op):

@@ -220,8 +220,7 @@ def test_ccdf_sr_with_box_config(tmp_path, phantom_file):
 def test_check_op_reports_certificates(tmp_path, phantom_file):
     cfg = tmp_path / "op.cfg"
     cfg.write_text(f"measurement={phantom_file}\nfactor=4\n")
-    code, text = run_cli("check-op", "--op", "sr", "--op-config", str(cfg),
-                         "--kind", "ddpm", "--n-steps", "100")
+    code, text = run_cli("check-op", "--op", "sr", "--op-config", str(cfg))
     assert code == 0
     pairs = kv(text)
     assert float(pairs["sigma_max"]) <= 1.0 + 1e-6
@@ -275,6 +274,11 @@ REFUSAL_NAMES = {
     "simulate --oracle gaussian:0.25 --t0 0.4 --n-steps 50 --trials 500 --seed 1 --n 64":
         "'gaussian:0.25'",
     "check-op --op sr": "'factr'",
+    ("simulate --kind smld --n-steps 50 --t0 0.5 --trials 4000 --n 64 --init eps0:10 "
+     "--seed 3 --corrector-r 0.16"): "--corrector-r",
+    ("simulate --kind ddpm --n-steps 50 --t0 0.1,0.2 --trials 16 --n 16 --seed 1 "
+     "--out {tmp}/s.csv --gnuplot {tmp}/s.gp"): "--gnuplot",
+    "check-op --op identity --trials -5": "trials",
 }
 
 # Malformed image files, written to the test's directory; ``{tmp}`` in a case
@@ -328,6 +332,11 @@ BAD_IMAGES = {
     ("simulate --oracle gaussian:0.25 --t0 0.4 --n-steps 50 --trials 500 --seed 1 --n 64",
      None),
     ("check-op --op sr", "factr=2"),
+    (("simulate --kind smld --n-steps 50 --t0 0.5 --trials 4000 --n 64 --init eps0:10 "
+      "--seed 3 --corrector-r 0.16"), None),
+    (("simulate --kind ddpm --n-steps 50 --t0 0.1,0.2 --trials 16 --n 16 --seed 1 "
+      "--out {tmp}/s.csv --gnuplot {tmp}/s.gp"), None),
+    ("check-op --op identity --trials -5", ""),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):
@@ -436,8 +445,7 @@ def test_check_op_exits_zero_or_one_on_any_op_config(tmp_path, capsys):
         else:
             argv, lines = [], [f"kind={op}"] + lines
         cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code, _ = run_cli("check-op", "--op-config", str(cfg), "--trials", "2",
-                          "--n-steps", "20", *argv)
+        code, _ = run_cli("check-op", "--op-config", str(cfg), "--trials", "2", *argv)
         err = capsys.readouterr().err
         assert code in (0, 1)
         assert (code == 1) == err.startswith("error: ")

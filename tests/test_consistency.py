@@ -36,7 +36,7 @@ def test_sr_factor_one_returns_diffused_measurement_exactly():
     op = sr_projection(1, meas, VP, DDPM)
     x = RngStream(1).normal((16, 16))
     rng = RngStream(2)
-    out = op.apply_linear(x) + op.offset(7, rng)
+    out = op.apply_linear(x) + op.offset(forward_coeffs(VP, 7), rng)
     c = forward_coeffs(VP, 7)
     expected = c.a * meas + c.b * RngStream(2).normal((16, 16))
     assert np.allclose(out, expected, rtol=1e-15)
@@ -77,10 +77,11 @@ def test_inpaint_offset_zeroes_its_own_draw(peak_states):
     # the 1/16 covers numpy's 64 KiB iterator buffers.
     mask = RngStream(8).uniform(shape=(16, 16)) < 0.5
     op = inpaint_projection(mask, make_phantom("blocks", (16, 16), seed=6), VP, DDPM)
-    b = op.offset(10, RngStream(9), (1152,))
-    d = op.diffused_measurement(10, RngStream(9), (1152,))
+    c = forward_coeffs(VP, 10)
+    b = op.offset(c, RngStream(9), (1152,))
+    d = op.diffused_measurement(c, RngStream(9), (1152,))
     assert b.tobytes() == np.where(mask, d, 0.0).tobytes()
-    assert peak_states(lambda: op.offset(10, RngStream(9), (1152,)), b) <= 1 + 1 / 16
+    assert peak_states(lambda: op.offset(c, RngStream(9), (1152,)), b) <= 1 + 1 / 16
 
 
 def test_sr_block_constant_measurement_is_projection_fixed_point():
@@ -108,7 +109,7 @@ def test_inpaint_full_mask_returns_diffused_measurement_everywhere():
     mask = np.ones((16, 16), dtype=bool)
     op = inpaint_projection(mask, meas, VP, DDPM)
     x = RngStream(5).normal((16, 16))
-    out = op.apply_linear(x) + op.offset(3, RngStream(6))
+    out = op.apply_linear(x) + op.offset(forward_coeffs(VP, 3), RngStream(6))
     c = forward_coeffs(VP, 3)
     expected = c.a * meas + c.b * RngStream(6).normal((16, 16))
     assert np.allclose(out, expected, rtol=1e-15)
@@ -149,7 +150,7 @@ def test_inpaint_offset_is_masked_forward_diffusion():
     mask[:4] = True
     meas = make_phantom("ellipses", (8, 8), seed=8)
     op = inpaint_projection(mask, meas, VE, SamplerKind.SMLD)
-    b = op.offset(5, RngStream(9))
+    b = op.offset(forward_coeffs(VE, 5), RngStream(9))
     assert np.all(b[~mask] == 0.0)
     c = forward_coeffs(VE, 5)
     expected = (c.a * meas + c.b * RngStream(9).normal((8, 8)))[mask]
@@ -165,7 +166,7 @@ def test_mri_full_mask_returns_zero_filled_regardless_of_input():
     y = mri_measure(img, mask)
     op = mri_projection(mask, y)
     x = RngStream(10).normal((16, 16))
-    out = op.apply_linear(x) + op.offset(1, None)
+    out = op.apply_linear(x) + op.offset(None, None)
     assert np.allclose(out, img, atol=1e-12)
     assert op.tau == 0.0
 
@@ -176,7 +177,7 @@ def test_mri_zero_filled_image_is_read_only():
     mask = gaussian1d_mask((16, 16), 2.0, 0.2, seed=19)
     op = mri_projection(mask, mri_measure(img, mask))
     before = op.vanilla_init().copy()
-    for view in (op.offset(1, None), op.vanilla_init()):
+    for view in (op.offset(None, None), op.vanilla_init()):
         with pytest.raises(ValueError):
             view += 1.0
     assert np.array_equal(op.vanilla_init(), before)
@@ -187,7 +188,7 @@ def test_mri_consistency_residual_after_apply():
     mask = gaussian1d_mask((32, 32), 4.0, 0.1, seed=12)
     op = mri_projection(mask, mri_measure(img, mask))
     x = RngStream(11).normal((32, 32))
-    assert op.residual(op.apply_linear(x) + op.offset(1, None)) <= 1e-10
+    assert op.residual(op.apply_linear(x) + op.offset(None, None)) <= 1e-10
 
 
 def test_mri_tau_and_randomized_trace():
@@ -227,7 +228,7 @@ def test_mri_real_output_for_symmetric_mask(case, monkeypatch):
     out_c = op.apply_linear_complex(x) + np.fft.ifft2(op.y, norm="ortho")
     assert np.max(np.abs(out_c.imag)) <= 1e-10
     assert np.max(np.abs(op.apply_linear(x) - op.apply_linear_complex(x).real)) <= 1e-12
-    out = op.apply_linear(x) + op.offset(1, None)
+    out = op.apply_linear(x) + op.offset(None, None)
     assert np.max(np.abs(out - out_c.real)) <= 1e-12
     # One forward and one inverse real transform per apply, along ``axes`` only.
     calls = []
@@ -278,7 +279,7 @@ def test_apply_is_affine_on_shared_offset():
     op = mri_projection(mask, mri_measure(img, mask))
     gen = RngStream(13, (1,)).generator()
     x, x2 = gen.standard_normal((16, 16)), gen.standard_normal((16, 16))
-    b = op.offset(1, None)
+    b = op.offset(None, None)
 
     def apply(v):
         return op.apply_linear(v) + b
@@ -381,4 +382,4 @@ def test_identity_vanilla_init_requires_measurement():
 ], ids=["sr", "inpaint"])
 def test_anchored_op_needs_an_rng_stream(make):
     with pytest.raises(ValidationError, match="needs an RNG stream"):
-        make().offset(3, None)
+        make().offset(forward_coeffs(VP, 3), None)

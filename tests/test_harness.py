@@ -21,6 +21,8 @@ from ccdiff.samplers import REFILL_MIN_VALUES
 
 VP100 = make_vp_schedule(1e-4, 0.02, 100)
 VE100 = make_ve_schedule(0.01, 378, 100)
+VP50 = make_vp_schedule(1e-4, 0.02, 50)
+VE50 = make_ve_schedule(0.01, 378, 50)
 
 
 def _identity_cfg(kind, schedule, t0, trials, seed, init_mode="eps0:4.0",
@@ -61,6 +63,20 @@ def test_empirical_error_stays_under_recursive_bound_per_step():
     # below the post-forward error
     assert stats.mse[0] > stats.eps0
     assert stats.final_mse < 0.1 * stats.mse[0]
+
+
+@pytest.mark.parametrize("t0", [0.1, 0.4, 1.0])
+@pytest.mark.parametrize("kind", list(SamplerKind), ids=lambda k: k.value)
+def test_recursive_bound_is_the_exact_error_of_the_identity_op(kind, t0):
+    # With the conditional score, A = I and no corrector, lambda_i, 2n g_i^2
+    # and tau = 1 are exact, so bound_recursive is the expected squared error
+    # itself: a harness biased low fails here, not only one above the bound.
+    # The 1e-9 covers DDIM's roundoff at step 0.
+    sch = VE50 if kind is SamplerKind.SMLD else VP50
+    stats = run_error_curve(_identity_cfg(kind, sch, t0=t0, trials=4000, seed=3,
+                                          init_mode="eps0:10"))
+    assert np.all(np.abs(stats.mse - stats.bound_recursive)
+                  <= 5 * stats.stderr + 1e-9)
 
 
 def test_shared_noise_mode_realizes_lambda_exactly():
@@ -335,6 +351,30 @@ def test_error_curve_golden_regression_lock():
             digest.update(stats.mse.tobytes() + stats.stderr.tobytes())
     assert digest.hexdigest() == ("eed1121b24e71c301ce19bbd35c2db31"
                                   "0e2457106818248a16639463f1d3f4b9")
+
+
+@pytest.mark.parametrize("op_name, kind, built_on, runs_on", [
+    ("sr", SamplerKind.DDPM, make_vp_schedule(1e-4, 0.05, 100), VP100),
+    ("inpaint", SamplerKind.SMLD, make_ve_schedule(0.02, 100, 100), VE100),
+], ids=["sr-ddpm", "inpaint-smld"])
+def test_anchor_follows_the_schedule_the_loop_runs(op_name, kind, built_on, runs_on):
+    # The loop hands each offset its forward coefficients, so the schedule a
+    # factory is given does not reach the bits.
+    gt = make_phantom("blocks", (16, 16), seed=4)
+    mask = RngStream(4).uniform(shape=(16, 16)) < 0.5
+
+    def run(sch):
+        op = (sr_projection(4, gt, sch, kind) if op_name == "sr"
+              else inpaint_projection(mask, gt, sch, kind))
+        oracle = ConditionalScoreOracle(gt)
+        x = ccdf_sample(op.vanilla_init(), op, CcdfConfig(t0=0.1, N=100, kind=kind),
+                        runs_on, oracle, RngStream(5))
+        st = run_error_curve(ExperimentConfig(
+            schedule=runs_on, kind=kind, t0=0.1, trials=8, ground_truth=gt,
+            init=op.vanilla_init(), op=op, oracle=oracle, seed=5))
+        return x.tobytes() + st.mse.tobytes() + st.stderr.tobytes()
+
+    assert run(built_on) == run(runs_on)
 
 
 def test_t0_sweep_rejects_empty_grid():

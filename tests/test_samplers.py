@@ -30,9 +30,9 @@ class CountingOracle(ConditionalScoreOracle):
 class CountingInpaintOp(InpaintOp):
     offset_calls = 0
 
-    def offset(self, i, rng, batch_shape=()):
+    def offset(self, c, rng, batch_shape=()):
         self.offset_calls += 1
-        return super().offset(i, rng, batch_shape)
+        return super().offset(c, rng, batch_shape)
 
 
 # ------------------------------ forward ------------------------------------
@@ -318,7 +318,7 @@ def test_ccdf_smld_runs_corrector_and_second_consistency_only_for_r_positive(
     ref = make_phantom("blocks", (16, 16), seed=3)
     mask = np.zeros((16, 16), dtype=bool)
     mask[::2] = True
-    op = CountingInpaintOp(mask, ref, VE, SamplerKind.SMLD)
+    op = CountingInpaintOp(mask, ref)
     oracle = CountingOracle(ref)
     cfg = CcdfConfig(t0=0.02, N=1000, kind=SamplerKind.SMLD, corrector_r=r)
     ccdf_sample(op.vanilla_init(), op, cfg, VE, oracle, RngStream(32))
@@ -356,7 +356,7 @@ def test_ccdf_golden_regression_lock(kind, r, op_name, digest, total):
     else:
         mask = np.zeros((16, 16), dtype=bool)
         mask[:, ::2] = True
-        op = InpaintOp(mask, ref, sch, kind)
+        op = InpaintOp(mask, ref)
     cfg = CcdfConfig(t0=0.05, N=1000, kind=kind, corrector_r=r)
     out = ccdf_sample(op.vanilla_init(), op, cfg, sch,
                       GaussianScoreOracle(mu=ref, var=0.25), RngStream(2025))
@@ -460,7 +460,7 @@ def test_reverse_path_leaves_oracle_and_operator_data_alone():
     ]
     for op, oracle, kind, sch, r in cases:
         init = op.vanilla_init()
-        data = [init, op.offset(1, None), getattr(oracle, "x_ref", None),
+        data = [init, op.offset(None, None), getattr(oracle, "x_ref", None),
                 getattr(oracle, "mu", None)]
         before = [None if a is None else np.copy(a) for a in data]
         cfg = CcdfConfig(t0=0.05, N=1000, kind=kind, corrector_r=r)
