@@ -287,9 +287,6 @@ def cmd_simulate(args) -> int:
     if args.gnuplot and len(t0_values) > 1:
         raise ValidationError("--gnuplot plots a trajectory CSV; a --t0 sweep writes none")
     schedule, kind = build_schedule(args)
-    if kind is SamplerKind.SMLD and args.corrector_r > 0:
-        raise ValidationError("--corrector-r: the printed bounds leave out the corrector; "
-                              "pass --corrector-r 0")
     gt = _simulate_ground_truth(args)
     op = _simulate_op(args, gt)
     oracle = _parse_oracle(args.oracle, gt)
@@ -303,7 +300,7 @@ def cmd_simulate(args) -> int:
     cfg = harness.ExperimentConfig(
         schedule=schedule, kind=kind, t0=t0_values[0], trials=args.trials,
         ground_truth=gt, init=init, op=op, oracle=oracle, seed=args.seed,
-        corrector_r=args.corrector_r, shared_reverse_noise=args.shared_noise,
+        shared_reverse_noise=args.shared_noise,
     )
     with _output(args.out) as fh:
         if len(t0_values) == 1:
@@ -430,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--acs-fraction", type=float, default=0.08)
     p.add_argument("--oracle", default="conditional")
     p.add_argument("--init", default="vanilla")
-    p.add_argument("--corrector-r", type=float, default=0.0)
     p.add_argument("--shared-noise", action="store_true")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from ccdiff import (CcdfConfig, ConditionalScoreOracle, ExperimentConfig,
-                    GaussianScoreOracle, IdentityOp, SamplerKind, ccdf_sample,
-                    certify_nonexpansive, contraction_rate, forward_coeffs,
-                    forward_error, gaussian1d_mask, inpaint_projection,
+                    GaussianScoreOracle, IdentityOp, InpaintOp, SamplerKind,
+                    SrOp, ccdf_sample, certify_nonexpansive, contraction_rate,
+                    forward_coeffs, forward_error, gaussian1d_mask,
                     make_phantom, make_ve_schedule, make_vp_schedule,
                     minimal_shortcut, mri_measure, mri_projection,
                     noise_constant_per_step, resolve_init, reverse_step_ddim,
                     reverse_step_ddpm, reverse_step_smld, run_error_curve,
-                    run_mri_demo, run_t0_sweep, sr_projection)
+                    run_mri_demo, run_t0_sweep)
 from ccdiff.cli import main as cli_main
 from ccdiff.imgio import save_image
 from ccdiff.rng import RngStream
@@ -112,14 +112,14 @@ def test_criterion_03_forward_error_monte_carlo():
             t0, 60.0)
 
 
-def _cell_ops(gt, schedule, kind):
+def _cell_ops(gt):
     shape = gt.shape
     n = gt.size
     ops = {"identity": IdentityOp(shape, gt)}
     gen = RngStream(44, (0xA4,)).generator()
     mask = np.zeros(n, dtype=bool)
     mask[gen.permutation(n)[: n // 2]] = True  # exactly m/n = 0.5
-    ops["inpaint"] = inpaint_projection(mask.reshape(shape), gt, schedule, kind)
+    ops["inpaint"] = InpaintOp(mask.reshape(shape), gt)
     mri_mask = gaussian1d_mask(shape, 4.0, 0.1, seed=7)
     ops["mri"] = mri_projection(mri_mask, mri_measure(gt, mri_mask))
     return ops
@@ -134,7 +134,7 @@ def test_criterion_04_error_bound_grid():
     checked = 0
     for kind in (SamplerKind.DDPM, SamplerKind.SMLD, SamplerKind.DDIM):
         sch = ve if kind is SamplerKind.SMLD else vp
-        for op_name, op in _cell_ops(gt, sch, kind).items():
+        for op_name, op in _cell_ops(gt).items():
             init = resolve_init("eps0:10.0", gt, op, seed=5)
             for t in (0.04, 0.1, 0.2, 0.4):
                 cfg = ExperimentConfig(
@@ -202,7 +202,7 @@ def test_criterion_05_minimal_shortcut():
     mask[-1] = False  # tau = 1/64 for the DDPM window
     for mu in (0.5, 1.0):
         eps0 = 48.0
-        op = inpaint_projection(mask, gt, VP1000, SamplerKind.DDPM)
+        op = InpaintOp(mask, gt)
         r = minimal_shortcut(eps0, mu, VP1000, SamplerKind.DDPM, tau_ddpm, n)
         assert r.feasible
         init = resolve_init(f"eps0:{eps0}", gt, op, seed=51)
@@ -257,14 +257,13 @@ def test_criterion_07_operator_certificates():
     t0 = time.perf_counter()
     gt = make_phantom("blocks", (32, 32), seed=7)
     vp = make_vp_schedule(1e-4, 0.02, 100)
-    kind = SamplerKind.DDPM
     gen = RngStream(70, (1,)).generator()
     mask = np.zeros(32 * 32, dtype=bool)
     mask[gen.permutation(32 * 32)[:400]] = True
     mri_mask = gaussian1d_mask((32, 32), 4.0, 0.1, seed=71)
     ops = {
-        "sr": sr_projection(4, gt, vp, kind),
-        "inpaint": inpaint_projection(mask.reshape(32, 32), gt, vp, kind),
+        "sr": SrOp(4, gt),
+        "inpaint": InpaintOp(mask.reshape(32, 32), gt),
         "mri": mri_projection(mri_mask, mri_measure(gt, mri_mask)),
     }
     assert ops["sr"].tau == 1 - 1 / 16
@@ -341,7 +340,7 @@ def test_criterion_09_error_curve_shapes_and_init_ordering(tmp_path):
     gen = RngStream(92, (3,)).generator()
     mask = gen.uniform(size=(16, 16)) < 0.5
     mask.flat[0] = True
-    op = inpaint_projection(mask, gt, sch, SamplerKind.DDPM)
+    op = InpaintOp(mask, gt)
     oracle = GaussianScoreOracle(mu=gt, var=0.02)
     vanilla = resolve_init("vanilla", gt, op, seed=92)
     cfg = ExperimentConfig(schedule=sch, kind=SamplerKind.DDPM, t0=0.4,
@@ -374,7 +373,7 @@ def test_criterion_09_error_curve_shapes_and_init_ordering(tmp_path):
         gen = RngStream(200 + rep, (3,)).generator()
         mask_r = gen.uniform(size=(16, 16)) < 0.5
         mask_r.flat[0] = True
-        op_r = inpaint_projection(mask_r, gt_r, sch, SamplerKind.DDPM)
+        op_r = InpaintOp(mask_r, gt_r)
         oracle_r = GaussianScoreOracle(mu=gt_r, var=0.02)
         rnd = np.where(mask_r, gt_r,
                        RngStream(300 + rep, (1,)).uniform(0, 1, (16, 16)))

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ccdiff import (ConditionalScoreOracle, ExperimentConfig, IdentityOp,
-                    SamplerKind, ValidationError, contraction_rate,
-                    forward_error, inpaint_projection, make_ve_schedule,
+                    InpaintOp, SamplerKind, SrOp, ValidationError,
+                    contraction_rate, forward_error, make_ve_schedule,
                     make_vp_schedule, minimal_shortcut, noise_constant,
-                    noise_constant_per_step, reverse_step_ddpm, sr_projection)
+                    noise_constant_per_step, reverse_step_ddpm)
 from ccdiff.analysis import (bound_traces, contraction_report,
                              noise_constant_candidates)
 from ccdiff.rng import RngStream
@@ -366,10 +366,10 @@ def test_shipped_operators_carry_exact_tau():
     gen = RngStream(6, (2,)).generator()
     mask = gen.uniform(size=(16, 16)) < 0.5
     mask.flat[0] = True
-    op = inpaint_projection(mask, np.zeros((16, 16)), VP, SamplerKind.DDPM)
+    op = InpaintOp(mask, np.zeros((16, 16)))
     m = int(mask.sum())
     assert op.tau == pytest.approx((256 - m) / 256, rel=1e-15)
-    sr = sr_projection(4, np.zeros((32, 32)), VP, SamplerKind.DDPM)
+    sr = SrOp(4, np.zeros((32, 32)))
     assert sr.tau == pytest.approx(15.0 / 16.0, rel=1e-15)
 
 

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from ccdiff import (IdentityOp, NumericFailure, SamplerKind, ValidationError,
+from ccdiff import (IdentityOp, InpaintOp, NumericFailure, SrOp, ValidationError,
                     certify_nonexpansive, forward_coeffs, gaussian1d_mask,
-                    hutchinson_tau, inpaint_projection, is_conjugate_symmetric,
-                    make_phantom, make_ve_schedule, make_vp_schedule,
-                    mri_measure, mri_projection, sr_projection)
+                    hutchinson_tau, is_conjugate_symmetric, make_phantom,
+                    make_ve_schedule, make_vp_schedule, mri_measure,
+                    mri_projection)
 from ccdiff import consistency
 from ccdiff.rng import RngStream
 
 VP = make_vp_schedule(1e-4, 0.02, 100)
 VE = make_ve_schedule(0.01, 378, 100)
-DDPM = SamplerKind.DDPM
 
 
 def _probe_projection_identities(op, shape, seed=0, atol=1e-12):
@@ -33,11 +32,10 @@ def _probe_projection_identities(op, shape, seed=0, atol=1e-12):
 
 def test_sr_factor_one_returns_diffused_measurement_exactly():
     meas = make_phantom("blocks", (16, 16), seed=1)
-    op = sr_projection(1, meas, VP, DDPM)
+    op = SrOp(1, meas)
     x = RngStream(1).normal((16, 16))
-    rng = RngStream(2)
-    out = op.apply_linear(x) + op.offset(forward_coeffs(VP, 7), rng)
     c = forward_coeffs(VP, 7)
+    out = op.apply_linear(x) + op.offset(c, RngStream(2))
     expected = c.a * meas + c.b * RngStream(2).normal((16, 16))
     assert np.allclose(out, expected, rtol=1e-15)
     assert op.tau == 0.0
@@ -46,16 +44,16 @@ def test_sr_factor_one_returns_diffused_measurement_exactly():
 def test_sr_tau_closed_form_and_hutchinson():
     meas = make_phantom("blocks", (32, 32), seed=2)
     for D in (2, 4, 8):
-        op = sr_projection(D, meas, VP, DDPM)
+        op = SrOp(D, meas)
         assert op.tau == pytest.approx(1.0 - 1.0 / D ** 2, rel=1e-15)
-    op = sr_projection(4, meas, VP, DDPM)
+    op = SrOp(4, meas)
     est, se = hutchinson_tau(op.apply_linear, op.shape, RngStream(3, (0x74726163,)))
     assert est == pytest.approx(op.tau, rel=0.01)
 
 
 def test_sr_projection_is_idempotent_and_symmetric():
     meas = make_phantom("blocks", (24, 24), seed=3)
-    op = sr_projection(4, meas, VP, DDPM)
+    op = SrOp(4, meas)
     x = RngStream(4).normal((24, 24))
     px = op.project(x)
     assert np.max(np.abs(op.project(px) - px)) <= 1e-12
@@ -66,7 +64,7 @@ def test_sr_projection_is_idempotent_and_symmetric():
 def test_sr_apply_linear_needs_no_replicated_means(peak_states, factor):
     # (1152, 16, 16): one state is larger than a 2 MiB L2.  The output is
     # one state; the block means and numpy's reduction buffers stay under half.
-    op = sr_projection(factor, make_phantom("blocks", (16, 16), seed=6), VP, DDPM)
+    op = SrOp(factor, make_phantom("blocks", (16, 16), seed=6))
     x = RngStream(7).normal((1152, 16, 16))
     assert np.array_equal(op.apply_linear(x), x - op.project(x))
     assert peak_states(lambda: op.apply_linear(x), x) <= 1.5
@@ -76,7 +74,7 @@ def test_inpaint_offset_zeroes_its_own_draw(peak_states):
     # The offset is the masked anchor draw itself, not a masked copy of it;
     # the 1/16 covers numpy's 64 KiB iterator buffers.
     mask = RngStream(8).uniform(shape=(16, 16)) < 0.5
-    op = inpaint_projection(mask, make_phantom("blocks", (16, 16), seed=6), VP, DDPM)
+    op = InpaintOp(mask, make_phantom("blocks", (16, 16), seed=6))
     c = forward_coeffs(VP, 10)
     b = op.offset(c, RngStream(9), (1152,))
     d = op.diffused_measurement(c, RngStream(9), (1152,))
@@ -86,19 +84,19 @@ def test_inpaint_offset_zeroes_its_own_draw(peak_states):
 
 def test_sr_block_constant_measurement_is_projection_fixed_point():
     meas = make_phantom("blocks", (64, 64), seed=5)  # 8x8 constant blocks
-    op = sr_projection(4, meas, VP, DDPM)
+    op = SrOp(4, meas)
     assert np.allclose(op.project(meas), meas, atol=1e-12)
 
 
 def test_sr_rejects_indivisible_shapes():
     with pytest.raises(ValidationError):
-        sr_projection(3, np.zeros((16, 16)), VP, DDPM)
+        SrOp(3, np.zeros((16, 16)))
     with pytest.raises(ValidationError):
-        sr_projection(4, np.zeros((18, 16)), VP, DDPM)
+        SrOp(4, np.zeros((18, 16)))
     meas = np.zeros((16, 16))
     meas[3, 5] = np.inf
     with pytest.raises(ValidationError):
-        sr_projection(4, meas, VP, DDPM)
+        SrOp(4, meas)
 
 
 # -------------------------------- inpainting --------------------------------
@@ -107,10 +105,10 @@ def test_sr_rejects_indivisible_shapes():
 def test_inpaint_full_mask_returns_diffused_measurement_everywhere():
     meas = make_phantom("ellipses", (16, 16), seed=6)
     mask = np.ones((16, 16), dtype=bool)
-    op = inpaint_projection(mask, meas, VP, DDPM)
+    op = InpaintOp(mask, meas)
     x = RngStream(5).normal((16, 16))
-    out = op.apply_linear(x) + op.offset(forward_coeffs(VP, 3), RngStream(6))
     c = forward_coeffs(VP, 3)
+    out = op.apply_linear(x) + op.offset(c, RngStream(6))
     expected = c.a * meas + c.b * RngStream(6).normal((16, 16))
     assert np.allclose(out, expected, rtol=1e-15)
     assert op.tau == 0.0
@@ -121,7 +119,7 @@ def test_inpaint_tau_counts_unmeasured_fraction():
     mask = gen.uniform(size=(20, 20)) < 0.3
     mask.flat[0] = True
     meas = np.zeros((20, 20))
-    op = inpaint_projection(mask, meas, VP, DDPM)
+    op = InpaintOp(mask, meas)
     m = int(mask.sum())
     assert op.tau == pytest.approx((400 - m) / 400, rel=1e-15)
     _probe_projection_identities(op, (20, 20))
@@ -131,28 +129,28 @@ def test_inpaint_kept_box_tau_example():
     # Keeping a 96x96 box of a 256x256 image: tau = 1 - 96^2/256^2 = 0.8594
     mask = np.zeros((256, 256), dtype=bool)
     mask[80:176, 80:176] = True
-    op = inpaint_projection(mask, np.zeros((256, 256)), VP, DDPM)
+    op = InpaintOp(mask, np.zeros((256, 256)))
     assert op.tau == pytest.approx(1.0 - 96 ** 2 / 256 ** 2, rel=1e-15)
     assert op.tau == pytest.approx(0.8594, abs=1e-4)
 
 
 def test_inpaint_rejects_empty_mask():
     with pytest.raises(ValidationError):
-        inpaint_projection(np.zeros((8, 8), dtype=bool), np.zeros((8, 8)), VP, DDPM)
+        InpaintOp(np.zeros((8, 8), dtype=bool), np.zeros((8, 8)))
     meas = np.zeros((8, 8))
     meas[2, 2] = np.nan
     with pytest.raises(ValidationError):
-        inpaint_projection(np.ones((8, 8), dtype=bool), meas, VP, DDPM)
+        InpaintOp(np.ones((8, 8), dtype=bool), meas)
 
 
 def test_inpaint_offset_is_masked_forward_diffusion():
     mask = np.zeros((8, 8), dtype=bool)
     mask[:4] = True
     meas = make_phantom("ellipses", (8, 8), seed=8)
-    op = inpaint_projection(mask, meas, VE, SamplerKind.SMLD)
-    b = op.offset(forward_coeffs(VE, 5), RngStream(9))
-    assert np.all(b[~mask] == 0.0)
+    op = InpaintOp(mask, meas)
     c = forward_coeffs(VE, 5)
+    b = op.offset(c, RngStream(9))
+    assert np.all(b[~mask] == 0.0)
     expected = (c.a * meas + c.b * RngStream(9).normal((8, 8)))[mask]
     assert np.allclose(b[mask], expected, rtol=1e-15)
 
@@ -303,13 +301,13 @@ def test_certify_identity_is_one():
 
 def test_certify_zero_operator():
     meas = make_phantom("blocks", (16, 16), seed=20)
-    op = sr_projection(1, meas, VP, DDPM)  # A = I - I = 0
+    op = SrOp(1, meas)  # A = I - I = 0
     assert certify_nonexpansive(op, trials=16, rng=RngStream(15)) == 0.0
 
 
 def test_certify_sr_projection_hits_one():
     meas = make_phantom("blocks", (32, 32), seed=21)
-    op = sr_projection(4, meas, VP, DDPM)
+    op = SrOp(4, meas)
     sigma = certify_nonexpansive(op, trials=32, rng=RngStream(16))
     assert sigma == pytest.approx(1.0, abs=1e-6)
 
@@ -377,8 +375,8 @@ def test_identity_vanilla_init_requires_measurement():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: sr_projection(2, np.zeros((4, 4)), VP, DDPM),
-    lambda: inpaint_projection(np.eye(4, dtype=bool), np.zeros((4, 4)), VP, DDPM),
+    lambda: SrOp(2, np.zeros((4, 4))),
+    lambda: InpaintOp(np.eye(4, dtype=bool), np.zeros((4, 4))),
 ], ids=["sr", "inpaint"])
 def test_anchored_op_needs_an_rng_stream(make):
     with pytest.raises(ValidationError, match="needs an RNG stream"):

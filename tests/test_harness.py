@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from ccdiff import (CcdfConfig, ConditionalScoreOracle, ExperimentConfig,
-                    GaussianScoreOracle, IdentityOp, SamplerKind, ValidationError,
-                    ccdf_sample, inpaint_projection,
+                    GaussianScoreOracle, IdentityOp, InpaintOp, SamplerKind,
+                    SrOp, ValidationError, ccdf_sample, forward_coeffs,
                     make_phantom, make_ve_schedule, make_vp_schedule, psnr,
-                    resolve_init, run_error_curve, run_mri_demo, run_t0_sweep,
-                    sr_projection)
+                    resolve_init, run_error_curve, run_mri_demo, run_t0_sweep)
 from ccdiff import harness
 from ccdiff.consistency import MriOp, gaussian1d_mask, mri_measure
 from ccdiff.imgio import write_csv
@@ -176,7 +175,7 @@ def _refill_cell(kind, op_name="identity", trials=1024, **kw):
     cfg = _identity_cfg(kind, sch, t0=0.06, trials=trials, seed=31, **kw)
     if op_name == "inpaint":
         mask = np.arange(64) % 2 == 0
-        cfg = replace(cfg, op=inpaint_projection(mask, cfg.ground_truth, sch, kind))
+        cfg = replace(cfg, op=InpaintOp(mask, cfg.ground_truth))
     return cfg
 
 
@@ -340,8 +339,7 @@ def test_error_curve_golden_regression_lock():
     digest = hashlib.sha256()
     for kind in (SamplerKind.DDPM, SamplerKind.SMLD, SamplerKind.DDIM):
         sch = ve if kind is SamplerKind.SMLD else vp
-        for op in (IdentityOp(gt.shape, gt), inpaint_projection(mask, gt, sch, kind),
-                   sr_projection(2, gt, sch, kind)):
+        for op in (IdentityOp(gt.shape, gt), InpaintOp(mask, gt), SrOp(2, gt)):
             cfg = ExperimentConfig(
                 schedule=sch, kind=kind, t0=0.4, trials=16, ground_truth=gt,
                 init=resolve_init("eps0:4.0", gt, op, seed=21), op=op,
@@ -353,28 +351,37 @@ def test_error_curve_golden_regression_lock():
                                   "0e2457106818248a16639463f1d3f4b9")
 
 
-@pytest.mark.parametrize("op_name, kind, built_on, runs_on", [
-    ("sr", SamplerKind.DDPM, make_vp_schedule(1e-4, 0.05, 100), VP100),
-    ("inpaint", SamplerKind.SMLD, make_ve_schedule(0.02, 100, 100), VE100),
-], ids=["sr-ddpm", "inpaint-smld"])
-def test_anchor_follows_the_schedule_the_loop_runs(op_name, kind, built_on, runs_on):
-    # The loop hands each offset its forward coefficients, so the schedule a
-    # factory is given does not reach the bits.
+@pytest.mark.parametrize("op_class, kind, schedule, r", [
+    (SrOp, SamplerKind.DDPM, make_vp_schedule(1e-4, 0.05, 100), 0.0),
+    (InpaintOp, SamplerKind.SMLD, make_ve_schedule(0.02, 100, 100), 0.16),
+], ids=["sr-ddpm", "inpaint-smld-corrected"])
+def test_loop_hands_each_offset_the_coefficients_of_its_schedule(op_class, kind,
+                                                                  schedule, r):
+    # Each consistency map of step i, the corrector's included, gets
+    # forward_coeffs(schedule, i) of the schedule the loop runs, in
+    # ccdf_sample and in run_error_curve alike.
     gt = make_phantom("blocks", (16, 16), seed=4)
-    mask = RngStream(4).uniform(shape=(16, 16)) < 0.5
+    seen = []
 
-    def run(sch):
-        op = (sr_projection(4, gt, sch, kind) if op_name == "sr"
-              else inpaint_projection(mask, gt, sch, kind))
-        oracle = ConditionalScoreOracle(gt)
-        x = ccdf_sample(op.vanilla_init(), op, CcdfConfig(t0=0.1, N=100, kind=kind),
-                        runs_on, oracle, RngStream(5))
-        st = run_error_curve(ExperimentConfig(
-            schedule=runs_on, kind=kind, t0=0.1, trials=8, ground_truth=gt,
-            init=op.vanilla_init(), op=op, oracle=oracle, seed=5))
-        return x.tobytes() + st.mse.tobytes() + st.stderr.tobytes()
+    class RecordingOp(op_class):
+        def offset(self, c, rng, batch_shape=()):
+            seen.append(c)
+            return super().offset(c, rng, batch_shape)
 
-    assert run(built_on) == run(runs_on)
+    first = 4 if op_class is SrOp else RngStream(4).uniform(shape=(16, 16)) < 0.5
+    op = RecordingOp(first, gt)
+    path = CcdfConfig(t0=0.1, N=100, kind=kind, corrector_r=r)
+    maps = 2 if r > 0 else 1
+    expected = [forward_coeffs(schedule, i)
+                for i in range(path.n_prime, 0, -1) for _ in range(maps)]
+    oracle = ConditionalScoreOracle(gt)
+    ccdf_sample(op.vanilla_init(), op, path, schedule, oracle, RngStream(5))
+    assert seen == expected
+    seen.clear()
+    run_error_curve(ExperimentConfig(
+        schedule=schedule, kind=kind, t0=0.1, trials=8, ground_truth=gt,
+        init=op.vanilla_init(), op=op, oracle=oracle, seed=5, corrector_r=r))
+    assert seen == expected
 
 
 def test_t0_sweep_rejects_empty_grid():
@@ -404,8 +411,7 @@ def test_t0_sweep_with_gaussian_oracle_orders_inits_by_eps0():
 
 def test_blocks_phantom_is_block_constant_fixed_point():
     ph = make_phantom("blocks", (64, 64), seed=9)
-    from ccdiff import sr_projection
-    op = sr_projection(4, ph, VP100, SamplerKind.DDPM)
+    op = SrOp(4, ph)
     assert np.array_equal(op.project(ph), ph)
     assert ph.min() >= 0.0 and ph.max() <= 1.0
 
@@ -489,7 +495,7 @@ def test_mri_demo_shared_anchor_consistency_with_inpaint_regression():
     gen = RngStream(19, (7,)).generator()
     mask = gen.uniform(size=(16, 16)) < 0.5
     mask.flat[0] = True
-    op = inpaint_projection(mask, gt, VP100, SamplerKind.DDPM)
+    op = InpaintOp(mask, gt)
     init = resolve_init("eps0:4.0", gt, op, seed=19)
     cfg = ExperimentConfig(schedule=VP100, kind=SamplerKind.DDPM, t0=0.2,
                            trials=8, ground_truth=gt, init=init, op=op,

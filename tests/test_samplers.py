@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from ccdiff import (CcdfConfig, ConditionalScoreOracle, GaussianScoreOracle,
-                    IdentityOp, InpaintOp, SamplerKind, ValidationError,
+                    IdentityOp, InpaintOp, SamplerKind, SrOp, ValidationError,
                     ZeroScoreOracle, ccdf_sample, contraction_rate,
                     forward_coeffs, forward_diffuse, gaussian1d_mask,
                     langevin_corrector, make_phantom, make_ve_schedule,
                     make_vp_schedule, mri_measure, mri_projection,
-                    reverse_step_ddim, reverse_step_ddpm, reverse_step_smld,
-                    sr_projection)
+                    reverse_step_ddim, reverse_step_ddpm, reverse_step_smld)
 from ccdiff.rng import RngStream
 
 VP = make_vp_schedule(1e-4, 0.02, 1000)
@@ -352,7 +351,7 @@ def test_ccdf_golden_regression_lock(kind, r, op_name, digest, total):
     sch = VP if kind is SamplerKind.DDPM else VE
     ref = make_phantom("blocks", (16, 16), seed=5)
     if op_name == "sr":
-        op = sr_projection(4, ref, sch, kind)
+        op = SrOp(4, ref)
     else:
         mask = np.zeros((16, 16), dtype=bool)
         mask[:, ::2] = True
