@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, consistency, harness, imgio
 from .errors import NumericFailure, ValidationError
 from .rng import RngStream
-from .samplers import CcdfConfig, DEFAULT_CORRECTOR_R, ccdf_sample
+from .samplers import RULES, CcdfConfig, DEFAULT_CORRECTOR_R, ccdf_sample
 from .schedules import (SamplerKind, Schedule, make_ve_schedule,
                         make_vp_schedule, schedule_rows, step_index_of_time)
 from .score import ConditionalScoreOracle, GaussianScoreOracle, ScoreOracle
@@ -29,20 +29,31 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+# Each family's range flags and their defaults; a kind reads only its own.
+RANGE_FLAGS = {"vp": {"beta_min": 1e-4, "beta_max": 0.02},
+               "ve": {"sigma_min": 0.01, "sigma_max": 378.0}}
+
+
 def _add_schedule_args(p):
     p.add_argument("--kind", default="ddpm", choices=["ddpm", "smld", "ddim"])
     p.add_argument("--n-steps", type=int, default=1000)
-    p.add_argument("--beta-min", type=float, default=1e-4)
-    p.add_argument("--beta-max", type=float, default=0.02)
-    p.add_argument("--sigma-min", type=float, default=0.01)
-    p.add_argument("--sigma-max", type=float, default=378.0)
+    for flags in RANGE_FLAGS.values():
+        for name, default in flags.items():
+            p.add_argument("--" + name.replace("_", "-"), type=float,
+                           help=f"default {default}")
 
 
 def build_schedule(args) -> tuple[Schedule, SamplerKind]:
     kind = SamplerKind(args.kind)
-    if kind is SamplerKind.SMLD:
-        return make_ve_schedule(args.sigma_min, args.sigma_max, args.n_steps), kind
-    return make_vp_schedule(args.beta_min, args.beta_max, args.n_steps), kind
+    family, other = ("ve", "vp") if kind is SamplerKind.SMLD else ("vp", "ve")
+    for name in RANGE_FLAGS[other]:
+        if getattr(args, name) is not None:
+            raise ValidationError(f"--{name.replace('_', '-')} does not apply to "
+                                  f"--kind {kind.value}")
+    lo, hi = (default if getattr(args, name) is None else getattr(args, name)
+              for name, default in RANGE_FLAGS[family].items())
+    make = make_ve_schedule if family == "ve" else make_vp_schedule
+    return make(lo, hi, args.n_steps), kind
 
 
 def _number(text: str, kind, what: str):
@@ -82,32 +93,22 @@ def _box_hole_mask(shape, box) -> np.ndarray:
     return mask
 
 
-# Config keys each operator reads besides kind and measurement (README's table).
+# Config keys each operator reads besides measurement (README's table).
 OP_KEYS = {"identity": (), "sr": ("factor",), "inpaint": ("box", "mask-path"),
            "mri": ("mask-path", "accel-factor", "acs-fraction", "seed")}
 
 
-def build_op(op_name: str | None, cfg: dict):
+def build_op(op_name: str, cfg: dict):
     """Construct a consistency operator from an op name plus config keys.
 
-    Every operator reads kind and measurement (PGM/raw path), plus its keys
-    in ``OP_KEYS``; any other key is refused.  For the MRI operator
+    Every operator reads measurement (PGM/raw path), plus its keys in
+    ``OP_KEYS``; any other key is refused.  For the MRI operator
     'measurement' names the image whose masked unitary-DFT k-space
-    constitutes y.  The op name may come from the flag or the config's
-    'kind' key; when both are present they must agree.
+    constitutes y.
     """
-    cfg_kind = cfg.get("kind")
-    if op_name is None:
-        if cfg_kind is None:
-            raise ValidationError("operator kind missing: pass --op or put "
-                                  "kind=... in the config")
-        op_name = cfg_kind
-    elif cfg_kind is not None and cfg_kind != op_name:
-        raise ValidationError(
-            f"operator kind mismatch: --op {op_name} vs config kind={cfg_kind}")
     if op_name not in OP_KEYS:
         raise ValidationError(f"unknown operator {op_name!r}")
-    unread = sorted(set(cfg) - {"kind", "measurement", *OP_KEYS[op_name]})
+    unread = sorted(set(cfg) - {"measurement", *OP_KEYS[op_name]})
     if unread:
         raise ValidationError(f"{op_name} op does not read config key(s) "
                               f"{', '.join(map(repr, unread))}")
@@ -154,21 +155,6 @@ def _parse_oracle(spec: str, ground_truth: np.ndarray) -> ScoreOracle:
     raise ValidationError(f"unknown oracle spec {spec!r}")
 
 
-class _CountingOracle(ScoreOracle):
-    """Delegating oracle that counts score evaluations."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def score(self, x, i, schedule):
-        self.calls += 1
-        return self.inner.score(x, i, schedule)
-
-    def jacobian_diag(self, x, i, schedule):
-        return self.inner.jacobian_diag(x, i, schedule)
-
-
 @contextlib.contextmanager
 def _output(path):
     """The file at ``path`` open for writing, or stdout for None or '-'."""
@@ -199,8 +185,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_contract(args) -> int:
     schedule, kind = build_schedule(args)
-    n_prime = (args.n_prime if args.n_prime is not None
-               else step_index_of_time(args.t0, schedule.N))
+    n_prime = step_index_of_time(args.t0, schedule.N)
     report = analysis.contraction_report(schedule, kind, n_prime,
                                          args.n, args.tau, args.eps0)
     with _output(args.out) as fh:
@@ -320,6 +305,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_ccdf(args) -> int:
     schedule, kind = build_schedule(args)
+    if args.corrector_r is not None and not RULES[kind].corrected:
+        raise ValidationError(f"--corrector-r does not apply to --kind {kind.value}")
     op = build_op(args.op, read_op_config(args.op_config))
     consistency.certify_nonexpansive(op, trials=16, rng=RngStream(args.seed, (1,)))
     if args.init == "vanilla":
@@ -331,9 +318,9 @@ def cmd_ccdf(args) -> int:
     anchor = getattr(op, "measurement", None)
     if anchor is None:
         anchor = op.vanilla_init()
-    oracle = _CountingOracle(_parse_oracle(args.oracle, anchor))
-    cfg = CcdfConfig(t0=args.t0, N=args.n_steps, kind=kind,
-                     corrector_r=args.corrector_r)
+    oracle = _parse_oracle(args.oracle, anchor)
+    cfg = CcdfConfig(t0=args.t0, N=args.n_steps, kind=kind, corrector_r=(
+        DEFAULT_CORRECTOR_R if args.corrector_r is None else args.corrector_r))
     start = time.perf_counter()
     x = ccdf_sample(x0, op, cfg, schedule, oracle, RngStream(args.seed))
     elapsed = time.perf_counter() - start
@@ -341,7 +328,7 @@ def cmd_ccdf(args) -> int:
         imgio.save_image(args.out, x)
     print(f"n_prime,{cfg.n_prime}")
     print(f"reverse_steps,{cfg.n_prime}")
-    print(f"score_evaluations,{oracle.calls}")
+    print(f"score_evaluations,{cfg.n_prime * (2 if cfg.corrected else 1)}")
     print(f"seconds,{elapsed:.3f}")
     if isinstance(op, consistency.MriOp):
         print(f"consistency_residual,{op.residual(x)!r}")
@@ -394,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contract", help="contraction report for a schedule")
     _add_schedule_args(p)
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--n-prime", type=int, default=None)
+    p.add_argument("--t0", type=float, default=1.0, help="N' = round(t0 N)")
     p.add_argument("--n", type=int, default=64, help="data dimension")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--eps0", type=float, default=1.0)
@@ -418,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="vector dimension")
     p.add_argument("--size", default=None, help="image HxW (enables 2D ops)")
     p.add_argument("--gt", default="ellipses", choices=["ellipses", "blocks"])
-    p.add_argument("--op", default="identity",
-                   choices=["identity", "inpaint", "sr", "mri"])
+    p.add_argument("--op", default="identity", choices=list(OP_KEYS))
     p.add_argument("--op-config", default=None)
     p.add_argument("--keep-fraction", type=float, default=0.5)
     p.add_argument("--factor", type=int, default=4)
@@ -437,13 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_args(p)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--op", default=None,
-                   choices=["sr", "inpaint", "mri", "identity"])
+    p.add_argument("--op", required=True, choices=list(OP_KEYS))
     p.add_argument("--op-config", required=True)
     p.add_argument("--init", default="vanilla",
                    help="vanilla | file:<path>")
     p.add_argument("--oracle", default="gaussian:0.25")
-    p.add_argument("--corrector-r", type=float, default=DEFAULT_CORRECTOR_R)
+    p.add_argument("--corrector-r", type=float,
+                   help=f"smld only; default {DEFAULT_CORRECTOR_R}")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ccdf)
 
@@ -456,8 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("check-op", help="non-expansiveness and trace checks")
-    p.add_argument("--op", default=None,
-                   choices=["sr", "inpaint", "mri", "identity"])
+    p.add_argument("--op", required=True, choices=list(OP_KEYS))
     p.add_argument("--op-config", required=True)
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)

@@ -76,6 +76,11 @@ class CcdfConfig:
     def n_prime(self) -> int:
         return step_index_of_time(self.t0, self.N)
 
+    @property
+    def corrected(self) -> bool:
+        """Whether each step runs the corrector and a second consistency map."""
+        return RULES[self.kind].corrected and self.corrector_r > 0.0
+
 
 def forward_diffuse(x0: np.ndarray, n_prime: int, schedule: Schedule,
                     z: np.ndarray) -> np.ndarray:
@@ -451,7 +456,6 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     if not all(np.isfinite(x).all() for x in states):
         raise ValidationError(f"non-finite state at the start of step {cfg.n_prime}")
     rule = RULES[cfg.kind]
-    corrected = rule.corrected and cfg.corrector_r > 0.0
     if rule.noisy:
         for k in range(len(states)):
             prefetch(noise[k], states[k].shape)
@@ -463,7 +467,7 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
             states[k] = rule.step(states[k], i, schedule, oracle, z)
             _refill(noise[k], z, i)
         _consistency(states, op, i, c, anchor_rng, batch_axes)
-        if corrected:
+        if cfg.corrected:
             for k in range(len(states)):
                 z = corrector_noise[k].normal(states[k].shape)
                 states[k] = langevin_corrector(

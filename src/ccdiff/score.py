@@ -33,29 +33,6 @@ class ScoreOracle(abc.ABC):
         that the caller may overwrite."""
 
 
-class ConditionalScoreOracle(ScoreOracle):
-    """Score of the Gaussian perturbation kernel anchored at a clean signal.
-
-    s(x, i) = -(x - a_i x_ref) / b_i^2, hence the Jacobian is -(1/b_i^2) I.
-    This realizes the idealized denoising score exactly, which is the
-    assumption under which the closed-form contraction rates hold.
-    """
-
-    def __init__(self, x_ref: np.ndarray):
-        self.x_ref = np.asarray(x_ref, dtype=np.float64)
-
-    def score(self, x, i, schedule):
-        c = forward_coeffs(schedule, i)
-        s = np.subtract(x, c.a * self.x_ref)
-        np.negative(s, out=s)
-        s /= c.b * c.b
-        return s
-
-    def jacobian_diag(self, x, i, schedule):
-        c = forward_coeffs(schedule, i)
-        return np.full_like(np.asarray(x, dtype=np.float64), -1.0 / (c.b * c.b))
-
-
 class GaussianScoreOracle(ScoreOracle):
     """Exact marginal score when the clean data follows N(mu, diag(var)).
 
@@ -84,6 +61,23 @@ class GaussianScoreOracle(ScoreOracle):
         c = forward_coeffs(schedule, i)
         denom = c.a * c.a * self.var + c.b * c.b
         return np.broadcast_to(-1.0 / denom, np.shape(x)).astype(np.float64)
+
+
+class ConditionalScoreOracle(GaussianScoreOracle):
+    """Score of the Gaussian perturbation kernel anchored at a clean signal.
+
+    s(x, i) = -(x - a_i x_ref) / b_i^2, hence the Jacobian is -(1/b_i^2) I:
+    the Gaussian oracle with mu = x_ref and var = 0.  This realizes the
+    idealized denoising score exactly, which is the assumption under which
+    the closed-form contraction rates hold.
+    """
+
+    def __init__(self, x_ref: np.ndarray):
+        super().__init__(mu=x_ref, var=0.0)
+        self.x_ref = self.mu
+
+    # Its own entry: bench/tracing.py's patch_method reads cls.__dict__["score"].
+    score = GaussianScoreOracle.score
 
 
 class ZeroScoreOracle(ScoreOracle):

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from ccdiff import make_phantom
+from ccdiff import GaussianScoreOracle, make_phantom
 from ccdiff.cli import OP_KEYS, main, read_op_config
 from ccdiff.imgio import RAW_DTYPE_F64, RAW_MAGIC, read_pgm, save_image, write_mask
 
@@ -279,6 +279,18 @@ REFUSAL_NAMES = {
     ("simulate --kind ddpm --n-steps 50 --t0 0.1,0.2 --trials 16 --n 16 --seed 1 "
      "--out {tmp}/s.csv --gnuplot {tmp}/s.gp"): "--gnuplot",
     "check-op --op identity --trials -5": "trials",
+    "ccdf --kind ddpm --n-steps 100 --t0 0.1 --seed 3 --op sr --corrector-r 5":
+        "--corrector-r",
+    "ccdf --kind ddim --n-steps 100 --t0 0.1 --seed 3 --op sr --corrector-r 0":
+        "--corrector-r",
+    "contract --kind smld --n-steps 1000 --t0 0.1 --beta-max 0.5": "--beta-max",
+    "shortcut --kind ddim --eps0 12.8 --sigma-min 0.02": "--sigma-min",
+    "simulate --kind ddpm --n-steps 50 --n 4 --trials 4 --seed 1 --sigma-max 5":
+        "--sigma-max",
+    "contract --kind ddpm --n-steps 100 --n-prime 10": "--n-prime",
+    "check-op --op sr --seed 3": "'kind'",
+    "check-op --seed 4": "--op",
+    "ccdf --kind ddim --n-steps 100 --t0 0.1 --seed 4": "--op",
 }
 
 # Malformed image files, written to the test's directory; ``{tmp}`` in a case
@@ -301,7 +313,7 @@ BAD_IMAGES = {
     ("ccdf --seed 1 --op sr --t0 0.1", "factor=abc"),
     ("ccdf --seed 1 --op mri --t0 0.1", "accel-factor=x"),
     ("shortcut --eps0 1 --n -5", None),
-    ("contract --n-prime 0", None),
+    ("contract --kind ddpm --n-steps 100 --n-prime 10", None),
     ("contract --n 0", None),
     ("shortcut --eps0 inf", None),
     ("shortcut --eps0 1 --tau nan", None),
@@ -337,6 +349,16 @@ BAD_IMAGES = {
     (("simulate --kind ddpm --n-steps 50 --t0 0.1,0.2 --trials 16 --n 16 --seed 1 "
       "--out {tmp}/s.csv --gnuplot {tmp}/s.gp"), None),
     ("check-op --op identity --trials -5", ""),
+    ("ccdf --kind ddpm --n-steps 100 --t0 0.1 --seed 3 --op sr --corrector-r 5",
+     "factor=4"),
+    ("ccdf --kind ddim --n-steps 100 --t0 0.1 --seed 3 --op sr --corrector-r 0",
+     "factor=4"),
+    ("contract --kind smld --n-steps 1000 --t0 0.1 --beta-max 0.5", None),
+    ("shortcut --kind ddim --eps0 12.8 --sigma-min 0.02", None),
+    ("simulate --kind ddpm --n-steps 50 --n 4 --trials 4 --seed 1 --sigma-max 5", None),
+    ("check-op --op sr --seed 3", "kind=sr\nfactor=4"),
+    ("check-op --seed 4", "kind=identity"),
+    ("ccdf --kind ddim --n-steps 100 --t0 0.1 --seed 4", "kind=identity"),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):
@@ -384,22 +406,45 @@ def test_read_op_config_parsing(tmp_path):
         read_op_config(bad)
 
 
-def test_ccdf_init_from_file_and_config_kind(tmp_path, phantom_file):
+def test_ccdf_init_from_file_and_config_kind(tmp_path, phantom_file, capsys):
     init_path = tmp_path / "init.raw"
     save_image(init_path, make_phantom("blocks", (64, 64), seed=1))
     cfg = tmp_path / "op.cfg"
-    cfg.write_text(f"kind=sr\nmeasurement={phantom_file}\nfactor=4\n")
-    code, text = run_cli("ccdf", "--kind", "ddim", "--n-steps", "100",
-                         "--t0", "0.1", "--seed", "12",
-                         "--op-config", str(cfg),  # kind taken from the config
-                         "--init", f"file:{init_path}")
+    cfg.write_text(f"measurement={phantom_file}\nfactor=4\n")
+    argv = ["ccdf", "--kind", "ddim", "--n-steps", "100", "--t0", "0.1",
+            "--seed", "12", "--op", "sr", "--op-config", str(cfg)]
+    code, text = run_cli(*argv, "--init", f"file:{init_path}")
     assert code == 0
     assert kv(text)["reverse_steps"] == "10"
-    # mismatch between flag and config key is rejected
-    code, _ = run_cli("ccdf", "--kind", "ddim", "--n-steps", "100",
-                      "--t0", "0.1", "--seed", "12", "--op", "mri",
-                      "--op-config", str(cfg), "--init", "vanilla")
+    # --op names the operator; a config kind= key is refused like any key
+    # the operator does not read, even when it agrees with --op.
+    cfg.write_text(f"kind=sr\nmeasurement={phantom_file}\nfactor=4\n")
+    code, _ = run_cli(*argv)
     assert code == 1
+    assert "'kind'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, calls", [
+    ("--kind smld --n-steps 1000 --t0 0.01", 20),     # predictor + corrector
+    ("--kind smld --n-steps 1000 --t0 0.01 --corrector-r 0", 10),
+    ("--kind ddim --n-steps 100 --t0 0.1", 10),
+])
+def test_ccdf_score_evaluations_are_the_calls_made(argv, calls, tmp_path, phantom_file,
+                                                   monkeypatch):
+    seen = []
+    score = GaussianScoreOracle.score
+
+    def counting_score(self, x, i, schedule):
+        seen.append(i)
+        return score(self, x, i, schedule)
+
+    monkeypatch.setattr(GaussianScoreOracle, "score", counting_score)
+    cfg = tmp_path / "op.cfg"
+    cfg.write_text(f"measurement={phantom_file}\nfactor=4\n")
+    code, text = run_cli("ccdf", *argv.split(), "--seed", "1", "--op", "sr",
+                         "--op-config", str(cfg))
+    assert code == 0
+    assert int(kv(text)["score_evaluations"]) == len(seen) == calls
 
 
 def test_simulate_accepts_the_zero_variance_gaussian_oracle():
@@ -440,12 +485,8 @@ def test_check_op_exits_zero_or_one_on_any_op_config(tmp_path, capsys):
             pairs += data.draw(st.lists(st.tuples(st.sampled_from(OP_KEYS[op]), values),
                                         max_size=3))
         lines = [f"measurement={image}"] + [f"{k}={v}" for k, v in pairs]
-        if data.draw(st.booleans()):
-            argv = ["--op", op]
-        else:
-            argv, lines = [], [f"kind={op}"] + lines
         cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code, _ = run_cli("check-op", "--op-config", str(cfg), "--trials", "2", *argv)
+        code, _ = run_cli("check-op", "--op", op, "--op-config", str(cfg), "--trials", "2")
         err = capsys.readouterr().err
         assert code in (0, 1)
         assert (code == 1) == err.startswith("error: ")

@@ -155,6 +155,13 @@ def test_step_index_of_time():
         step_index_of_time(1.2, 1000)
 
 
+def test_every_step_index_is_reached_by_its_own_time():
+    # t0 = k/N names every N' = k: contract's --t0 is the only way to set N'.
+    for N in range(2, 1001):
+        for k in range(1, N + 1):
+            assert step_index_of_time(k / N, N) == k
+
+
 def test_with_kind_retag():
     s = make_vp_schedule(1e-4, 0.02, 10)
     assert s.with_kind(SamplerKind.DDIM) is s

@@ -18,13 +18,22 @@ def test_conditional_score_vanishes_at_kernel_mean():
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
-def test_gaussian_with_zero_variance_degenerates_to_conditional():
+@pytest.mark.parametrize("schedule", [VP, VE], ids=["vp", "ve"])
+@pytest.mark.parametrize("x_shape", [(16,), (3, 16)], ids=["single", "batched"])
+def test_gaussian_with_zero_variance_degenerates_to_conditional(schedule, x_shape):
+    # Bit for bit, and both equal to the kernel score -(x - a_i mu) / b_i^2.
     mu = RngStream(1).normal((16,))
     g = GaussianScoreOracle(mu=mu, var=0.0)
     cond = ConditionalScoreOracle(mu)
-    x = RngStream(2).normal((16,))
+    x = RngStream(2).normal(x_shape)
     for i in (1, 100, 1000):
-        assert np.allclose(g.score(x, i, VP), cond.score(x, i, VP), rtol=1e-14)
+        c = forward_coeffs(schedule, i)
+        kernel = -(x - c.a * mu) / (c.b * c.b)
+        assert np.array_equal(g.score(x, i, schedule), kernel)
+        assert np.array_equal(cond.score(x, i, schedule), kernel)
+        jd = np.full(x_shape, -1.0 / (c.b * c.b))
+        assert np.array_equal(g.jacobian_diag(x, i, schedule), jd)
+        assert np.array_equal(cond.jacobian_diag(x, i, schedule), jd)
 
 
 def test_conditional_score_one_noise_std_from_mean():
@@ -46,8 +55,9 @@ def test_jacobian_closed_forms():
         jd = cond.jacobian_diag(x, i, schedule)
         assert np.allclose(jd, -1.0 / c.b ** 2, rtol=1e-14)
     g0 = GaussianScoreOracle(mu=x_ref, var=0.0)
-    assert np.allclose(g0.jacobian_diag(x, 123, VP),
-                       cond.jacobian_diag(x, 123, VP), rtol=1e-14)
+    for schedule in (VP, VE):
+        assert np.array_equal(g0.jacobian_diag(x, 123, schedule),
+                              cond.jacobian_diag(x, 123, schedule))
 
 
 def test_gaussian_unit_variance_jacobian_is_minus_one_on_vp():
