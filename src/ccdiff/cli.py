@@ -93,56 +93,65 @@ def _box_hole_mask(shape, box) -> np.ndarray:
     return mask
 
 
-# Config keys each operator reads besides measurement (README's table).
-OP_KEYS = {"identity": (), "sr": ("factor",), "inpaint": ("box", "mask-path"),
+# Keys each operator reads besides its measurement (README's table).
+OP_KEYS = {"identity": (), "sr": ("factor",),
+           "inpaint": ("mask-path", "box", "keep-fraction", "seed"),
            "mri": ("mask-path", "accel-factor", "acs-fraction", "seed")}
 
 
-def build_op(op_name: str, cfg: dict):
-    """Construct a consistency operator from an op name plus config keys.
+def build_op(op_name: str, keys: dict, measurement: np.ndarray, prefix: str = ""):
+    """The consistency operator ``op_name`` on ``measurement``.
 
-    Every operator reads measurement (PGM/raw path), plus its keys in
-    ``OP_KEYS``; any other key is refused.  For the MRI operator
-    'measurement' names the image whose masked unitary-DFT k-space
+    ``keys`` maps the operator's ``OP_KEYS`` names to string values.  Any
+    other key is refused, and so is any key next to a mask-path or box, which
+    is the whole mask.  Errors name a key as ``prefix + key``.  For the MRI
+    operator the measurement is the image whose masked unitary-DFT k-space
     constitutes y.
     """
-    if op_name not in OP_KEYS:
-        raise ValidationError(f"unknown operator {op_name!r}")
-    unread = sorted(set(cfg) - {"measurement", *OP_KEYS[op_name]})
+    source = next((k for k in ("mask-path", "box") if k in keys and k in OP_KEYS[op_name]),
+                  None)
+    unread = sorted(set(keys) - ({source} if source else set(OP_KEYS[op_name])))
     if unread:
-        raise ValidationError(f"{op_name} op does not read config key(s) "
-                              f"{', '.join(map(repr, unread))}")
-    if "measurement" not in cfg:
-        raise ValidationError(f"{op_name} op needs measurement=<path> in the config")
-    measurement = imgio.load_image(cfg["measurement"])
+        raise ValidationError(f"{op_name} op does not read "
+                              f"{', '.join(repr(prefix + k) for k in unread)}"
+                              + (f" next to {source!r}" if source else ""))
+
+    def number(key, kind, default):
+        return _number(keys.get(key, default), kind, prefix + key)
 
     if op_name == "identity":
         return consistency.IdentityOp(measurement.shape, measurement)
-
     if op_name == "sr":
-        factor = _number(cfg.get("factor", "4"), int, "factor")
-        return consistency.SrOp(factor, measurement)
-
-    if op_name == "inpaint":
-        if "mask-path" in cfg:
-            mask = imgio.read_mask(cfg["mask-path"])
-        elif "box" in cfg:
-            mask = _box_hole_mask(measurement.shape, cfg["box"])
-        else:
-            raise ValidationError("inpaint op needs mask-path= or box= in the config")
-        return consistency.InpaintOp(mask, measurement)
-
-    if "mask-path" in cfg:
-        mask = imgio.read_mask(cfg["mask-path"])
+        return consistency.SrOp(number("factor", int, "4"), measurement)
+    if "mask-path" in keys:
+        mask = imgio.read_mask(keys["mask-path"])
+    elif "box" in keys:
+        mask = _box_hole_mask(measurement.shape, keys["box"])
+    elif op_name == "inpaint":  # each pixel kept with probability keep-fraction
+        keep, seed = number("keep-fraction", float, "0.5"), number("seed", int, "0")
+        if not 0.0 < keep <= 1.0:
+            raise ValidationError(f"{prefix}keep-fraction must lie in (0, 1], got {keep}")
+        mask = RngStream(seed, (0x6D6B,)).generator().uniform(size=measurement.shape) < keep
+        if not mask.any():
+            raise ValidationError(f"{prefix}keep-fraction {keep} keeps no pixel of the "
+                                  f"n={mask.size} image drawn with {prefix}seed {seed}")
+    elif measurement.ndim != 2:
+        raise ValidationError(f"mri op needs a 2D image, got shape {measurement.shape}")
     else:
         mask = consistency.gaussian1d_mask(
-            measurement.shape,
-            accel=_number(cfg.get("accel-factor", "4.0"), float, "accel-factor"),
-            acs_fraction=_number(cfg.get("acs-fraction", "0.08"), float,
-                                 "acs-fraction"),
-            seed=_number(cfg.get("seed", "0"), int, "seed"),
-        )
+            measurement.shape, accel=number("accel-factor", float, "4.0"),
+            acs_fraction=number("acs-fraction", float, "0.08"), seed=number("seed", int, "0"))
+    if op_name == "inpaint":
+        return consistency.InpaintOp(mask, measurement)
     return consistency.MriOp(mask, consistency.mri_measure(measurement, mask))
+
+
+def _config_op(op_name: str, path):
+    """The operator an op-config file gives: its measurement plus its keys."""
+    keys = read_op_config(path)
+    if "measurement" not in keys:
+        raise ValidationError(f"{op_name} op needs measurement=<path> in the config")
+    return build_op(op_name, keys, imgio.load_image(keys.pop("measurement")))
 
 
 def _parse_oracle(spec: str, ground_truth: np.ndarray) -> ScoreOracle:
@@ -214,41 +223,19 @@ def cmd_shortcut(args) -> int:
 
 def _simulate_ground_truth(args):
     if args.size:
-        return harness.make_phantom(args.gt, _parse_size(args.size), seed=args.seed)
+        if args.n is not None:
+            raise ValidationError("--n does not apply with --size: the image has HxW pixels")
+        return harness.make_phantom(args.gt or "ellipses", _parse_size(args.size), seed=args.seed)
+    if args.gt:
+        raise ValidationError("--gt does not apply without --size: --n draws a vector")
     n = 64 if args.n is None else args.n
     if n < 1:
         raise ValidationError(f"--n must be >= 1, got {n}")
     return RngStream(args.seed, (0x6774,)).uniform(0.0, 1.0, (n,))
 
 
-def _simulate_op(args, ground_truth):
-    if args.op_config:
-        return build_op(args.op, read_op_config(args.op_config))
-    if args.op == "identity":
-        return consistency.IdentityOp(ground_truth.shape, ground_truth)
-    if args.op == "inpaint":
-        if not 0.0 < args.keep_fraction <= 1.0:
-            raise ValidationError(
-                f"--keep-fraction must lie in (0, 1], got {args.keep_fraction}")
-        gen = RngStream(args.seed, (0x6D6B,)).generator()
-        mask = gen.uniform(size=ground_truth.shape) < args.keep_fraction
-        if not mask.any():
-            raise ValidationError(
-                f"--keep-fraction {args.keep_fraction} keeps no pixel of the "
-                f"n={mask.size} image drawn with --seed {args.seed}")
-        return consistency.InpaintOp(mask, ground_truth)
-    if args.op == "sr":
-        if ground_truth.ndim != 2:
-            raise ValidationError("sr simulation needs --size HxW")
-        blocky = consistency.SrOp(args.factor, ground_truth).project(ground_truth)
-        return consistency.SrOp(args.factor, blocky)
-    if args.op == "mri":
-        if ground_truth.ndim != 2:
-            raise ValidationError("mri simulation needs --size HxW")
-        mask = consistency.gaussian1d_mask(ground_truth.shape, args.accel_factor,
-                                           args.acs_fraction, args.seed)
-        return consistency.MriOp(mask, consistency.mri_measure(ground_truth, mask))
-    raise ValidationError(f"unknown operator {args.op!r}")
+# simulate's operator flags, each the op-config key of the same name.
+SIMULATE_OP_FLAGS = ("factor", "keep-fraction", "accel-factor", "acs-fraction")
 
 
 _GNUPLOT_TEMPLATE = """\
@@ -273,7 +260,20 @@ def cmd_simulate(args) -> int:
         raise ValidationError("--gnuplot plots a trajectory CSV; a --t0 sweep writes none")
     schedule, kind = build_schedule(args)
     gt = _simulate_ground_truth(args)
-    op = _simulate_op(args, gt)
+    keys = {key: vars(args)[key] for key in SIMULATE_OP_FLAGS if vars(args)[key] is not None}
+    if args.op_config:
+        if keys:
+            raise ValidationError(f"--{min(keys)} does not apply with --op-config")
+        op = _config_op(args.op, args.op_config)
+        if op.shape != gt.shape:
+            raise ValidationError(f"--op-config measurement shape {op.shape} != "
+                                  f"ground truth shape {gt.shape}")
+    else:
+        if "seed" in OP_KEYS[args.op]:
+            keys["seed"] = str(args.seed)
+        op = build_op(args.op, keys, gt, prefix="--")
+        if args.op == "sr":  # the SR measurement is the ground truth's block mean
+            op = build_op(args.op, keys, op.project(gt), prefix="--")
     oracle = _parse_oracle(args.oracle, gt)
     if isinstance(oracle, GaussianScoreOracle) and oracle.var > 0:
         raise ValidationError(f"--oracle {args.oracle!r}: the printed bounds hold only "
@@ -307,7 +307,7 @@ def cmd_ccdf(args) -> int:
     schedule, kind = build_schedule(args)
     if args.corrector_r is not None and not RULES[kind].corrected:
         raise ValidationError(f"--corrector-r does not apply to --kind {kind.value}")
-    op = build_op(args.op, read_op_config(args.op_config))
+    op = _config_op(args.op, args.op_config)
     consistency.certify_nonexpansive(op, trials=16, rng=RngStream(args.seed, (1,)))
     if args.init == "vanilla":
         x0 = op.vanilla_init()
@@ -342,7 +342,7 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_check_op(args) -> int:
-    op = build_op(args.op, read_op_config(args.op_config))
+    op = _config_op(args.op, args.op_config)
     rng = RngStream(args.seed, (0x636B,))
     sigma = consistency.certify_nonexpansive(op, trials=args.trials, rng=rng)
     gen = rng.generator()
@@ -403,13 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n", type=int, default=None, help="vector dimension")
     p.add_argument("--size", default=None, help="image HxW (enables 2D ops)")
-    p.add_argument("--gt", default="ellipses", choices=["ellipses", "blocks"])
+    p.add_argument("--gt", choices=["ellipses", "blocks"], help="with --size; default ellipses")
     p.add_argument("--op", default="identity", choices=list(OP_KEYS))
     p.add_argument("--op-config", default=None)
-    p.add_argument("--keep-fraction", type=float, default=0.5)
-    p.add_argument("--factor", type=int, default=4)
-    p.add_argument("--accel-factor", type=float, default=4.0)
-    p.add_argument("--acs-fraction", type=float, default=0.08)
+    for key in SIMULATE_OP_FLAGS:
+        p.add_argument("--" + key, dest=key, help=f"the op-config key {key}")
     p.add_argument("--oracle", default="conditional")
     p.add_argument("--init", default="vanilla")
     p.add_argument("--shared-noise", action="store_true")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import struct
 from contextlib import redirect_stdout
@@ -9,6 +10,7 @@ import pytest
 from ccdiff import GaussianScoreOracle, make_phantom
 from ccdiff.cli import OP_KEYS, main, read_op_config
 from ccdiff.imgio import RAW_DTYPE_F64, RAW_MAGIC, read_pgm, save_image, write_mask
+from ccdiff.rng import RngStream
 
 
 def run_cli(*argv):
@@ -291,6 +293,23 @@ REFUSAL_NAMES = {
     "check-op --op sr --seed 3": "'kind'",
     "check-op --seed 4": "--op",
     "ccdf --kind ddim --n-steps 100 --t0 0.1 --seed 4": "--op",
+    "simulate --seed 1 --n 4 --trials 4 --n-steps 20 --factor 8": "'--factor'",
+    "simulate --seed 1 --n 4 --trials 4 --n-steps 20 --keep-fraction 0.3":
+        "'--keep-fraction'",
+    "simulate --seed 1 --n 4 --trials 4 --n-steps 20 --accel-factor 2": "'--accel-factor'",
+    "simulate --seed 1 --n 4 --trials 4 --n-steps 20 --op inpaint --acs-fraction 0.2":
+        "'--acs-fraction'",
+    "simulate --seed 1 --size 8x8 --trials 4 --n-steps 20 --op sr --keep-fraction 0.3":
+        "'--keep-fraction'",
+    "simulate --seed 1 --size 8x8 --trials 4 --n-steps 20 --op mri --factor 2": "'--factor'",
+    "simulate --seed 1 --size 8x8 --n 5 --trials 4 --n-steps 20": "--n does not apply",
+    "simulate --seed 1 --n 4 --trials 4 --n-steps 20 --gt blocks": "--gt does not apply",
+    "simulate --seed 1 --size 64x64 --trials 4 --n-steps 20 --op sr --factor 4":
+        "--factor does not apply with --op-config",
+    "simulate --seed 1 --trials 4 --n-steps 20 --op sr":
+        "measurement shape (64, 64) != ground truth shape (64,)",
+    "check-op --op inpaint --seed 5": "'seed' next to 'box'",
+    "check-op --op mri --seed 6": "'accel-factor', 'seed' next to 'mask-path'",
 }
 
 # Malformed image files, written to the test's directory; ``{tmp}`` in a case
@@ -359,6 +378,18 @@ BAD_IMAGES = {
     ("check-op --op sr --seed 3", "kind=sr\nfactor=4"),
     ("check-op --seed 4", "kind=identity"),
     ("ccdf --kind ddim --n-steps 100 --t0 0.1 --seed 4", "kind=identity"),
+    ("simulate --seed 1 --n 4 --trials 4 --n-steps 20 --factor 8", None),
+    ("simulate --seed 1 --n 4 --trials 4 --n-steps 20 --keep-fraction 0.3", None),
+    ("simulate --seed 1 --n 4 --trials 4 --n-steps 20 --accel-factor 2", None),
+    ("simulate --seed 1 --n 4 --trials 4 --n-steps 20 --op inpaint --acs-fraction 0.2", None),
+    ("simulate --seed 1 --size 8x8 --trials 4 --n-steps 20 --op sr --keep-fraction 0.3", None),
+    ("simulate --seed 1 --size 8x8 --trials 4 --n-steps 20 --op mri --factor 2", None),
+    ("simulate --seed 1 --size 8x8 --n 5 --trials 4 --n-steps 20", None),
+    ("simulate --seed 1 --n 4 --trials 4 --n-steps 20 --gt blocks", None),
+    ("simulate --seed 1 --size 64x64 --trials 4 --n-steps 20 --op sr --factor 4", "factor=4"),
+    ("simulate --seed 1 --trials 4 --n-steps 20 --op sr", "factor=4"),
+    ("check-op --op inpaint --seed 5", "box=3,3\nseed=2"),
+    ("check-op --op mri --seed 6", "mask-path={tmp}/nonint.pgm\nseed=2\naccel-factor=2"),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):
@@ -492,3 +523,45 @@ def test_check_op_exits_zero_or_one_on_any_op_config(tmp_path, capsys):
         assert (code == 1) == err.startswith("error: ")
 
     check()
+
+
+# simulate's CSV for every way it builds an operator, pinned by SHA-256:
+# ``{cfg}`` names a 16x16 SR op config (factor 4, ellipses phantom seed 5).
+SIMULATE_GOLDENS = {
+    "--n 16": "76b28d692dd708e6da33b662a03aadd7d817e1d3ea59f7c50b077893a809b0b2",
+    "--size 16x16": "e79bf5a9ce130663fada85e55f6c634afae35cfada6a94c36e024ac429f6a982",
+    "--size 16x16 --op inpaint":
+        "d8e3e81e85ec67e84777fec73d7529a6ba1352dfdad6d0dc9c8cbe367d966750",
+    "--size 16x16 --op inpaint --keep-fraction 0.3":
+        "808705796030b28737c103b22721d2d1b33dad0acce4d925fbe34fc463a36c10",
+    "--size 16x16 --op sr": "04678b7674e4910e53ddc210021b6257a82217ee149f4a211663f435ef87b83f",
+    "--size 16x16 --op sr --factor 2":
+        "609184f7a7eb63d53aac98d7c0a8a5bb7562f7ac18d70fbf1e2bb4a01c8ac0d4",
+    "--size 16x16 --op mri": "0dc28a8bba795459e77f8df7b9b7e612f3e52f453248e0d6cd3e8736838616a7",
+    "--size 16x16 --op mri --accel-factor 2 --acs-fraction 0.2":
+        "c9b8c627b56b5c4fe66b8daccd04eb0d10f5e020078043dc2609bfeab37436df",
+    "--size 16x16 --op sr --op-config {cfg}":
+        "1952f1913e59b18eb1d1a0ba892712ed65082e911764f137d8e509d6d45f5370",
+}
+
+
+@pytest.mark.parametrize("argv", list(SIMULATE_GOLDENS))
+def test_simulate_csv_golden_per_operator_path(argv, tmp_path):
+    save_image(tmp_path / "m.raw", make_phantom("ellipses", (16, 16), seed=5))
+    cfg = tmp_path / "sr.cfg"
+    cfg.write_text(f"measurement={tmp_path / 'm.raw'}\nfactor=4\n")
+    code, text = run_cli("simulate", "--trials", "8", "--n-steps", "20", "--seed", "1",
+                         *argv.format(cfg=cfg).split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == SIMULATE_GOLDENS[argv]
+
+
+def test_inpaint_config_draws_the_mask_simulate_draws(tmp_path):
+    # keep-fraction and seed in an op config draw simulate's seeded mask.
+    mask = RngStream(2, (0x6D6B,)).generator().uniform(size=(64, 64)) < 0.3
+    save_image(tmp_path / "m.raw", make_phantom("ellipses", (64, 64), seed=5))
+    cfg = tmp_path / "op.cfg"
+    cfg.write_text(f"measurement={tmp_path / 'm.raw'}\nkeep-fraction=0.3\nseed=2\n")
+    code, text = run_cli("check-op", "--op", "inpaint", "--op-config", str(cfg))
+    assert code == 0
+    assert kv(text)["operator"] == f"inpaint kept={mask.sum()}/4096"

@@ -381,3 +381,87 @@ def test_identity_vanilla_init_requires_measurement():
 def test_anchored_op_needs_an_rng_stream(make):
     with pytest.raises(ValidationError, match="needs an RNG stream"):
         make().offset(forward_coeffs(VP, 3), None)
+
+
+# ----------------------------- properties ----------------------------------
+
+
+def _strategies():
+    """hypothesis, and a strategy for small random operators of every kind."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def bits(draw, shape):
+        flat = draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                             max_size=shape[0] * shape[1]))
+        return np.array(flat, dtype=bool).reshape(shape)
+
+    @st.composite
+    def symmetric_masks(draw):
+        # Conjugate-symmetric, varying along rows, columns or both.
+        shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+        m = bits(draw, shape)
+        m = np.broadcast_to(draw(st.sampled_from([m, m[:1], m[:, :1]])), shape)
+        mask = m | np.roll(np.flip(m), 1, axis=(0, 1))
+        return mask if mask.any() else np.ones(shape, dtype=bool)
+
+    @st.composite
+    def operators(draw):
+        kind = draw(st.sampled_from(["identity", "sr", "inpaint", "mri"]))
+        if kind == "mri":
+            mask = draw(symmetric_masks())
+            return mri_projection(mask, mri_measure(np.zeros(mask.shape), mask))
+        if kind == "sr":
+            D = draw(st.integers(1, 4))
+            return SrOp(D, np.zeros((D * draw(st.integers(1, 3)), D * draw(st.integers(1, 3)))))
+        shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+        if kind == "identity":
+            return IdentityOp(shape, np.zeros(shape))
+        mask = bits(draw, shape)
+        mask[0, 0] = True
+        return InpaintOp(mask, np.zeros(shape))
+
+    settings = hyp.settings(max_examples=200, deadline=None, database=None)
+    return hyp, st, settings, operators, symmetric_masks
+
+
+def test_random_operators_are_orthogonal_projections():
+    # A(Ax) = Ax and <Ax, y> = <x, Ay>, on single and batched states.
+    hyp, st, settings, operators, _ = _strategies()
+
+    @settings
+    @hyp.given(operators(), st.sampled_from([(), (3,)]), st.integers(0, 10**6))
+    def check(op, batch, seed):
+        _probe_projection_identities(op, batch + op.shape, seed=seed, atol=1e-12)
+
+    check()
+
+
+def test_random_operator_tau_is_the_trace_over_basis_vectors():
+    hyp, _, settings, operators, _ = _strategies()
+
+    @settings
+    @hyp.given(operators())
+    def check(op):
+        n = int(np.prod(op.shape))
+        A = np.asarray(op.apply_linear(np.eye(n).reshape((n,) + op.shape))).reshape(n, n)
+        assert abs(op.tau - np.trace(A) / n) <= 1e-12
+        assert abs(op.tau - np.sum(A * A) / n) <= 1e-12
+
+    check()
+
+
+def test_random_mri_real_fft_matches_the_complex_reference():
+    hyp, st, settings, _, symmetric_masks = _strategies()
+
+    @settings
+    @hyp.given(symmetric_masks(), st.sampled_from([(), (2,)]), st.integers(0, 10**6))
+    def check(mask, batch, seed):
+        assert is_conjugate_symmetric(mask)
+        op = mri_projection(mask, mri_measure(np.zeros(mask.shape), mask))
+        x = RngStream(seed, (0x7266,)).normal(batch + mask.shape)
+        ref = op.apply_linear_complex(x)
+        assert np.max(np.abs(ref.imag)) <= 1e-12
+        assert np.max(np.abs(op.apply_linear(x) - ref.real)) <= 1e-12
+
+    check()
