@@ -55,7 +55,8 @@ class ExperimentConfig:
         if not 0.0 < self.t0 <= 1.0:
             raise ValidationError(f"t0 must lie in (0, 1], got {self.t0}")
         if np.shape(self.ground_truth) != np.shape(self.init):
-            raise ValidationError("ground truth and init must share a shape")
+            raise ValidationError(f"ground truth shape {np.shape(self.ground_truth)} "
+                                  f"!= init shape {np.shape(self.init)}")
         tau = getattr(self.op, "tau", None)
         if not (isinstance(tau, numbers.Real) and 0.0 <= tau <= 1.0):
             raise ValidationError(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,56 @@ def test_error_bound_rejects_non_contracting_lambda():
             bound_traces(np.array([0.5]), np.array([1.0]), tau, 1.0)
 
 
+def _recursive_trace_on_numpy_scalars(lam, cs, tau, fwd_err):
+    """The recursion as it ran on numpy float64 scalars: the bits to keep."""
+    rec = np.empty(lam.size + 1)
+    rec[lam.size] = fwd_err
+    for j in range(lam.size, 0, -1):
+        rec[j - 1] = lam[j - 1] ** 2 * rec[j] + 2.0 * cs[j - 1] * tau
+    return rec
+
+
+def _assert_recursive_trace_keeps_its_bits(schedule, kind, n_prime, n, tau, eps0):
+    _, lam = contraction_rate(schedule, kind, n_prime)
+    cs = noise_constant_per_step(schedule, kind, n_prime, n)
+    fwd = forward_error(eps0, schedule, kind, n_prime, n)
+    _, rec = bound_traces(lam, cs, tau, fwd)
+    ref = _recursive_trace_on_numpy_scalars(lam, cs, tau, fwd)
+    assert rec.dtype == ref.dtype and rec.shape == ref.shape
+    assert rec.tobytes() == ref.tobytes(), (kind, n_prime, n, tau, eps0)
+
+
+# Values cycled over N', so that every N' in 1..N runs once per kind and each
+# value meets many N'.
+BIT_GRID = list(itertools.product((1, 64, 4096, 10**6), (0.0, 0.3, 0.5, 1.0),
+                                  (0.0, 0.1, 10.0, 1e4)))
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_recursive_trace_is_bit_identical_to_the_numpy_scalar_loop(kind):
+    # On the N = 1000 VP schedule, lam * lam and np.power(lam, 2) each differ
+    # from pow(lam, 2) in a few entries of lambda (2 for DDPM, 1 for DDIM).
+    schedule = VE if kind is SamplerKind.SMLD else VP
+    cases = zip(range(1, schedule.N + 1), itertools.cycle(BIT_GRID))
+    for n_prime, (n, tau, eps0) in cases:
+        _assert_recursive_trace_keeps_its_bits(schedule, kind, n_prime, n, tau, eps0)
+
+
+def test_recursive_trace_keeps_its_bits_on_random_queries():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=300, deadline=None, database=None)
+    @hyp.given(st.sampled_from(list(SamplerKind)), st.integers(1, 1000),
+               st.integers(1, 10**8), st.floats(0.0, 1.0),
+               st.floats(0.0, 1e6))
+    def check(kind, n_prime, n, tau, eps0):
+        schedule = VE if kind is SamplerKind.SMLD else VP
+        _assert_recursive_trace_keeps_its_bits(schedule, kind, n_prime, n, tau, eps0)
+
+    check()
+
+
 # ----------------------------- minimal shortcut -----------------------------
 
 
@@ -295,7 +347,8 @@ def test_shortcut_validates_inputs():
             minimal_shortcut(1.0, bad, VE, SamplerKind.DDIM, 1.0, 64)
         with pytest.raises(ValidationError):
             minimal_shortcut(1.0, 1.0, VE, SamplerKind.DDIM, bad, 64)
-    for n in (0, -5):
+    # 10**400 converts to no float.
+    for n in (0, -5, 10**400, np.inf, np.nan):
         with pytest.raises(ValidationError, match="n must be >= 1"):
             minimal_shortcut(1.0, 1.0, VE, SamplerKind.SMLD, 1.0, n)
         with pytest.raises(ValidationError, match="n must be >= 1"):

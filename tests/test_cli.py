@@ -244,6 +244,9 @@ def test_exit_codes_for_bad_usage(tmp_path):
     assert not (tmp_path / "p.pgm").exists()
 
 
+# A data dimension that no float holds: 400 digits.
+HUGE_N = "9" * 400
+
 # What the error line must name, for inputs refused by a check with a message
 # of its own rather than by a later failure.
 REFUSAL_NAMES = {
@@ -310,6 +313,10 @@ REFUSAL_NAMES = {
         "measurement shape (64, 64) != ground truth shape (64,)",
     "check-op --op inpaint --seed 5": "'seed' next to 'box'",
     "check-op --op mri --seed 6": "'accel-factor', 'seed' next to 'mask-path'",
+    f"contract --kind ddpm --t0 0.5 --n {HUGE_N} --tau 0.5 --eps0 1": "data dimension n",
+    f"shortcut --kind ddpm --n {HUGE_N} --tau 0.5 --eps0 1": "data dimension n",
+    "simulate --seed 1 --size 16x16 --trials 4 --n-steps 20 --init file:{tmp}/8x8.raw":
+        "ground truth shape (16, 16) != init shape (8, 8)",
 }
 
 # Malformed image files, written to the test's directory; ``{tmp}`` in a case
@@ -320,6 +327,8 @@ BAD_IMAGES = {
     "negative.pgm": b"P5\n-2 -2\n255\n" + bytes(4),
     "empty.pgm": b"P5\n0 0\n255\n",
     "empty.raw": struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 0, 4),   # H = 0
+    # Well formed, but not the shape of a 16x16 ground truth.
+    "8x8.raw": struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 8, 8) + bytes(8 * 8 * 8),
 }
 
 
@@ -390,6 +399,11 @@ BAD_IMAGES = {
     ("simulate --seed 1 --trials 4 --n-steps 20 --op sr", "factor=4"),
     ("check-op --op inpaint --seed 5", "box=3,3\nseed=2"),
     ("check-op --op mri --seed 6", "mask-path={tmp}/nonint.pgm\nseed=2\naccel-factor=2"),
+    pytest.param(f"contract --kind ddpm --t0 0.5 --n {HUGE_N} --tau 0.5 --eps0 1", None,
+                 id="contract-n-400-digits"),
+    pytest.param(f"shortcut --kind ddpm --n {HUGE_N} --tau 0.5 --eps0 1", None,
+                 id="shortcut-n-400-digits"),
+    ("simulate --seed 1 --size 16x16 --trials 4 --n-steps 20 --init file:{tmp}/8x8.raw", None),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):

@@ -187,3 +187,41 @@ def test_schedule_csv_round_trip_fields():
     write_csv(buf, schedule_rows(v))
     row = buf.getvalue().strip().splitlines()[1].split(",")
     assert row[1] == "" and row[5] == ""  # beta / ddim_sigma absent for VE
+
+
+def test_schedule_invariants_hold_for_random_parameters():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def schedules(draw):
+        N = draw(st.integers(2, 2000))
+        if draw(st.booleans()):
+            bmin = draw(st.floats(1e-6, 2e-2))
+            bmax = bmin + draw(st.floats(0.01, 1.0)) * (0.05 - bmin)
+            return make_vp_schedule(bmin, bmax, N)
+        smin = draw(st.floats(1e-3, 10.0))
+        return make_ve_schedule(smin, smin * draw(st.floats(1.5, 1e5)), N)
+
+    @hyp.settings(max_examples=200, deadline=None, database=None)
+    @hyp.given(schedules(), st.floats(0.0, 1.0, exclude_min=True))
+    def check(s, t):
+        names = ("beta", "alpha", "alpha_bar", "sigma", "ddim_sigma")
+        arrays = [getattr(s, name) for name in names]
+        assert all((arr is None) == (not s.is_vp and name != "sigma")
+                   for name, arr in zip(names, arrays))
+        for arr in arrays:
+            if arr is not None:
+                assert arr.shape == (s.N + 1,) and arr.dtype == np.float64
+                assert not arr.flags.writeable
+        coeffs = [forward_coeffs(s, i) for i in range(1, s.N + 1)]
+        if s.is_vp:
+            assert np.array_equal(s.alpha_bar, np.cumprod(s.alpha))
+            assert np.all(np.diff(s.ddim_sigma) > 0)
+            assert all(abs(c.a ** 2 + c.b ** 2 - 1.0) <= 1e-15 for c in coeffs)
+        else:
+            assert np.all(np.diff(s.sigma) > 0)
+            assert all(c.a == 1.0 for c in coeffs)
+        assert 1 <= step_index_of_time(t, s.N) <= s.N
+
+    check()
