@@ -20,6 +20,7 @@ statements transfer unchanged.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -151,20 +152,38 @@ class ContractionReport:
 
 def contraction_report(schedule: Schedule, kind: SamplerKind, n_prime: int,
                        n: int, tau: float, eps0: float) -> ContractionReport:
-    """Assemble lambda, C, tau, the forward error and both bounds."""
+    """Assemble lambda, C, tau, the forward error and both bounds.
+
+    A report with a quantity that overflows a float is refused, naming the
+    first of: the forward error, a C_j, a printed C candidate, the simple
+    and the recursive bound (an overflowed bound times lambda_1 = 0 is nan).
+    """
     if not 1 <= n <= sys.float_info.max:
         raise ValidationError(
             f"data dimension n must be >= 1 and at most the largest float, got {n}")
     lam, lam_steps = contraction_rate(schedule, kind, n_prime)
-    c_steps = noise_constant_per_step(schedule, kind, n_prime, n)
-    fwd = forward_error(eps0, schedule, kind, n_prime, n)
-    simple, recursive = bound_traces(lam_steps, c_steps, tau, fwd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_steps = noise_constant_per_step(schedule, kind, n_prime, n)
+        fwd = forward_error(eps0, schedule, kind, n_prime, n)
+        C = noise_constant(schedule, kind, n_prime, n)
+        candidates = noise_constant_candidates(schedule, kind, n_prime, n)
+        simple, recursive = bound_traces(lam_steps, c_steps, tau, fwd)
+    bound_simple, bound_recursive = float(simple[0]), float(recursive[0])
+    # candidates["primary"] is C, the largest C_j: finite only if every C_j is.
+    if not all(map(math.isfinite, (fwd, *candidates.values(), bound_simple,
+                                   bound_recursive))):
+        printed = {"forward_error": fwd,
+                   **{f"C_{j}": c for j, c in enumerate(c_steps.tolist(), 1)},
+                   **{f"C[{k}]": v for k, v in candidates.items() if k != "primary"},
+                   "bound_simple": bound_simple, "bound_recursive": bound_recursive}
+        name, value = next((k, v) for k, v in printed.items() if not math.isfinite(v))
+        raise ValidationError(f"{name} = {value!r} overflows a float at "
+                              f"n = {float(n):.6g} and eps0 = {eps0!r}")
     return ContractionReport(
         kind=kind, n_prime=n_prime, n=n, lam=lam, lambda_per_step=lam_steps,
-        C=noise_constant(schedule, kind, n_prime, n),
-        c_candidates=noise_constant_candidates(schedule, kind, n_prime, n),
+        C=C, c_candidates=candidates,
         tau=float(tau), eps0=float(eps0), forward_error=fwd,
-        bound_simple=float(simple[0]), bound_recursive=float(recursive[0]),
+        bound_simple=bound_simple, bound_recursive=bound_recursive,
     )
 
 

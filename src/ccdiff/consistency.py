@@ -24,19 +24,26 @@ except ImportError:  # pragma: no cover - numpy fallback
 from .errors import NumericFailure, ValidationError
 from .rng import RngStream
 
-# Extra keyword arguments of every MRI transform.  None, so they run
-# single-threaded: at the sizes the operator sees (one 64x64 image to 10^4
-# 16x16 ones), scipy's worker pool cost more than it saved on a 2-core host.
+# Extra keyword arguments of every MRI transform: empty, so they run
+# single-threaded, because at the sizes the operator sees (one 64x64 image to
+# 10^4 16x16 ones) scipy's worker pool cost more than it saved on a 2-core
+# host.  The dict stays because bench/run.py reports its "workers" entry.
 _FFT_WORKERS = {}
 
 
 def _fft2(x, axes):
-    """Unitary DFT of a real array over ``axes``, half spectrum along the last."""
+    """Unitary DFT of a real array over ``axes``, half spectrum along the last.
+    One axis runs the 1-D ``rfft``: ``rfftn``'s bits without its n-D dispatch."""
+    if len(axes) == 1:
+        return _fft_backend.rfft(x, axis=axes[0], norm="ortho", **_FFT_WORKERS)
     return _fft_backend.rfftn(x, axes=axes, norm="ortho", **_FFT_WORKERS)
 
 
 def _ifft2(k, sizes, axes):
     """Inverse of ``_fft2``: the real array with ``sizes`` along ``axes``."""
+    if len(axes) == 1:
+        return _fft_backend.irfft(k, n=sizes[0], axis=axes[0], norm="ortho",
+                                  **_FFT_WORKERS)
     return _fft_backend.irfftn(k, s=sizes, axes=axes, norm="ortho", **_FFT_WORKERS)
 
 
@@ -230,10 +237,14 @@ class MriOp(ConsistencyOp):
 
     ``apply_linear`` works on the real sampler state with a real FFT, and
     only along the axes on which the mask varies: along an axis where D is
-    constant, F^-1 F = I.  A column mask (every ``gaussian1d_mask``) thus
-    costs one 1-D ``rfft`` per row and its inverse.  ``apply_linear_complex``
-    and ``residual`` keep the full complex 2D definition, on numpy's FFT, as
-    the independent reference.
+    constant, F^-1 F = I.  A mask that varies along one axis (every
+    ``gaussian1d_mask`` varies along columns; its transpose along rows) runs
+    the backend's 1-D ``rfft`` and ``irfft`` along that axis, which give the
+    bits of ``rfftn`` and ``irfftn`` over it without their n-D dispatch.  A
+    mask that varies along both axes keeps ``rfftn`` and ``irfftn`` over
+    both: chaining 1-D transforms changes the bits (seen at 18x21).
+    ``apply_linear_complex`` and ``residual`` keep the full complex 2D
+    definition, on numpy's FFT, as the independent reference.
     """
 
     def __init__(self, mask, y):
@@ -253,8 +264,9 @@ class MriOp(ConsistencyOp):
         self.mask = mask
         self.y = np.where(mask, y, 0.0)
         _require_finite(self.y, "k-space on the mask support")
-        self._zero_filled = np.fft.ifft2(self.y, norm="ortho")
-        # Every caller of offset and vanilla_init gets a view of it.
+        # Kept contiguous and real: the reverse path adds it twice per step.
+        # Every caller of offset and vanilla_init gets this array itself.
+        self._zero_filled = np.fft.ifft2(self.y, norm="ortho").real.copy()
         self._zero_filled.flags.writeable = False
         # The mask on the axes it varies on (the last one if it is constant),
         # halved along the last of them to match the real half spectrum.
@@ -281,7 +293,7 @@ class MriOp(ConsistencyOp):
         return np.subtract(x, r, out=r)
 
     def offset(self, c, rng, batch_shape=()):
-        return self._zero_filled.real
+        return self._zero_filled
 
     def residual(self, x) -> float:
         """Relative consistency residual ||D F x - y|| / ||y|| on the mask support."""
@@ -291,7 +303,7 @@ class MriOp(ConsistencyOp):
         return float(num / den) if den > 0 else float(num)
 
     def vanilla_init(self):
-        return self._zero_filled.real
+        return self._zero_filled
 
 
 def mri_measure(image: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -188,19 +188,22 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
         return x
     s = oracle.score(x, i, schedule)
     data_axes = tuple(range(batch_axes, x.ndim))
-    s_norm = np.sqrt(np.sum(s * s, axis=data_axes, keepdims=True))
-    z_norm = np.sqrt(np.sum(z * z, axis=data_axes, keepdims=True))
-    if np.any(s_norm == 0.0):
+    # The ufunc reductions np.sum, np.max and np.any wrap, called directly:
+    # the same bits without the wrappers' dispatch.
+    s_norm = np.sqrt(np.add.reduce(s * s, axis=data_axes, keepdims=True))
+    z_norm = np.sqrt(np.add.reduce(z * z, axis=data_axes, keepdims=True))
+    zero = s_norm == 0.0
+    if zero.any():
         logger.warning("corrector skipped at step %d: zero score norm", i)
-        if np.all(s_norm == 0.0):
+        if zero.all():
             return x
-        s_norm = np.where(s_norm == 0.0, np.inf, s_norm)  # eps -> 0 on those rows
+        s_norm = np.where(zero, np.inf, s_norm)  # eps -> 0 on those rows
     if squared_step:
         eps = 2.0 * (r * z_norm / s_norm) ** 2
     else:
         eps = 2.0 * r * z_norm / s_norm
     j = oracle.jacobian_diag(x, i, schedule)
-    j_max = np.max(np.abs(j, out=j), axis=data_axes, keepdims=True)
+    j_max = np.maximum.reduce(np.abs(j, out=j), axis=data_axes, keepdims=True)
     del j    # freed before the noise term's temporary
     eps = np.where(j_max > 0.0, np.minimum(eps, 1.0 / np.maximum(j_max, 1e-300)),
                    eps)

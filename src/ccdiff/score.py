@@ -51,10 +51,12 @@ class GaussianScoreOracle(ScoreOracle):
             raise ValidationError("prior variances must be finite and nonnegative")
 
     def score(self, x, i, schedule):
+        # Two passes on VE steps (a_i = 1 and 1 * mu is mu).  Dividing by the
+        # negated denominator gives the bits of negating and then dividing:
+        # IEEE division is symmetric in sign, signed zeros included.
         c = forward_coeffs(schedule, i)
-        s = np.subtract(x, c.a * self.mu)
-        np.negative(s, out=s)
-        s /= c.a * c.a * self.var + c.b * c.b
+        s = np.subtract(x, self.mu if c.a == 1.0 else c.a * self.mu)
+        s /= -(c.a * c.a * self.var + c.b * c.b)
         return s
 
     def jacobian_diag(self, x, i, schedule):

@@ -455,6 +455,24 @@ def test_experiment_config_refuses_an_operator_without_exact_tau():
     assert config(IdentityOp((64,), gt)).op.tau == 1.0
 
 
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_contraction_report_refuses_a_forward_error_that_overflows(kind):
+    # 2 b^2 n overflows at n = 1e308; the bounds would read inf and nan.
+    schedule = VE if kind is SamplerKind.SMLD else VP
+    with pytest.raises(ValidationError, match=r"^forward_error = inf overflows"):
+        contraction_report(schedule, kind, 500, 10 ** 308, 1.0, 1.0)
+    rep = contraction_report(schedule, kind, 500, 10 ** 300, 1.0, 1.0)
+    values = [rep.forward_error, rep.C, rep.bound_simple, rep.bound_recursive,
+              *rep.c_candidates.values()]
+    assert np.isfinite(values).all()
+
+
+def test_contraction_report_refuses_a_simple_bound_that_overflows():
+    # The forward error 1.2e308 is finite; 2 C tau / (1 - lambda^2) is not.
+    with pytest.raises(ValidationError, match=r"^bound_simple = inf overflows"):
+        contraction_report(VP, SamplerKind.DDPM, 1000, 6 * 10 ** 307, 1.0, 1.0)
+
+
 def test_contraction_report_assembles_consistently():
     rep = contraction_report(VP, SamplerKind.DDPM, 120, 64, 0.5, 10.0)
     assert rep.lam == rep.lambda_per_step.max()

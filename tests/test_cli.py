@@ -246,6 +246,8 @@ def test_exit_codes_for_bad_usage(tmp_path):
 
 # A data dimension that no float holds: 400 digits.
 HUGE_N = "9" * 400
+# 1e308 written out: a float holds it, but twice it does not.
+N_1E308 = "1" + "0" * 308
 
 # What the error line must name, for inputs refused by a check with a message
 # of its own rather than by a later failure.
@@ -315,6 +317,8 @@ REFUSAL_NAMES = {
     "check-op --op mri --seed 6": "'accel-factor', 'seed' next to 'mask-path'",
     f"contract --kind ddpm --t0 0.5 --n {HUGE_N} --tau 0.5 --eps0 1": "data dimension n",
     f"shortcut --kind ddpm --n {HUGE_N} --tau 0.5 --eps0 1": "data dimension n",
+    f"contract --kind ddpm --t0 0.5 --n {N_1E308}": "forward_error = inf overflows",
+    f"contract --kind smld --t0 0.5 --n {N_1E308}": "forward_error = inf overflows",
     "simulate --seed 1 --size 16x16 --trials 4 --n-steps 20 --init file:{tmp}/8x8.raw":
         "ground truth shape (16, 16) != init shape (8, 8)",
 }
@@ -403,6 +407,10 @@ BAD_IMAGES = {
                  id="contract-n-400-digits"),
     pytest.param(f"shortcut --kind ddpm --n {HUGE_N} --tau 0.5 --eps0 1", None,
                  id="shortcut-n-400-digits"),
+    pytest.param(f"contract --kind ddpm --t0 0.5 --n {N_1E308}", None,
+                 id="contract-ddpm-n-1e308"),
+    pytest.param(f"contract --kind smld --t0 0.5 --n {N_1E308}", None,
+                 id="contract-smld-n-1e308"),
     ("simulate --seed 1 --size 16x16 --trials 4 --n-steps 20 --init file:{tmp}/8x8.raw", None),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,

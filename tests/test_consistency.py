@@ -245,15 +245,50 @@ def test_mri_real_output_for_symmetric_mask(case, monkeypatch):
     assert calls == [("_fft2", axes), ("_ifft2", axes)]
 
 
+# (mask, batch shape of the state, axes the mask varies on)
+MRI_BITS_CASES = {
+    "columns-64x64": (gaussian1d_mask((64, 64), 4.0, 0.08, seed=23), (), (-1,)),
+    "columns-18x21": (gaussian1d_mask((18, 21), 4.0, 0.1, seed=24), (), (-1,)),
+    "columns-batched": (gaussian1d_mask((16, 16), 4.0, 0.1, seed=25), (3,), (-1,)),
+    "rows": (gaussian1d_mask((24, 31), 4.0, 0.1, seed=26).T, (), (-2,)),
+    "scatter-2d": (_symmetric_scatter_mask((18, 21), 27), (), (-2, -1)),
+}
+
+
+@pytest.mark.parametrize("backend", ["default", "numpy"])
+@pytest.mark.parametrize("case", list(MRI_BITS_CASES))
+def test_mri_apply_linear_keeps_the_bits_of_rfftn(case, backend, monkeypatch):
+    # A one-axis mask runs 1-D transforms; they must give the bits of
+    # x - irfftn(kmask rfftn(x)) over the same axis, on either backend.
+    if backend == "numpy":
+        monkeypatch.setattr(consistency, "_fft_backend", np.fft)
+    fft = consistency._fft_backend
+    mask, batch, axes = MRI_BITS_CASES[case]
+    op = mri_projection(mask, mri_measure(np.zeros(mask.shape), mask))
+    x = RngStream(28).normal(batch + mask.shape)
+    # The mask on its varying axes, halved along the last of them.
+    index = [slice(None) if a in axes else slice(1) for a in (-2, -1)]
+    index[axes[-1]] = slice(mask.shape[axes[-1]] // 2 + 1)
+    k = fft.rfftn(x, axes=axes, norm="ortho")
+    k *= mask[tuple(index)]
+    sizes = tuple(mask.shape[a] for a in axes)
+    expected = x - fft.irfftn(k, s=sizes, axes=axes, norm="ortho")
+    assert op.apply_linear(x).tobytes() == expected.tobytes()
+
+
 def test_mri_numpy_fft_fallback_matches_scipy(monkeypatch):
     if consistency._fft_backend is np.fft:
         pytest.skip("scipy is not installed")
-    mask = _symmetric_scatter_mask((18, 21), 22)
-    op = mri_projection(mask, mri_measure(np.zeros(mask.shape), mask))
-    x = RngStream(13).normal((3,) + mask.shape)
-    expected = op.apply_linear(x)
-    monkeypatch.setattr(consistency, "_fft_backend", np.fft)
-    assert np.max(np.abs(op.apply_linear(x) - expected)) <= 1e-12
+    scipy_fft = consistency._fft_backend
+    # A two-axis mask (n-D transforms) and a column mask (1-D transforms).
+    for mask in (_symmetric_scatter_mask((18, 21), 22),
+                 gaussian1d_mask((18, 21), 4.0, 0.1, seed=22)):
+        op = mri_projection(mask, mri_measure(np.zeros(mask.shape), mask))
+        x = RngStream(13).normal((3,) + mask.shape)
+        monkeypatch.setattr(consistency, "_fft_backend", scipy_fft)
+        expected = op.apply_linear(x)
+        monkeypatch.setattr(consistency, "_fft_backend", np.fft)
+        assert np.max(np.abs(op.apply_linear(x) - expected)) <= 1e-12
 
 
 def test_mri_rejects_shape_mismatch_and_empty_mask():

@@ -36,6 +36,24 @@ def test_gaussian_with_zero_variance_degenerates_to_conditional(schedule, x_shap
         assert np.array_equal(cond.jacobian_diag(x, i, schedule), jd)
 
 
+@pytest.mark.parametrize("var", ["scalar", "per-pixel"])
+@pytest.mark.parametrize("schedule, i", [(VP, 257), (VE, 20)], ids=["vp", "ve"])
+def test_gaussian_score_keeps_the_bits_of_negate_then_divide(schedule, i, var):
+    # The score divides by the negated denominator, and skips a_i mu on VE
+    # steps (a_i = 1).  Byte for byte it must equal negating, then dividing,
+    # signed zeros included: half of x sits exactly at a_i mu.
+    mu = RngStream(4).normal((4, 16))
+    v = 0.25 if var == "scalar" else RngStream(5).uniform(0.0, 2.0, (4, 16))
+    c = forward_coeffs(schedule, i)
+    assert (c.a < 1.0) == (schedule is VP)
+    x = np.where(np.arange(16) % 2 == 0, c.a * mu, RngStream(6).normal((4, 16)))
+    old = np.subtract(x, c.a * mu)
+    np.negative(old, out=old)
+    old /= c.a * c.a * np.asarray(v) + c.b * c.b
+    assert np.signbit(old[x == c.a * mu]).any()
+    assert GaussianScoreOracle(mu, v).score(x, i, schedule).tobytes() == old.tobytes()
+
+
 def test_conditional_score_one_noise_std_from_mean():
     x_ref = RngStream(3).normal((8,))
     oracle = ConditionalScoreOracle(x_ref)
