@@ -49,36 +49,58 @@ def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:
         fh.write(data)
 
 
-def _read_pgm_tokens(fh, count):
-    tokens = []
-    while len(tokens) < count:
-        line = fh.readline()
-        if not line:
-            raise ValidationError("truncated PGM header")
-        stripped = line.split(b"#", 1)[0]
-        tokens.extend(stripped.split())
-    return tokens
+def _pgm_header_byte(fh) -> bytes:
+    """The next header byte; a ``#`` comment reads as the newline ending it."""
+    byte = fh.read(1)
+    if byte == b"#":
+        while byte not in (b"", b"\n", b"\r"):
+            byte = fh.read(1)
+        return b"\n" if byte else byte
+    return byte
+
+
+def _read_pgm_header(fh, path):
+    """Width, height and maxval of a binary PGM, leaving ``fh`` at its raster.
+
+    The netpbm grammar: ``P5``, then three decimal tokens, each after
+    whitespace of any kind, and exactly one whitespace byte between maxval
+    and the raster.  A ``#`` comment in the header runs to the end of its line.
+    """
+    magic, byte = fh.read(2), _pgm_header_byte(fh)
+    if magic != b"P5" or byte and not byte.isspace():
+        raise ValidationError(f"{path}: not a binary PGM (P5) file")
+    fields = []
+    for _ in range(3):
+        while byte.isspace():
+            byte = _pgm_header_byte(fh)
+        token = bytearray()
+        while byte and not byte.isspace():
+            token += byte
+            byte = _pgm_header_byte(fh)
+        if not byte:
+            raise ValidationError(f"{path}: truncated PGM header")
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise ValidationError(f"{path}: non-integer PGM header field") from None
+    return fields
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM into a float64 image scaled to [0, 1]."""
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValidationError(f"{path}: not a binary PGM (P5) file")
-        try:
-            W, H, maxval = (int(t) for t in _read_pgm_tokens(fh, 3))
-        except ValueError:
-            raise ValidationError(f"{path}: non-integer PGM header field") from None
+        W, H, maxval = _read_pgm_header(fh, path)
         if H < 1 or W < 1:
             raise ValidationError(f"{path}: PGM size {W}x{H} is below 1x1")
         if maxval <= 0 or maxval > 65535:
             raise ValidationError(f"{path}: unsupported PGM maxval {maxval}")
-        dtype = ">u2" if maxval > 255 else np.uint8
-        raw = fh.read(H * W * (2 if maxval > 255 else 1))
-    pixels = np.frombuffer(raw, dtype=dtype)
-    if pixels.size != H * W:
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        raw = fh.read(H * W * dtype.itemsize)
+    if len(raw) != H * W * dtype.itemsize:
         raise ValidationError(f"{path}: truncated PGM pixel data")
+    pixels = np.frombuffer(raw, dtype=dtype)
+    if pixels.max() > maxval:
+        raise ValidationError(f"{path}: PGM sample {pixels.max()} above maxval {maxval}")
     return pixels.reshape(H, W).astype(np.float64) / maxval
 
 
@@ -106,10 +128,9 @@ def read_raw(path) -> np.ndarray:
         if H < 1 or W < 1:
             raise ValidationError(f"{path}: raw size {H}x{W} is below 1x1")
         data = fh.read(H * W * 8)
-    values = np.frombuffer(data, dtype="<f8")
-    if values.size != H * W:
+    if len(data) != H * W * 8:
         raise ValidationError(f"{path}: truncated raw pixel data")
-    return values.reshape(H, W).copy()
+    return np.frombuffer(data, dtype="<f8").reshape(H, W).copy()
 
 
 def load_image(path) -> np.ndarray:

@@ -263,6 +263,9 @@ REFUSAL_NAMES = {
     "ccdf --seed 1 --kind smld --op mri --t0 0.02": "seed",
     "check-op --op identity --seed 1": "non-integer",
     "check-op --op identity --seed 2": "below 1x1",
+    "check-op --op identity --seed 7": "above maxval",
+    "check-op --op identity --seed 8": "truncated PGM pixel data",
+    "check-op --op identity --seed 9": "truncated raw pixel data",
     "ccdf --seed 1 --op identity --t0 0.1": "below 1x1",
     "ccdf --seed 2 --op identity --t0 0.1": "below 1x1",
     "simulate --seed 1 --n 4 --trials 4 --oracle gaussian2": "'gaussian2'",
@@ -330,6 +333,10 @@ BAD_IMAGES = {
     "nonint.pgm": b"P5\nabc 4\n255\n" + bytes(16),
     "negative.pgm": b"P5\n-2 -2\n255\n" + bytes(4),
     "empty.pgm": b"P5\n0 0\n255\n",
+    "above-maxval.pgm": b"P5\n2 1\n100\n" + bytes([50, 200]),
+    # Cut inside a 16-bit sample and inside a float64.
+    "odd.pgm": b"P5\n2 2\n65535\n" + bytes(7),
+    "odd.raw": struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 1, 2) + bytes(11),
     "empty.raw": struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 0, 4),   # H = 0
     # Well formed, but not the shape of a 16x16 ground truth.
     "8x8.raw": struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 8, 8) + bytes(8 * 8 * 8),
@@ -362,6 +369,9 @@ BAD_IMAGES = {
     ("ccdf --seed 1 --kind smld --op mri --t0 0.02", "seed=-3"),
     ("check-op --op identity --seed 1", "measurement={tmp}/nonint.pgm"),
     ("check-op --op identity --seed 2", "measurement={tmp}/negative.pgm"),
+    ("check-op --op identity --seed 7", "measurement={tmp}/above-maxval.pgm"),
+    ("check-op --op identity --seed 8", "measurement={tmp}/odd.pgm"),
+    ("check-op --op identity --seed 9", "measurement={tmp}/odd.raw"),
     ("ccdf --seed 1 --op identity --t0 0.1", "measurement={tmp}/empty.pgm"),
     ("ccdf --seed 2 --op identity --t0 0.1", "measurement={tmp}/empty.raw"),
     ("simulate --seed 1 --n 4 --trials 4 --oracle gaussian2", None),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -255,40 +260,55 @@ MRI_BITS_CASES = {
 }
 
 
-@pytest.mark.parametrize("backend", ["default", "numpy"])
 @pytest.mark.parametrize("case", list(MRI_BITS_CASES))
-def test_mri_apply_linear_keeps_the_bits_of_rfftn(case, backend, monkeypatch):
+def test_mri_apply_linear_keeps_the_bits_of_rfftn(case):
     # A one-axis mask runs 1-D transforms; they must give the bits of
-    # x - irfftn(kmask rfftn(x)) over the same axis, on either backend.
-    if backend == "numpy":
-        monkeypatch.setattr(consistency, "_fft_backend", np.fft)
-    fft = consistency._fft_backend
+    # x - irfftn(kmask rfftn(x)) over the same axis.
     mask, batch, axes = MRI_BITS_CASES[case]
     op = mri_projection(mask, mri_measure(np.zeros(mask.shape), mask))
     x = RngStream(28).normal(batch + mask.shape)
     # The mask on its varying axes, halved along the last of them.
     index = [slice(None) if a in axes else slice(1) for a in (-2, -1)]
     index[axes[-1]] = slice(mask.shape[axes[-1]] // 2 + 1)
-    k = fft.rfftn(x, axes=axes, norm="ortho")
+    k = np.fft.rfftn(x, axes=axes, norm="ortho")
     k *= mask[tuple(index)]
     sizes = tuple(mask.shape[a] for a in axes)
-    expected = x - fft.irfftn(k, s=sizes, axes=axes, norm="ortho")
+    expected = x - np.fft.irfftn(k, s=sizes, axes=axes, norm="ortho")
     assert op.apply_linear(x).tobytes() == expected.tobytes()
 
 
-def test_mri_numpy_fft_fallback_matches_scipy(monkeypatch):
-    if consistency._fft_backend is np.fft:
-        pytest.skip("scipy is not installed")
-    scipy_fft = consistency._fft_backend
-    # A two-axis mask (n-D transforms) and a column mask (1-D transforms).
+def test_mri_apply_linear_matches_the_complex_reference():
+    # A two-axis mask (n-D transforms) and a column mask (1-D transforms)
+    # against the full complex 2D definition, x - F^-1 D F x.
     for mask in (_symmetric_scatter_mask((18, 21), 22),
                  gaussian1d_mask((18, 21), 4.0, 0.1, seed=22)):
         op = mri_projection(mask, mri_measure(np.zeros(mask.shape), mask))
         x = RngStream(13).normal((3,) + mask.shape)
-        monkeypatch.setattr(consistency, "_fft_backend", scipy_fft)
-        expected = op.apply_linear(x)
-        monkeypatch.setattr(consistency, "_fft_backend", np.fft)
+        expected = op.apply_linear_complex(x)
         assert np.max(np.abs(op.apply_linear(x) - expected)) <= 1e-12
+
+
+def test_an_mri_reconstruction_loads_no_scipy():
+    # numpy's FFT runs every MRI transform: importing the package, building
+    # an operator and reconstructing through it load no scipy module.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = textwrap.dedent("""
+        import sys
+        from ccdiff import (CcdfConfig, GaussianScoreOracle, MriOp, RngStream,
+                            SamplerKind, ccdf_sample, gaussian1d_mask,
+                            make_phantom, make_ve_schedule, mri_measure)
+        image = make_phantom("ellipses", (16, 16), seed=1)
+        mask = gaussian1d_mask((16, 16), 4.0, 0.1, seed=2)
+        op = MriOp(mask, mri_measure(image, mask))
+        cfg = CcdfConfig(t0=0.2, N=50, kind=SamplerKind.SMLD)
+        x = ccdf_sample(op.vanilla_init(), op, cfg, make_ve_schedule(0.01, 378, 50),
+                        GaussianScoreOracle(mu=image, var=0.02), RngStream(3))
+        assert x.shape == (16, 16)
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        assert not loaded, loaded
+    """)
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_mri_rejects_shape_mismatch_and_empty_mask():
