@@ -28,7 +28,7 @@ from .errors import ValidationError
 from .rng import RngStream
 from .samplers import (DEFAULT_CORRECTOR_R, RULES, CcdfConfig, ccdf_sample,
                        forward_diffuse, prefetch, reverse_path)
-from .schedules import SamplerKind, Schedule, make_ve_schedule
+from .schedules import SamplerKind, Schedule, check_family, make_ve_schedule
 from .score import GaussianScoreOracle, ScoreOracle
 from .consistency import MriOp, mri_measure
 
@@ -54,6 +54,7 @@ class ExperimentConfig:
             raise ValidationError("need at least 2 trials for standard errors")
         if not 0.0 < self.t0 <= 1.0:
             raise ValidationError(f"t0 must lie in (0, 1], got {self.t0}")
+        check_family(self.schedule, self.kind, f"sampler kind {self.kind.value}")
         if np.shape(self.ground_truth) != np.shape(self.init):
             raise ValidationError(f"ground truth shape {np.shape(self.ground_truth)} "
                                   f"!= init shape {np.shape(self.init)}")
@@ -142,7 +143,7 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
     except for the deterministic sampler, which is scaled by
     1/sqrt(alpha_bar_i)); the bound traces use the matching forward error,
     so empirical and theoretical columns are directly comparable.  The bound
-    columns assume the ideal conditional score (Jacobian -1/b_i^2) and no
+    columns assume the ideal conditional score (slope -1/b_i^2) and no
     corrector; under any other oracle, such as a Gaussian prior with
     variance above 0, or with corrector_r > 0 on SMLD, the Monte Carlo
     columns may exceed them.

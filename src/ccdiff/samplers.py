@@ -177,7 +177,7 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
 
     Both rules send eps to infinity as the score norm vanishes (the state
     sits at the target), so eps is clamped at the Langevin stability limit
-    1/max|ds/dx|, keeping the drift multiplier 1 - eps |J| nonnegative.
+    1/max|J_i| of the oracle's slope, keeping 1 - eps |J_i| nonnegative.
     """
     i = check_step_index(schedule, i)
     check_family(schedule, SamplerKind.SMLD, "the Langevin corrector")
@@ -188,8 +188,7 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
         return x
     s = oracle.score(x, i, schedule)
     data_axes = tuple(range(batch_axes, x.ndim))
-    # The ufunc reductions np.sum, np.max and np.any wrap, called directly:
-    # the same bits without the wrappers' dispatch.
+    # np.add.reduce is what np.sum wraps: the same bits without its dispatch.
     s_norm = np.sqrt(np.add.reduce(s * s, axis=data_axes, keepdims=True))
     z_norm = np.sqrt(np.add.reduce(z * z, axis=data_axes, keepdims=True))
     zero = s_norm == 0.0
@@ -202,11 +201,9 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
         eps = 2.0 * (r * z_norm / s_norm) ** 2
     else:
         eps = 2.0 * r * z_norm / s_norm
-    j = oracle.jacobian_diag(x, i, schedule)
-    j_max = np.maximum.reduce(np.abs(j, out=j), axis=data_axes, keepdims=True)
-    del j    # freed before the noise term's temporary
-    eps = np.where(j_max > 0.0, np.minimum(eps, 1.0 / np.maximum(j_max, 1e-300)),
-                   eps)
+    j_max = np.abs(oracle.slope(i, schedule)).max()
+    if j_max > 0.0:
+        eps = np.minimum(eps, 1.0 / max(j_max, 1e-300))
     s *= eps
     s += x
     s += np.sqrt(2.0 * eps) * z

@@ -121,6 +121,24 @@ def test_experiment_config_validation():
                          oracle=ConditionalScoreOracle(gt), seed=0)
 
 
+@pytest.mark.parametrize("kind, schedule, family", [
+    (SamplerKind.DDIM, VE100, "VP"),
+    (SamplerKind.SMLD, VP100, "VE"),
+], ids=["ddim-on-ve", "smld-on-vp"])
+def test_error_curve_refuses_a_kind_the_schedule_cannot_run(monkeypatch, kind,
+                                                             schedule, family):
+    # Refused at construction, before any draw: DDIM on VE used to raise
+    # TypeError from the error record's scale, SMLD on VP to fail only after
+    # both forward draws.
+    draws, normal = [], RngStream.normal
+    monkeypatch.setattr(RngStream, "normal",
+                        lambda self, shape: draws.append(shape) or normal(self, shape))
+    with pytest.raises(ValidationError, match=f"requires a {family} schedule"):
+        run_error_curve(_identity_cfg(kind, schedule, t0=0.2, trials=4, seed=6,
+                                      init_mode="truth"))
+    assert draws == []
+
+
 def test_error_curve_rejects_non_finite_init():
     cfg = _identity_cfg(SamplerKind.DDPM, VP100, t0=0.2, trials=4, seed=6)
     init = cfg.init.copy()
@@ -476,6 +494,16 @@ def test_mri_demo_beats_zero_filled_on_x4_mask():
     mask = gaussian1d_mask((64, 64), 4.0, 0.08, seed=17)
     res = run_mri_demo(ph, mask, t0=0.02, trials=2, N=1000, seed=17)
     assert res.mean_psnr >= res.zero_filled_psnr
+
+
+def test_mri_demo_golden_regression_lock():
+    # Frozen before the corrector read its clamp from the oracle's slope: the
+    # squared-step corrector with a Gaussian prior of var > 0, on numpy's FFT.
+    ph = make_phantom("ellipses", (32, 32), seed=23)
+    mask = gaussian1d_mask((32, 32), 4.0, 0.08, seed=23)
+    res = run_mri_demo(ph, mask, t0=0.02, trials=1, N=1000, seed=23)
+    assert hashlib.sha256(res.recon.tobytes()).hexdigest() == (
+        "fd6d5ed610cc56403f38139996abcabb5a33c683592a81f7736e50548f01c528")
 
 
 def test_mri_demo_rejects_asymmetric_mask():

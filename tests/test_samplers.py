@@ -17,8 +17,8 @@ VE = make_ve_schedule(0.01, 378, 1000)
 
 
 class CountingOracle(ConditionalScoreOracle):
-    def __init__(self, x_ref):
-        super().__init__(x_ref)
+    def __init__(self, mu):
+        super().__init__(mu)
         self.calls = 0
 
     def score(self, x, i, schedule):
@@ -225,9 +225,9 @@ def test_corrector_zero_score_norm_skips_with_warning(caplog):
     x = RngStream(19).normal((8,))
     oracle = ConditionalScoreOracle(x / forward_coeffs(VE, 50).a)
     # score is exactly zero at the kernel mean scaled anchor
-    out = langevin_corrector(forward_coeffs(VE, 50).a * oracle.x_ref, 50, VE,
+    out = langevin_corrector(forward_coeffs(VE, 50).a * oracle.mu, 50, VE,
                              oracle, 0.16, RngStream(20).normal((8,)))
-    assert np.array_equal(out, forward_coeffs(VE, 50).a * oracle.x_ref)
+    assert np.array_equal(out, forward_coeffs(VE, 50).a * oracle.mu)
 
 
 def test_corrector_rejects_vp_schedule():
@@ -257,6 +257,56 @@ def test_corrector_squared_step_contracts_toward_anchor():
     out = langevin_corrector(x, 10, VE, ConditionalScoreOracle(x_ref), 0.16,
                              rng.substream(2).normal((64,)), squared_step=True)
     assert np.linalg.norm(out - x_ref) < np.linalg.norm(x - x_ref)
+
+
+def _corrector_with_state_sized_clamp(x, i, schedule, oracle, r, z, batch_axes,
+                                      squared_step):
+    # The clamp as it ran before the oracles had a slope: J broadcast to the
+    # state, abs, a per-sample max-reduce and np.where.  Also returns the
+    # rows on which the clamp binds.
+    s = oracle.score(x, i, schedule)
+    data_axes = tuple(range(batch_axes, x.ndim))
+    s_norm = np.sqrt(np.add.reduce(s * s, axis=data_axes, keepdims=True))
+    z_norm = np.sqrt(np.add.reduce(z * z, axis=data_axes, keepdims=True))
+    if squared_step:
+        eps = 2.0 * (r * z_norm / s_norm) ** 2
+    else:
+        eps = 2.0 * r * z_norm / s_norm
+    c = forward_coeffs(schedule, i)
+    j = np.broadcast_to(-1.0 / (c.a * c.a * oracle.var + c.b * c.b),
+                        x.shape).astype(np.float64)
+    j_max = np.maximum.reduce(np.abs(j), axis=data_axes, keepdims=True)
+    limit = 1.0 / np.maximum(j_max, 1e-300)
+    binds = (eps > limit).ravel()
+    eps = np.where(j_max > 0.0, np.minimum(eps, limit), eps)
+    s *= eps
+    s += x
+    s += np.sqrt(2.0 * eps) * z
+    return s, binds
+
+
+@pytest.mark.parametrize("squared_step", [False, True], ids=["literal", "squared"])
+@pytest.mark.parametrize("var", ["scalar", "per-pixel"])
+@pytest.mark.parametrize("shape, batch_axes", [((6, 8, 8), 1), ((2, 3, 8, 8), 2)],
+                         ids=["batch1", "batch2"])
+def test_corrector_clamp_from_the_slope_keeps_the_state_sized_bits(shape, batch_axes,
+                                                                    var, squared_step):
+    # Every other sample sits 1e-6 from the anchor, where eps would blow up
+    # and the clamp binds; the rest sit 3 away, where it does not.
+    rng = RngStream(40)
+    mu = rng.substream(0).normal((8, 8))
+    v = 0.25 if var == "scalar" else rng.substream(1).uniform(0.1, 2.0, (8, 8))
+    oracle = GaussianScoreOracle(mu=mu, var=v)
+    near = np.arange(int(np.prod(shape[:batch_axes]))) % 2 == 0
+    offset = np.where(near, 1e-6, 3.0).reshape(shape[:batch_axes] + (1, 1))
+    x = mu + offset * rng.substream(2).normal(shape)
+    z = rng.substream(3).normal(shape)
+    want, binds = _corrector_with_state_sized_clamp(x, 20, VE, oracle, 0.16, z,
+                                                    batch_axes, squared_step)
+    assert np.array_equal(binds, near)
+    out = langevin_corrector(x, 20, VE, oracle, 0.16, z, batch_axes=batch_axes,
+                             squared_step=squared_step)
+    assert out.tobytes() == want.tobytes()
 
 
 # ----------------------------- ccdf loop -----------------------------------
@@ -459,10 +509,9 @@ def test_reverse_path_leaves_oracle_and_operator_data_alone():
     ]
     for op, oracle, kind, sch, r in cases:
         init = op.vanilla_init()
-        data = [init, op.offset(None, None), getattr(oracle, "x_ref", None),
-                getattr(oracle, "mu", None)]
-        before = [None if a is None else np.copy(a) for a in data]
+        data = [init, op.offset(None, None), oracle.mu]
+        before = [np.copy(a) for a in data]
         cfg = CcdfConfig(t0=0.05, N=1000, kind=kind, corrector_r=r)
         ccdf_sample(init, op, cfg, sch, oracle, RngStream(37))
         for a, b in zip(data, before):
-            assert a is None or np.array_equal(a, b)
+            assert np.array_equal(a, b)

@@ -32,8 +32,8 @@ def test_gaussian_with_zero_variance_degenerates_to_conditional(schedule, x_shap
         assert np.array_equal(g.score(x, i, schedule), kernel)
         assert np.array_equal(cond.score(x, i, schedule), kernel)
         jd = np.full(x_shape, -1.0 / (c.b * c.b))
-        assert np.array_equal(g.jacobian_diag(x, i, schedule), jd)
-        assert np.array_equal(cond.jacobian_diag(x, i, schedule), jd)
+        assert np.array_equal(np.broadcast_to(g.slope(i, schedule), x.shape), jd)
+        assert np.array_equal(np.broadcast_to(cond.slope(i, schedule), x.shape), jd)
 
 
 @pytest.mark.parametrize("var", ["scalar", "per-pixel"])
@@ -70,12 +70,12 @@ def test_jacobian_closed_forms():
     cond = ConditionalScoreOracle(x_ref)
     for schedule, i in ((VP, 400), (VE, 400)):
         c = forward_coeffs(schedule, i)
-        jd = cond.jacobian_diag(x, i, schedule)
+        jd = np.broadcast_to(cond.slope(i, schedule), x.shape)
         assert np.allclose(jd, -1.0 / c.b ** 2, rtol=1e-14)
     g0 = GaussianScoreOracle(mu=x_ref, var=0.0)
     for schedule in (VP, VE):
-        assert np.array_equal(g0.jacobian_diag(x, 123, schedule),
-                              cond.jacobian_diag(x, 123, schedule))
+        assert np.array_equal(np.broadcast_to(g0.slope(123, schedule), x.shape),
+                              np.broadcast_to(cond.slope(123, schedule), x.shape))
 
 
 def test_gaussian_unit_variance_jacobian_is_minus_one_on_vp():
@@ -83,10 +83,10 @@ def test_gaussian_unit_variance_jacobian_is_minus_one_on_vp():
     g = GaussianScoreOracle(mu=np.zeros(6), var=1.0)
     x = RngStream(6).normal((6,))
     for i in (1, 77, 1000):
-        assert np.allclose(g.jacobian_diag(x, i, VP), -1.0, rtol=1e-14)
+        assert np.allclose(np.broadcast_to(g.slope(i, VP), x.shape), -1.0, rtol=1e-14)
 
 
-def _fd_jacobian_diag(oracle, x, i, schedule, h=1e-5):
+def _fd_slope(oracle, x, i, schedule, h=1e-5):
     out = np.empty_like(x)
     for k in range(x.size):
         e = np.zeros_like(x)
@@ -108,8 +108,8 @@ def test_finite_difference_jacobian_matches_closed_form(make_oracle):
     for trial in range(10):
         x = rng.substream(10 + trial).normal((9,))
         i = int(rng.substream(100 + trial).uniform(1, VP.N + 1))
-        fd = _fd_jacobian_diag(oracle, x, i, VP)
-        exact = oracle.jacobian_diag(x, i, VP)
+        fd = _fd_slope(oracle, x, i, VP)
+        exact = np.broadcast_to(oracle.slope(i, VP), x.shape)
         assert np.allclose(fd, exact, rtol=1e-6)
 
 
@@ -133,14 +133,24 @@ def test_reverse_map_jacobian_ties_to_contraction_factor():
         assert fd == pytest.approx(expected, rel=1e-6)
 
 
-def test_score_is_affine_in_x():
+@pytest.mark.parametrize("var", ["scalar", "per-pixel"])
+@pytest.mark.parametrize("schedule", [VP, VE], ids=["vp", "ve"])
+def test_score_is_affine_in_x(schedule, var):
+    # s = J_i x + c_i: mixtures commute with the score, and the difference
+    # of two scores is the slope times the difference of their arguments.
     rng = RngStream(9)
-    oracle = GaussianScoreOracle(mu=rng.substream(0).normal((7,)), var=0.5)
+    v = 0.5 if var == "scalar" else rng.substream(3).uniform(0.1, 2.0, (7,))
+    oracle = GaussianScoreOracle(mu=rng.substream(0).normal((7,)), var=v)
     x, y = rng.substream(1).normal((7,)), rng.substream(2).normal((7,))
     for a in (0.0, 0.3, 1.0):
-        mix = oracle.score(a * x + (1 - a) * y, 321, VP)
-        parts = a * oracle.score(x, 321, VP) + (1 - a) * oracle.score(y, 321, VP)
+        mix = oracle.score(a * x + (1 - a) * y, 321, schedule)
+        parts = (a * oracle.score(x, 321, schedule)
+                 + (1 - a) * oracle.score(y, 321, schedule))
         assert np.allclose(mix, parts, rtol=1e-12)
+    for i in (1, 321, 1000):
+        sx, sy = oracle.score(x, i, schedule), oracle.score(y, i, schedule)
+        tol = 1e-12 * max(np.abs(sx).max(), np.abs(sy).max())
+        assert np.abs((sx - sy) - oracle.slope(i, schedule) * (x - y)).max() <= tol
 
 
 def test_validation_errors():
@@ -151,10 +161,14 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         oracle.score(x, VP.N + 1, VP)
     with pytest.raises(ValidationError):
-        oracle.jacobian_diag(x, VP.N + 1, VP)
-    for var in (-1.0, np.nan, np.inf, [0.5, np.nan, 0.5]):
+        oracle.slope(VP.N + 1, VP)
+    # The last two do not broadcast to the mean's shape (3,): ccdf_sample
+    # used to die mid-loop on numpy's broadcast error.
+    for var in (-1.0, np.nan, np.inf, [0.5, np.nan, 0.5], np.ones(2), np.ones((2, 3))):
         with pytest.raises(ValidationError):
             GaussianScoreOracle(mu=np.zeros(3), var=var)
+    with pytest.raises(ValidationError, match=r"\(3,\).*\(4, 4\)"):
+        GaussianScoreOracle(mu=np.zeros((4, 4)), var=np.ones(3))
 
 
 def test_output_shape_matches_input_shape():
