@@ -73,8 +73,10 @@ def read_op_config(path) -> dict:
             continue
         if "=" not in stripped:
             raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = stripped.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if "\0" in value:
+            raise ValidationError(f"{path}:{lineno}: the value of {key!r} holds a NUL byte")
+        cfg[key] = value
     return cfg
 
 

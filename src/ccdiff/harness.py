@@ -29,7 +29,7 @@ from .rng import RngStream
 from .samplers import (DEFAULT_CORRECTOR_R, RULES, CcdfConfig, ccdf_sample,
                        forward_diffuse, prefetch, reverse_path)
 from .schedules import SamplerKind, Schedule, check_family, make_ve_schedule
-from .score import GaussianScoreOracle, ScoreOracle
+from .score import GaussianScoreOracle, ScoreOracle, check_mean_fits
 from .consistency import MriOp, mri_measure
 
 
@@ -62,6 +62,7 @@ class ExperimentConfig:
         if not (isinstance(tau, numbers.Real) and 0.0 <= tau <= 1.0):
             raise ValidationError(
                 f"the operator's tau must be a number in [0, 1], got {tau!r}")
+        check_mean_fits(self.oracle, getattr(self.op, "shape", np.shape(self.ground_truth)))
 
 
 @dataclass(frozen=True)

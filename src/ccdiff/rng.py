@@ -5,17 +5,21 @@ ids.  Identical (seed, stream ids, draw order) always reproduces the same
 Gaussian draws; distinct stream ids give statistically independent streams.
 Philox is counter based, so the mapping is stable across platforms.
 
-``RngStream.refill`` lets a loop overlap the next block's fill with its own
-arithmetic: numpy's fills release the interpreter lock, so one worker thread
-does them on a second core, until a fork stops it.  A refill never changes
-which values a stream yields.
+A loop can have its next draws filled while it computes: numpy's fills
+release the interpreter lock, so one worker thread does them on a second
+core, until a fork stops it.  ``plan_draws`` hands the worker a loop's
+whole sequence of draws, across streams, in jobs of consecutive draws;
+``RngStream.refill`` hands it one draw into a buffer the caller gives back.
+Neither changes which values a stream yields.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -29,22 +33,17 @@ STREAM_REVERSE = 1
 STREAM_CONSISTENCY = 2
 STREAM_CORRECTOR = 3
 
-# One thread runs every refill: the next refill starts it, and a fork stops it.
+# One thread runs every fill: the next job starts it, and a fork stops it.
 _worker = None
 _worker_lock = threading.Lock()
 
 
-def _fill_into(fill, buf: np.ndarray) -> None:
-    # Returns nothing, so a finished fill's future does not keep ``buf`` alive.
-    fill(out=buf)
-
-
-def _submit_fill(fill, buf: np.ndarray):
+def _submit(*job):
     global _worker
     with _worker_lock:
         if _worker is None:
             _worker = _executor_class()(1, thread_name_prefix="ccdiff-refill")
-        return _worker.submit(_fill_into, fill, buf)
+        return _worker.submit(*job)
 
 
 @functools.cache
@@ -62,13 +61,160 @@ def _executor_class():
 
 def _stop_worker_before_fork() -> None:
     # A fill running at the fork would leave its generator locked in the
-    # child.  Shutdown waits for it, cancels unstarted fills (their owners
-    # fill the blocks) and joins the thread; the held lock stops new fills.
+    # child.  Shutdown waits for the running job, cancels unstarted ones
+    # (their owners fill the draws) and joins the thread; the held lock stops
+    # new jobs.
     global _worker
     _worker_lock.acquire()
     if _worker is not None:
         _worker.shutdown(cancel_futures=True)
         _worker = None
+
+
+def _fill(draws, filled) -> None:
+    """Fill each (stream, out) of ``draws`` in order on the worker, putting
+    True on ``filled`` after each and False when the job ends, so a waiter
+    that reads False finds a failed fill's error in the job's future
+    instead of waiting for ever."""
+    try:
+        for stream, out in draws:
+            stream._gen.standard_normal(out=out)
+            filled.put(True)
+    finally:
+        filled.put(False)
+
+
+class _Plan:
+    """Draws of one or more streams, in the order they will be requested,
+    filled ahead on the worker thread.
+
+    ``draws`` holds (stream, out) pairs; the first ``start`` are filled at
+    once, and ``ends[k]`` ends job k, which begins where the one before
+    ends.  A job that has not started when its next draw is requested is
+    cancelled: that draw is filled on the calling thread and the rest of the
+    job queued again.  Job k + 1 is queued once job k has started or ended,
+    so at most two are in flight, and it may write over the draws of job
+    k - 1, which the caller has spent by then.
+    """
+
+    def __init__(self, draws, ends, start):
+        self.draws, self.ends, self.start = draws, ends, start
+        self.next = 0                      # the next draw to hand out
+        self.job = 0                       # the job that holds it
+        self.runs = {}                     # job -> (future, filled) of its queued run
+        self.streams = list({id(s): s for s, _ in draws}.values())
+        for s in self.streams:
+            s._settle()
+        self.states = [s._gen.bit_generator.state for s in self.streams]
+        for s, out in draws[:start]:
+            s._gen.standard_normal(out=out)
+        if ends:
+            self.runs[0] = self._queue(start, ends[0])
+        for s in self.streams:
+            s._plan = self
+
+    def _queue(self, lo, hi):
+        filled = SimpleQueue()
+        return _submit(_fill, self.draws[lo:hi], filled), filled
+
+    def take(self, stream, shape):
+        """The next draw if it is ``stream``'s and has ``shape``; otherwise
+        settle the plan and return None."""
+        j = self.next
+        s, out = self.draws[j]
+        if s is not stream or out.shape != shape:
+            self.settle()
+            return None
+        self.next = j + 1
+        if j >= self.start:
+            self._wait(j)
+        if self.next == len(self.draws):
+            self._detach()
+        return out
+
+    def _wait(self, j) -> None:
+        k, end = self.job, self.ends[self.job]
+        future, filled = self.runs[k]
+        # A run that has published a draw has started; one that has not
+        # started and is cancelled never moved a generator.
+        started = not (filled.empty() and future.cancel())
+        if not started:
+            stream, out = self.draws[j]
+            stream._gen.standard_normal(out=out)
+            if j + 1 < end:
+                self.runs[k] = self._queue(j + 1, end)
+        elif not filled.get():
+            future.result()                 # raises the fill's error
+        if (started or j + 1 == end) and k + 1 < len(self.ends) and k + 1 not in self.runs:
+            self.runs[k + 1] = self._queue(end, self.ends[k + 1])
+        if j + 1 == end:
+            del self.runs[k]
+            self.job = k + 1
+
+    def settle(self) -> None:
+        """End the plan as if it had not been made: cancel or wait for the
+        jobs in flight and rewind each stream to just after the draws it
+        handed out."""
+        for future, _ in self.runs.values():
+            if not future.cancel():
+                future.result()
+        self.runs.clear()
+        if self.next < len(self.draws):
+            # Replay the draws handed out from each stream's state at the start.
+            for s, state in zip(self.streams, self.states):
+                s._gen.bit_generator.state = state
+            for s, out in self.draws[:self.next]:
+                s._gen.standard_normal(out.shape)
+            self.next = len(self.draws)     # so a second settle rewinds nothing
+        self._detach()
+
+    def _detach(self) -> None:
+        for s in self.streams:
+            if s._plan is self:
+                s._plan = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.settle()
+
+
+def plan_draws(draws, job_values: int) -> _Plan:
+    """Fill ``draws``, (stream, shape) pairs in the order a loop will ask
+    for them with ``normal``, ahead of the loop on the worker thread.
+
+    The first draw is filled at once, as nothing would overlap it.  The rest
+    go to the worker as jobs of consecutive draws of at least ``job_values``
+    values (the last job may hold fewer), written into two buffers that the
+    jobs take in turn.  A job publishes each draw as it lands, so ``normal``
+    waits for one draw at most.  The loop must be done with a draw by its
+    next request, and must use the streams from one thread.  Any other
+    request on a planned stream settles the plan: the jobs in flight are
+    cancelled or waited for and every stream is rewound, as ``refill``
+    promises.  Used as a context manager, the plan settles on exit.
+    """
+    draws = [(s, tuple(shape)) for s, shape in draws]
+    jobs, job, size = [], [], 0
+    for s, shape in draws[1:]:
+        job.append((s, shape))
+        size += math.prod(shape)
+        if size >= job_values:
+            jobs.append((job, size))
+            job, size = [], 0
+    if job:
+        jobs.append((job, size))
+    longest = max((size for _, size in jobs), default=0)
+    buffers = [np.empty(longest) for _ in jobs[:2]]
+    out, ends = [(draws[0][0], np.empty(draws[0][1]))], []
+    for k, (job, _) in enumerate(jobs):
+        flat, offset = buffers[k % 2], 0
+        for s, shape in job:
+            n = math.prod(shape)
+            out.append((s, flat[offset:offset + n].reshape(shape)))
+            offset += n
+        ends.append(len(out))
+    return _Plan(out, ends, start=1)
 
 
 class RngStream:
@@ -82,7 +228,7 @@ class RngStream:
         self.seed = int(seed)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.stream)
         self._gen = np.random.Generator(np.random.Philox(ss))
-        self._fill = None    # (future, buffer, state before the fill) of a refill
+        self._plan = None    # the _Plan that fills this stream's next draws
 
     def substream(self, *ids: int) -> "RngStream":
         """Derive an independent stream; same ids always give the same stream."""
@@ -90,7 +236,8 @@ class RngStream:
 
     def refill(self, buf: np.ndarray) -> None:
         """Queue a fill of ``buf`` with this stream's next standard normals on
-        the worker thread, for the next ``normal(buf.shape)`` to return.
+        the worker thread, for the next ``normal(buf.shape)`` to return: a
+        plan of one draw.
 
         If the worker has not started the fill by then, that draw cancels it
         and fills ``buf`` on the calling thread instead of waiting.  A fork
@@ -103,31 +250,19 @@ class RngStream:
         if (buf.dtype != np.float64 or not buf.flags.c_contiguous
                 or not buf.flags.writeable):
             raise ValidationError("refill needs a writeable C-contiguous float64 array")
-        self._settle()
-        state = self._gen.bit_generator.state
-        self._fill = (_submit_fill(self._gen.standard_normal, buf), buf, state)
+        _Plan([(self, buf)], [1], start=0)
 
     def _settle(self) -> None:
-        """Cancel or wait for a pending refill, as if it had not been made."""
-        if self._fill is not None:
-            future, _, state = self._fill
-            self._fill = None
-            if not future.cancel():     # a cancelled fill never moved the generator
-                future.result()
-                self._gen.bit_generator.state = state
+        """Cancel or wait for pending fills, as if they had not been queued."""
+        if self._plan is not None:
+            self._plan.settle()
 
     def normal(self, shape=()) -> np.ndarray:
         """Standard normal draws of the requested shape (float64)."""
-        if self._fill is not None:
-            future, buf, _ = self._fill
-            if (tuple(shape) if np.iterable(shape) else (shape,)) == buf.shape:
-                self._fill = None
-                if future.cancel():
-                    self._gen.standard_normal(out=buf)
-                else:
-                    future.result()
-                return buf
-            self._settle()
+        if self._plan is not None:
+            out = self._plan.take(self, tuple(shape) if np.iterable(shape) else (shape,))
+            if out is not None:
+                return out
         return self._gen.standard_normal(shape)
 
     def uniform(self, low=0.0, high=1.0, shape=()) -> np.ndarray:

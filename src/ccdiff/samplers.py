@@ -12,17 +12,23 @@ array the score returned or in one array of its own, so a call allocates at
 most its result and one temporary.
 Only the loops (``ccdf_sample``, ``reverse_path``, ``run_error_curve``) and
 the SR/inpaint offsets draw; a coupled pair shares the draws of the streams
-its caller gives the same ids.  Blocks of at least ``REFILL_MIN_VALUES``
-values are filled ahead of their draw by ``RngStream.refill`` while the loop
-computes: ``reverse_path`` hands each spent reverse, corrector and anchor
-draw back to its stream to hold the next block, and fills each trajectory's
-first reverse block in a fresh buffer before step N'; ``run_error_curve``
-does the same for the reference trajectory's forward draw.  The draws'
-values do not change, and smaller blocks are drawn as they are needed.
+its caller gives the same ids.  The rng worker thread fills the noise ahead
+of its draws while the loop computes, and the draws' values do not change.
+A trajectory's block of at least ``REFILL_MIN_VALUES`` values is refilled
+one at a time by ``RngStream.refill``: ``reverse_path`` hands each spent
+reverse, corrector and anchor draw back to its stream to hold the next
+block, and fills each trajectory's first reverse and corrector blocks in
+fresh buffers before step N'; ``run_error_curve`` does the same for the
+reference trajectory's forward draw.  Smaller blocks are planned:
+``reverse_path`` gives ``rng.plan_draws`` every draw of the path in the
+order it makes them, and the worker fills them in jobs of at least
+``REFILL_MIN_VALUES`` values (8 steps of a 64x64 SMLD path with the
+corrector), two jobs at most in flight.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass
@@ -31,20 +37,25 @@ import numpy as np
 
 from .errors import ValidationError
 from .rng import (RngStream, STREAM_CONSISTENCY, STREAM_CORRECTOR,
-                  STREAM_FORWARD, STREAM_REVERSE)
+                  STREAM_FORWARD, STREAM_REVERSE, plan_draws)
 from .schedules import (SamplerKind, Schedule, check_family, check_step_index,
                         forward_coeffs, step_index_of_time)
-from .score import ScoreOracle
+from .score import ScoreOracle, check_mean_fits
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_CORRECTOR_R = 0.16
 
-# Smallest draw refilled on the worker thread; below it the hand-off costs
-# more than the overlap saves.  With every draw refilled, recon-mri (4096
-# values per draw) lost a third of its throughput (0/10 pairs).  Coupled-pair
-# cells ran faster refilled at 2^16 values per draw (27 of 32 pairs) but not
-# at 2^15 (15 of 32).  Both sets of runs are in BENCH_6.json.
+# The fewest values the worker thread fills in one hand-off; below it the
+# hand-off costs more than the overlap saves.  A draw this large is refilled
+# on its own.  With every draw refilled, recon-mri (4096 values per draw) lost
+# a third of its throughput (0/10 pairs); coupled-pair cells ran faster
+# refilled at 2^16 values per draw (27 of 32 pairs) but not at 2^15 (15 of
+# 32), as BENCH_6.json records.  Smaller draws are planned for the whole path
+# and filled in jobs of at least this many values: a 64x64 reconstruction
+# took 3.94 ms with jobs of 2^16 values against 4.19 and 4.16 ms with 2^14 and
+# 2^15 and 4.36 ms with 2^17 (fastest of 6 interleaved rounds of 10 x 30 on a
+# 2-core host), and recon-mri's gain is in BENCH_23.json.
 REFILL_MIN_VALUES = 1 << 16
 
 
@@ -419,6 +430,25 @@ def prefetch(stream: RngStream, shape) -> None:
         stream.refill(np.empty(shape))
 
 
+def _fill_ahead(states: list, cfg: CcdfConfig, op, noise, corrector_noise,
+                anchor_rng: RngStream):
+    """Start filling the path's noise ahead of its draws, as the module
+    docstring says; returns a context that settles any plan on exit."""
+    rule = RULES[cfg.kind]
+    reverse = [(noise[k], x.shape) for k, x in enumerate(states)] if rule.noisy else []
+    corrector = ([(corrector_noise[k], x.shape) for k, x in enumerate(states)]
+                 if cfg.corrected else [])
+    if states[0].size >= REFILL_MIN_VALUES:
+        for stream, shape in reverse + corrector:
+            prefetch(stream, shape)
+        return contextlib.nullcontext()
+    anchor = [(anchor_rng, states[0].shape)] if getattr(op, "draws_anchor", False) else []
+    step = reverse + anchor + (corrector + anchor if cfg.corrected else [])
+    if not step:
+        return contextlib.nullcontext()
+    return plan_draws(step * cfg.n_prime, REFILL_MIN_VALUES)
+
+
 def _consistency(states: list, op, i: int, c, rng: RngStream, batch_axes: int) -> None:
     """x <- A x + b_i on every trajectory, with one offset b_i shared by all."""
     b = op.offset(c, rng, batch_shape=states[0].shape[:batch_axes])
@@ -452,31 +482,30 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     if cfg.N != schedule.N:
         raise ValidationError(f"config N={cfg.N} does not match schedule N={schedule.N}")
     _check_op(op, states[0].shape)
+    check_mean_fits(oracle, op.shape)
     batch_axes = states[0].ndim - len(op.shape)
     if not all(np.isfinite(x).all() for x in states):
         raise ValidationError(f"non-finite state at the start of step {cfg.n_prime}")
     rule = RULES[cfg.kind]
-    if rule.noisy:
-        for k in range(len(states)):
-            prefetch(noise[k], states[k].shape)
-    for i in range(cfg.n_prime, 0, -1):
-        c = forward_coeffs(schedule, i)
-        # Indexing, not a loop variable, so no old state outlives its update.
-        for k in range(len(states)):
-            z = noise[k].normal(states[k].shape) if rule.noisy else None
-            states[k] = rule.step(states[k], i, schedule, oracle, z)
-            _refill(noise[k], z, i)
-        _consistency(states, op, i, c, anchor_rng, batch_axes)
-        if cfg.corrected:
+    with _fill_ahead(states, cfg, op, noise, corrector_noise, anchor_rng):
+        for i in range(cfg.n_prime, 0, -1):
+            c = forward_coeffs(schedule, i)
+            # Indexing, not a loop variable, so no old state outlives its update.
             for k in range(len(states)):
-                z = corrector_noise[k].normal(states[k].shape)
-                states[k] = langevin_corrector(
-                    states[k], i, schedule, oracle, cfg.corrector_r, z,
-                    batch_axes=batch_axes, squared_step=cfg.corrector_squared_step)
-                _refill(corrector_noise[k], z, i)
+                z = noise[k].normal(states[k].shape) if rule.noisy else None
+                states[k] = rule.step(states[k], i, schedule, oracle, z)
+                _refill(noise[k], z, i)
             _consistency(states, op, i, c, anchor_rng, batch_axes)
-        if on_step is not None:
-            on_step(i, states)
+            if cfg.corrected:
+                for k in range(len(states)):
+                    z = corrector_noise[k].normal(states[k].shape)
+                    states[k] = langevin_corrector(
+                        states[k], i, schedule, oracle, cfg.corrector_r, z,
+                        batch_axes=batch_axes, squared_step=cfg.corrector_squared_step)
+                    _refill(corrector_noise[k], z, i)
+                _consistency(states, op, i, c, anchor_rng, batch_axes)
+            if on_step is not None:
+                on_step(i, states)
     return states
 
 

@@ -16,6 +16,22 @@ from .errors import ValidationError
 from .schedules import Schedule, check_step_index, forward_coeffs
 
 
+def _fits(shape: tuple, target: tuple) -> bool:
+    """Whether an array of ``shape`` broadcasts to ``target`` without adding axes."""
+    return len(shape) <= len(target) and all(
+        s in (1, t) for s, t in zip(shape[::-1], target[::-1]))
+
+
+def check_mean_fits(oracle, shape) -> None:
+    """Refuse an oracle whose prior mean ``mu`` does not broadcast to the
+    operator's ``shape`` without adding axes: its score would broadcast the
+    state up to ``mu``'s shape, or fail mid-path."""
+    mu = getattr(oracle, "mu", None)
+    if mu is not None and not _fits(np.shape(mu), tuple(shape)):
+        raise ValidationError(f"the oracle's mean of shape {np.shape(mu)} does not "
+                              f"fit the operator's shape {tuple(shape)}")
+
+
 class ScoreOracle(abc.ABC):
     """Evaluator of s(x, i), affine in x at each step: s = J_i x + c_i."""
 
@@ -48,7 +64,7 @@ class GaussianScoreOracle(ScoreOracle):
         self.mu = np.asarray(mu, dtype=np.float64)
         self.var = np.asarray(var, dtype=np.float64)
         vs, ms = self.var.shape, self.mu.shape
-        if len(vs) > len(ms) or any(v not in (1, m) for v, m in zip(vs[::-1], ms[::-1])):
+        if not _fits(vs, ms):
             raise ValidationError(f"prior variance of shape {vs} does not broadcast "
                                   f"to the prior mean's shape {ms}")
         if not np.all((0.0 <= self.var) & (self.var < np.inf)):

@@ -262,6 +262,7 @@ REFUSAL_NAMES = {
     "ccdf --seed -1 --op identity --t0 0.1": "seed",
     "ccdf --seed 1 --kind smld --op mri --t0 0.02": "seed",
     "check-op --op identity --seed 1": "non-integer",
+    "check-op --op inpaint --seed 11": "'mask-path' holds a NUL byte",
     "check-op --op identity --seed 2": "below 1x1",
     "check-op --op identity --seed 7": "above maxval",
     "check-op --op identity --seed 8": "truncated PGM pixel data",
@@ -412,6 +413,7 @@ BAD_IMAGES = {
     ("simulate --seed 1 --size 64x64 --trials 4 --n-steps 20 --op sr --factor 4", "factor=4"),
     ("simulate --seed 1 --trials 4 --n-steps 20 --op sr", "factor=4"),
     ("check-op --op inpaint --seed 5", "box=3,3\nseed=2"),
+    ("check-op --op inpaint --seed 11", "mask-path=\0"),
     ("check-op --op mri --seed 6", "mask-path={tmp}/nonint.pgm\nseed=2\naccel-factor=2"),
     pytest.param(f"contract --kind ddpm --t0 0.5 --n {HUGE_N} --tau 0.5 --eps0 1", None,
                  id="contract-n-400-digits"),

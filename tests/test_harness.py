@@ -12,10 +12,10 @@ from ccdiff import (CcdfConfig, ConditionalScoreOracle, ExperimentConfig,
                     SrOp, ValidationError, ccdf_sample, forward_coeffs,
                     make_phantom, make_ve_schedule, make_vp_schedule, psnr,
                     resolve_init, run_error_curve, run_mri_demo, run_t0_sweep)
-from ccdiff import harness
+from ccdiff import harness, samplers
 from ccdiff.consistency import MriOp, gaussian1d_mask, mri_measure
 from ccdiff.imgio import write_csv
-from ccdiff.rng import RngStream
+from ccdiff.rng import RngStream, plan_draws
 from ccdiff.samplers import REFILL_MIN_VALUES
 
 VP100 = make_vp_schedule(1e-4, 0.02, 100)
@@ -184,6 +184,15 @@ def test_recording_a_step_allocates_one_state(monkeypatch, peak_states):
     assert max(peaks) <= 1 + 1 / 16
 
 
+def test_experiment_config_refuses_an_oracle_mean_that_does_not_fit(monkeypatch):
+    cfg = _identity_cfg(SamplerKind.DDPM, VP100, t0=0.06, trials=4, seed=31, n=16)
+    threads, _ = _watch_draws(monkeypatch)
+    for mu in (np.zeros(8), np.zeros((3, 16))):
+        with pytest.raises(ValidationError, match="does not fit the operator's shape"):
+            run_error_curve(replace(cfg, oracle=ConditionalScoreOracle(mu)))
+    assert threads == []
+
+
 # ------------------------- noise refills in the loop ------------------------
 
 
@@ -242,22 +251,34 @@ def test_error_curve_refills_corrector_streams_too(monkeypatch):
     n_prime = run_error_curve(cfg).n_prime
     assert len(threads) == 2 + 4 * n_prime
     assert set(threads) == {threading.get_ident()}
+    # The first corrector blocks are prefetched with the first reverse blocks.
     assert refills == {(11,): 1, (12,): n_prime, (13,): n_prime,
-                       (15,): n_prime - 1, (16,): n_prime - 1}
+                       (15,): n_prime, (16,): n_prime}
 
 
 @pytest.mark.parametrize("case", ["below-threshold", "ccdf-64x64"])
-def test_no_refill_for_small_blocks(monkeypatch, case):
+def test_small_blocks_are_planned_not_refilled(monkeypatch, case):
+    # Below the cutoff no draw is handed back, the forward draw included:
+    # the path's draws are planned once, in the order the loop makes them.
     _, refills = _watch_draws(monkeypatch)
+    plans = []
+
+    def watched_plan(draws, job_values):
+        plans.append([s.stream for s, _ in draws])
+        return plan_draws(draws, job_values)
+
+    monkeypatch.setattr(samplers, "plan_draws", watched_plan)
     if case == "below-threshold":
-        # Below the cutoff nothing is refilled, the forward draw included.
-        run_error_curve(_refill_cell(SamplerKind.DDPM, trials=1023))
+        n_prime = run_error_curve(_refill_cell(SamplerKind.DDPM, trials=1023)).n_prime
+        want = [(12,), (13,)] * n_prime
     else:
         ref = make_phantom("ellipses", (64, 64), seed=3)
         op = IdentityOp(ref.shape, ref)
         cfg = CcdfConfig(t0=0.05, N=100, kind=SamplerKind.SMLD, corrector_r=0.16)
         ccdf_sample(ref, op, cfg, VE100, ConditionalScoreOracle(ref), RngStream(8))
+        want = [(1,), (3,)] * cfg.n_prime
     assert refills == {}
+    assert plans == [want]
 
 
 def test_ddim_refills_only_its_forward_draw(monkeypatch):
@@ -289,8 +310,9 @@ def test_mri_loops_never_refill_the_operator_s_offset(monkeypatch):
     _, refills = _watch_draws(monkeypatch)
     n_prime = run_error_curve(cfg).n_prime
     assert np.array_equal(op.vanilla_init(), before)
+    # The first corrector blocks are prefetched with the first reverse blocks.
     assert refills == {(11,): 1, (12,): n_prime, (13,): n_prime,
-                       (15,): n_prime - 1, (16,): n_prime - 1}
+                       (15,): n_prime, (16,): n_prime}
     # One 256x256 image: the offset alone is as large as REFILL_MIN_VALUES.
     big = make_phantom("ellipses", (256, 256), seed=32)
     mask = gaussian1d_mask(big.shape, 4.0, 0.1, seed=32)
@@ -300,7 +322,7 @@ def test_mri_loops_never_refill_the_operator_s_offset(monkeypatch):
     refills.clear()
     ccdf_sample(before, op, path, VE100, ConditionalScoreOracle(big), RngStream(32))
     assert np.array_equal(op.vanilla_init(), before)
-    assert refills == {(1,): path.n_prime, (3,): path.n_prime - 1}
+    assert refills == {(1,): path.n_prime, (3,): path.n_prime}
 
 
 @pytest.mark.parametrize("kind, op_name, kw", [

@@ -11,9 +11,14 @@ import pytest
 
 from ccdiff import ValidationError
 from ccdiff import rng
-from ccdiff.rng import RngStream
+from ccdiff.rng import RngStream, plan_draws
 
 SHAPES = [(3,), (2, 4), (40,)]
+
+
+def _queued(s):
+    """The future of the job that fills ``s``'s next draw."""
+    return s._plan.runs[s._plan.job][0]
 
 
 def test_refill_is_only_a_hint():
@@ -83,6 +88,84 @@ def test_refill_is_only_a_hint():
             pool.shutdown()
 
 
+def test_a_plan_is_only_a_hint():
+    # A plan over three streams is followed for a while and then left by a
+    # request off the plan, or by settling it: every stream then yields what
+    # it would have without the plan.  "busy" keeps the worker on a large
+    # fill, so a job is often found unstarted and its draw filled in place.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    shapes = SHAPES + [(64, 64)]
+    plans = st.lists(st.tuples(st.integers(0, 2), st.integers(0, len(shapes) - 1)),
+                     min_size=1, max_size=30)
+    leaves = st.sampled_from(["settle", "normal", "uniform", "generator", "refill"])
+
+    @hyp.settings(max_examples=200, deadline=None, database=None)
+    @hyp.given(plans, st.data(), leaves, st.sampled_from([1, 8, 100, 5000, 10**6]),
+               st.booleans(), st.integers(0, 2**32 - 1))
+    def check(plan, data, leave, job_values, busy, seed):
+        planned = [RngStream(seed, (k,)) for k in range(3)]
+        plain = [RngStream(seed, (k,)) for k in range(3)]
+        if busy:
+            RngStream(seed, (9,)).refill(np.empty((512, 512)))
+        followed = data.draw(st.integers(0, len(plan)))
+        with plan_draws([(planned[k], shapes[j]) for k, j in plan], job_values):
+            for k, j in plan[:followed]:
+                # Compared at once: a later job may write into the draw.
+                assert np.array_equal(planned[k].normal(shapes[j]),
+                                      plain[k].normal(shapes[j]))
+            k = data.draw(st.integers(0, 2))
+            if leave == "normal":
+                assert np.array_equal(planned[k].normal((5,)), plain[k].normal((5,)))
+            elif leave == "uniform":
+                assert np.array_equal(planned[k].uniform(0.0, 1.0, (3,)),
+                                      plain[k].uniform(0.0, 1.0, (3,)))
+            elif leave == "generator":
+                assert np.array_equal(planned[k].generator().standard_normal(4),
+                                      plain[k].generator().standard_normal(4))
+            elif leave == "refill":
+                planned[k].refill(np.empty(6))
+        for s, ref in zip(planned, plain):
+            assert np.array_equal(s.normal((7,)), ref.normal((7,)))
+            assert s._plan is None
+
+    check()
+
+
+def test_plans_from_many_threads_keep_every_stream_exact():
+    # More threads than cores, each planning the draws of its own two
+    # streams, all sharing the one fill worker, with frequent thread switches.
+    n_threads, rounds, shape = 6, 10, (32, 32)
+    errors = []
+
+    def run(k):
+        try:
+            a, b = RngStream(200, (k, 0)), RngStream(200, (k, 1))
+            ref_a, ref_b = RngStream(200, (k, 0)), RngStream(200, (k, 1))
+            for _ in range(rounds):
+                with plan_draws([(a, shape), (b, shape)] * 40, 5000):
+                    for _ in range(40):
+                        if not (np.array_equal(a.normal(shape), ref_a.normal(shape))
+                                and np.array_equal(b.normal(shape), ref_b.normal(shape))):
+                            errors.append(k)
+                            return
+        except Exception as exc:  # reported below, not lost with the thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
 def test_refill_accepts_int_and_list_shapes():
     s, ref = RngStream(3), RngStream(3)
     s.refill(np.empty(6))
@@ -150,11 +233,11 @@ def test_no_fill_starts_between_the_fork_hooks():
     other = RngStream(12)
     rng._stop_worker_before_fork()
     try:
-        assert s._fill[0].done()
+        assert _queued(s).done()
         t = threading.Thread(target=other.refill, args=(np.empty(8),))
         t.start()
         t.join(timeout=0.2)
-        assert t.is_alive() and other._fill is None
+        assert t.is_alive() and other._plan is None
     finally:
         rng._worker_lock.release()
     t.join(timeout=60)
@@ -188,7 +271,7 @@ def test_fork_hook_waits_for_a_refill_being_submitted(monkeypatch):
     hook.join(timeout=60)
     try:
         assert waited and not hook.is_alive() and not refiller.is_alive()
-        assert s._fill[0].done()
+        assert _queued(s).done()
     finally:
         rng._worker_lock.release()
     ref = RngStream(13)
@@ -341,6 +424,6 @@ def test_fork_waits_for_a_running_fill_and_cancels_a_queued_one():
         os.waitpid(pid, 0)
         pytest.fail("the forked child hung on a fill its worker never finished")
     assert waited and os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-    assert b._fill[0].cancelled()
+    assert _queued(b).cancelled()
     assert np.array_equal(a.normal(shape), RngStream(21).normal(shape))
     assert np.array_equal(b.normal(shape), RngStream(22).normal(shape))

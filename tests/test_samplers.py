@@ -1,4 +1,8 @@
+import contextlib
 import hashlib
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +14,9 @@ from ccdiff import (CcdfConfig, ConditionalScoreOracle, GaussianScoreOracle,
                     langevin_corrector, make_phantom, make_ve_schedule,
                     make_vp_schedule, mri_measure, mri_projection,
                     reverse_step_ddim, reverse_step_ddpm, reverse_step_smld)
+from ccdiff import rng, samplers
 from ccdiff.rng import RngStream
+from ccdiff.samplers import REFILL_MIN_VALUES, reverse_path
 
 VP = make_vp_schedule(1e-4, 0.02, 1000)
 VE = make_ve_schedule(0.01, 378, 1000)
@@ -460,6 +466,23 @@ def test_ccdf_validates_configuration():
         ccdf_sample(nan_init, op, cfg, VP, oracle, RngStream(1))  # non-finite
 
 
+def test_ccdf_refuses_an_oracle_mean_that_does_not_fit_before_any_plan(monkeypatch):
+    # A mean with an extra axis would broadcast the state up to its shape; a
+    # shorter one would fail mid-path in numpy's broadcasting.
+    ref = np.zeros(16)
+    op = IdentityOp(ref.shape, ref)
+    cfg = CcdfConfig(t0=0.02, N=1000, kind=SamplerKind.DDPM)
+    plans = []
+    monkeypatch.setattr(samplers, "plan_draws", lambda *args: plans.append(args))
+    for mu in (np.zeros((3, 16)), np.zeros(8), np.zeros((16, 1))):
+        with pytest.raises(ValidationError, match="does not fit the operator's shape"):
+            ccdf_sample(ref, op, cfg, VP, ConditionalScoreOracle(mu), RngStream(1))
+    assert plans == []
+    monkeypatch.undo()
+    out = ccdf_sample(ref, op, cfg, VP, ConditionalScoreOracle(np.zeros(1)), RngStream(1))
+    assert out.shape == ref.shape
+
+
 def test_rng_streams_are_reproducible_and_independent():
     a = RngStream(42, (1, 2)).normal((8,))
     b = RngStream(42, (1, 2)).normal((8,))
@@ -515,3 +538,143 @@ def test_reverse_path_leaves_oracle_and_operator_data_alone():
         ccdf_sample(init, op, cfg, sch, oracle, RngStream(37))
         for a, b in zip(data, before):
             assert np.array_equal(a, b)
+
+
+# ------------------------ small-block noise plans ---------------------------
+
+
+def _plan_case(name):
+    """(x0, op, cfg, schedule, oracle) of a path whose draws are planned."""
+    if name == "smld-64x64-corrected":
+        ph = make_phantom("ellipses", (64, 64), seed=40)
+        mask = gaussian1d_mask(ph.shape, 4.0, 0.08, seed=40)
+        op = mri_projection(mask, mri_measure(ph, mask))
+        cfg = CcdfConfig(t0=0.02, N=1000, kind=SamplerKind.SMLD, corrector_r=0.16,
+                         corrector_squared_step=True)
+        return op.vanilla_init(), op, cfg, VE, GaussianScoreOracle(mu=ph, var=1e-4)
+    ph = make_phantom("blocks", (32, 32), seed=41)
+    cfg = CcdfConfig(t0=0.05, N=1000, kind=SamplerKind.DDPM)
+    return ph, SrOp(4, ph), cfg, VP, GaussianScoreOracle(mu=ph, var=0.25)
+
+
+def _streams():
+    """Forward, reverse, anchor and corrector streams, in that order."""
+    return [RngStream(42, (k,)) for k in range(4)]
+
+
+def _run_plan_case(case, streams, on_step=None):
+    x0, op, cfg, sch, oracle = case
+    x = forward_diffuse(x0, cfg.n_prime, sch, streams[0].normal(x0.shape))
+    [x] = reverse_path([x], cfg, sch, oracle, op, [streams[1]], [streams[3]],
+                       streams[2], on_step)
+    return x
+
+
+def _unplanned(monkeypatch):
+    monkeypatch.setattr(samplers, "plan_draws",
+                        lambda draws, job_values: contextlib.nullcontext())
+
+
+def _assert_same_next_draws(streams, plain, shape):
+    for s, ref in zip(streams, plain):
+        assert np.array_equal(s.normal(shape), ref.normal(shape))
+
+
+@pytest.mark.parametrize("name", ["smld-64x64-corrected", "ddpm-sr"])
+def test_a_planned_path_keeps_its_bytes_and_every_stream_s_next_draw(monkeypatch, name):
+    case = _plan_case(name)
+    streams, plain = _streams(), _streams()
+    x = _run_plan_case(case, streams)
+    with monkeypatch.context() as m:
+        _unplanned(m)
+        want = _run_plan_case(case, plain)
+    assert x.tobytes() == want.tobytes()
+    _assert_same_next_draws(streams, plain, x.shape)
+
+
+@pytest.mark.parametrize("stop", [20, 13, 4])
+def test_a_path_stopped_by_a_non_finite_state_leaves_every_stream_exact(
+        monkeypatch, stop):
+    # 64x64 with the corrector: jobs of 16 draws end after steps 12 and 4.
+    case = _plan_case("smld-64x64-corrected")
+
+    def poison(i, states):
+        if i == stop:
+            states[0][0, 0] = np.nan
+        samplers._check_finite(i, states)
+
+    streams, plain = _streams(), _streams()
+    for s, unplanned in ((streams, False), (plain, True)):
+        with monkeypatch.context() as m:
+            if unplanned:
+                _unplanned(m)
+            with pytest.raises(ValidationError, match=f"after step {stop}$"):
+                _run_plan_case(case, s, poison)
+    # The rest of the path's draws, kept and compared at the end: no job
+    # left running may write into a draw once the path has stopped.
+    shape = case[0].shape
+    kept = [(streams[k].normal(shape), plain[k].normal(shape))
+            for _ in range(stop - 1) for k in (1, 3)]
+    assert all(np.array_equal(got, want) for got, want in kept)
+    _assert_same_next_draws(streams, plain, shape)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_a_fork_mid_path_lets_parent_and_child_finish_with_the_same_bits(monkeypatch):
+    case = _plan_case("smld-64x64-corrected")
+    plain = _streams()
+    with monkeypatch.context() as m:
+        _unplanned(m)
+        want = _run_plan_case(case, plain)
+    want_next = [s.normal((5,)) for s in plain]
+    pids, ok = [], False
+
+    def fork_at_10(i, states):
+        if i == 10:
+            pids.append(os.fork())
+
+    try:
+        streams = _streams()
+        x = _run_plan_case(case, streams, fork_at_10)
+        ok = x.tobytes() == want.tobytes() and all(
+            np.array_equal(s.normal((5,)), w) for s, w in zip(streams, want_next))
+    finally:
+        if pids == [0]:
+            os._exit(0 if ok else 2)   # a child that raised exits 1 from here
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pids[0], os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pids[0], signal.SIGKILL)
+        os.waitpid(pids[0], 0)
+        pytest.fail("the forked child hung mid-path")
+    assert ok and os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def test_plan_jobs_hold_at_least_refill_min_values(monkeypatch):
+    plans = []
+
+    def kept(draws, job_values):
+        plans.append(rng.plan_draws(draws, job_values))
+        return plans[-1]
+
+    monkeypatch.setattr(samplers, "plan_draws", kept)
+    for name in ("smld-64x64-corrected", "ddpm-sr"):
+        _run_plan_case(_plan_case(name), _streams())
+    jobs = []
+    for p in plans:
+        bounds = [p.start] + p.ends
+        sizes = [sum(out.size for _, out in p.draws[lo:hi])
+                 for lo, hi in zip(bounds, bounds[1:])]
+        assert all(v >= REFILL_MIN_VALUES for v in sizes[:-1])
+        jobs.append(sizes)
+    # 20 steps of a reverse and a corrector draw of 64x64 after the first
+    # draw: 8 steps to a job.  50 steps of a reverse and an anchor draw of
+    # 32x32: 32 steps to a job.
+    assert jobs == [[16 * 4096, 16 * 4096, 7 * 4096], [64 * 1024, 35 * 1024]]
+    assert [s.stream for s, _ in plans[0].draws[:3]] == [(1,), (3,), (1,)]
+    assert [s.stream for s, _ in plans[1].draws[:3]] == [(1,), (2,), (1,)]
