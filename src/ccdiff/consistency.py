@@ -64,8 +64,8 @@ class ConsistencyOp:
     (the vector b_i, possibly drawn from the supplied RNG).  ``tau`` is the
     exact trace ratio Tr(A^T A)/n, which every operator gives in closed form.
     ``reverse_path`` treats the axes of a state in front of ``shape`` as batch axes.
-    ``draws_anchor`` says that ``offset`` returns the very array it drew from
-    ``rng``, which the caller may then hand back to the stream to refill.
+    ``draws_anchor`` says that ``offset`` draws one anchor of the state's
+    shape from ``rng`` per call.
     """
 
     draws_anchor = False

@@ -12,6 +12,7 @@ Sampling masks are bilevel PGM files (zero = unmeasured).
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -86,6 +87,16 @@ def _read_pgm_header(fh, path):
     return fields
 
 
+def _read_raster(fh, path, nbytes: int, fmt: str) -> bytes:
+    """The ``nbytes`` a header claims, refused as truncated when the file
+    holds fewer; checked before reading, so a huge claim allocates nothing."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(nbytes) if nbytes <= left else b""
+    if len(data) != nbytes:
+        raise ValidationError(f"{path}: truncated {fmt} pixel data")
+    return data
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM into a float64 image scaled to [0, 1]."""
     with open(path, "rb") as fh:
@@ -95,9 +106,7 @@ def read_pgm(path) -> np.ndarray:
         if maxval <= 0 or maxval > 65535:
             raise ValidationError(f"{path}: unsupported PGM maxval {maxval}")
         dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
-        raw = fh.read(H * W * dtype.itemsize)
-    if len(raw) != H * W * dtype.itemsize:
-        raise ValidationError(f"{path}: truncated PGM pixel data")
+        raw = _read_raster(fh, path, H * W * dtype.itemsize, "PGM")
     pixels = np.frombuffer(raw, dtype=dtype)
     if pixels.max() > maxval:
         raise ValidationError(f"{path}: PGM sample {pixels.max()} above maxval {maxval}")
@@ -127,9 +136,7 @@ def read_raw(path) -> np.ndarray:
             raise ValidationError(f"{path}: unsupported raw dtype code {dtype}")
         if H < 1 or W < 1:
             raise ValidationError(f"{path}: raw size {H}x{W} is below 1x1")
-        data = fh.read(H * W * 8)
-    if len(data) != H * W * 8:
-        raise ValidationError(f"{path}: truncated raw pixel data")
+        data = _read_raster(fh, path, H * W * 8, "raw")
     return np.frombuffer(data, dtype="<f8").reshape(H, W).copy()
 
 

@@ -7,10 +7,10 @@ Philox is counter based, so the mapping is stable across platforms.
 
 A loop can have its next draws filled while it computes: numpy's fills
 release the interpreter lock, so one worker thread does them on a second
-core, until a fork stops it.  ``plan_draws`` hands the worker a loop's
-whole sequence of draws, across streams, in jobs of consecutive draws;
-``RngStream.refill`` hands it one draw into a buffer the caller gives back.
-Neither changes which values a stream yields.
+core, until a fork stops it.  ``plan_draws`` hands the worker draws of one
+or more streams, in the order the loop will ask for them, as jobs of
+consecutive draws into buffers of the plan's own; a plan of one draw fills
+a stream's next block.  No plan changes which values a stream yields.
 """
 
 from __future__ import annotations
@@ -42,15 +42,15 @@ def _submit(*job):
     global _worker
     with _worker_lock:
         if _worker is None:
-            _worker = _executor_class()(1, thread_name_prefix="ccdiff-refill")
+            _worker = _executor_class()(1, thread_name_prefix="ccdiff-fill")
         return _worker.submit(*job)
 
 
 @functools.cache
 def _executor_class():
-    # Imported on first use, so a process that never refills does not load it.
+    # Imported on first use, so a process that never fills ahead does not load it.
     # Hooks registered after concurrent.futures' own run before it at a fork,
-    # so a refill holding ``_worker_lock`` can finish the submit it is in.
+    # so a plan holding ``_worker_lock`` can finish the submit it is in.
     from concurrent.futures import ThreadPoolExecutor
     if hasattr(os, "register_at_fork"):
         os.register_at_fork(before=_stop_worker_before_fork,
@@ -88,17 +88,16 @@ class _Plan:
     """Draws of one or more streams, in the order they will be requested,
     filled ahead on the worker thread.
 
-    ``draws`` holds (stream, out) pairs; the first ``start`` are filled at
-    once, and ``ends[k]`` ends job k, which begins where the one before
-    ends.  A job that has not started when its next draw is requested is
-    cancelled: that draw is filled on the calling thread and the rest of the
-    job queued again.  Job k + 1 is queued once job k has started or ended,
-    so at most two are in flight, and it may write over the draws of job
-    k - 1, which the caller has spent by then.
+    ``draws`` holds (stream, out) pairs, and ``ends[k]`` ends job k, which
+    begins where the one before ends.  A job that has not started when its
+    next draw is requested is cancelled: that draw is filled on the calling
+    thread and the rest of the job queued again.  Job k + 1 is queued once
+    job k has started or ended, so at most two are in flight, and it may
+    write over the draws of job k - 1, which the caller has spent by then.
     """
 
-    def __init__(self, draws, ends, start):
-        self.draws, self.ends, self.start = draws, ends, start
+    def __init__(self, draws, ends):
+        self.draws, self.ends = draws, ends
         self.next = 0                      # the next draw to hand out
         self.job = 0                       # the job that holds it
         self.runs = {}                     # job -> (future, filled) of its queued run
@@ -106,10 +105,8 @@ class _Plan:
         for s in self.streams:
             s._settle()
         self.states = [s._gen.bit_generator.state for s in self.streams]
-        for s, out in draws[:start]:
-            s._gen.standard_normal(out=out)
         if ends:
-            self.runs[0] = self._queue(start, ends[0])
+            self.runs[0] = self._queue(0, ends[0])
         for s in self.streams:
             s._plan = self
 
@@ -126,8 +123,7 @@ class _Plan:
             self.settle()
             return None
         self.next = j + 1
-        if j >= self.start:
-            self._wait(j)
+        self._wait(j)
         if self.next == len(self.draws):
             self._detach()
         return out
@@ -184,37 +180,30 @@ def plan_draws(draws, job_values: int) -> _Plan:
     """Fill ``draws``, (stream, shape) pairs in the order a loop will ask
     for them with ``normal``, ahead of the loop on the worker thread.
 
-    The first draw is filled at once, as nothing would overlap it.  The rest
-    go to the worker as jobs of consecutive draws of at least ``job_values``
-    values (the last job may hold fewer), written into two buffers that the
-    jobs take in turn.  A job publishes each draw as it lands, so ``normal``
-    waits for one draw at most.  The loop must be done with a draw by its
-    next request, and must use the streams from one thread.  Any other
-    request on a planned stream settles the plan: the jobs in flight are
-    cancelled or waited for and every stream is rewound, as ``refill``
-    promises.  Used as a context manager, the plan settles on exit.
+    The worker fills them as jobs of consecutive draws of at least
+    ``job_values`` values (the last may hold fewer) into two buffers that
+    the jobs take in turn, and publishes each draw as it lands.  The loop
+    must be done with a draw by its next request, and must use the streams
+    from one thread.  Any other request on a planned stream settles the
+    plan, so each call yields what it would have without it.  Used as a
+    context manager, the plan settles on exit.
     """
     draws = [(s, tuple(shape)) for s, shape in draws]
-    jobs, job, size = [], [], 0
-    for s, shape in draws[1:]:
-        job.append((s, shape))
-        size += math.prod(shape)
-        if size >= job_values:
-            jobs.append((job, size))
-            job, size = [], 0
-    if job:
-        jobs.append((job, size))
-    longest = max((size for _, size in jobs), default=0)
-    buffers = [np.empty(longest) for _ in jobs[:2]]
-    out, ends = [(draws[0][0], np.empty(draws[0][1]))], []
-    for k, (job, _) in enumerate(jobs):
-        flat, offset = buffers[k % 2], 0
-        for s, shape in job:
+    sizes, ends = [0], []               # values in each job, and where it ends
+    for j, (_, shape) in enumerate(draws, 1):
+        sizes[-1] += math.prod(shape)
+        if sizes[-1] >= job_values or j == len(draws):
+            ends.append(j)
+            sizes.append(0)
+    buffers = [np.empty(max(sizes)) for _ in ends[:2]]
+    out = []
+    for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        offset = 0
+        for s, shape in draws[lo:hi]:
             n = math.prod(shape)
-            out.append((s, flat[offset:offset + n].reshape(shape)))
+            out.append((s, buffers[k % 2][offset:offset + n].reshape(shape)))
             offset += n
-        ends.append(len(out))
-    return _Plan(out, ends, start=1)
+    return _Plan(out, ends)
 
 
 class RngStream:
@@ -233,24 +222,6 @@ class RngStream:
     def substream(self, *ids: int) -> "RngStream":
         """Derive an independent stream; same ids always give the same stream."""
         return RngStream(self.seed, self.stream + ids)
-
-    def refill(self, buf: np.ndarray) -> None:
-        """Queue a fill of ``buf`` with this stream's next standard normals on
-        the worker thread, for the next ``normal(buf.shape)`` to return: a
-        plan of one draw.
-
-        If the worker has not started the fill by then, that draw cancels it
-        and fills ``buf`` on the calling thread instead of waiting.  A fork
-        stops the worker after it finishes a running fill, cancelling the
-        rest the same way.  A refill is only a hint: any other next request
-        cancels the fill, or waits for it and rewinds the stream, so every
-        call yields what it would have without it.  ``buf`` must be a
-        writeable C-contiguous float64 array that the caller no longer reads.
-        """
-        if (buf.dtype != np.float64 or not buf.flags.c_contiguous
-                or not buf.flags.writeable):
-            raise ValidationError("refill needs a writeable C-contiguous float64 array")
-        _Plan([(self, buf)], [1], start=0)
 
     def _settle(self) -> None:
         """Cancel or wait for pending fills, as if they had not been queued."""

@@ -14,16 +14,13 @@ Only the loops (``ccdf_sample``, ``reverse_path``, ``run_error_curve``) and
 the SR/inpaint offsets draw; a coupled pair shares the draws of the streams
 its caller gives the same ids.  The rng worker thread fills the noise ahead
 of its draws while the loop computes, and the draws' values do not change.
-A trajectory's block of at least ``REFILL_MIN_VALUES`` values is refilled
-one at a time by ``RngStream.refill``: ``reverse_path`` hands each spent
-reverse, corrector and anchor draw back to its stream to hold the next
-block, and fills each trajectory's first reverse and corrector blocks in
-fresh buffers before step N'; ``run_error_curve`` does the same for the
-reference trajectory's forward draw.  Smaller blocks are planned:
-``reverse_path`` gives ``rng.plan_draws`` every draw of the path in the
-order it makes them, and the worker fills them in jobs of at least
-``REFILL_MIN_VALUES`` values (8 steps of a 64x64 SMLD path with the
-corrector), two jobs at most in flight.
+A draw of at least ``REFILL_MIN_VALUES`` values is filled on its own
+(``prefetch``): ``reverse_path`` fills every stream's first draw before
+step N', then a stream's next once a step has used one if it draws again,
+and ``run_error_curve`` the reference trajectory's forward draw.  Smaller
+draws are planned: ``rng.plan_draws`` takes every draw of the path in loop
+order and fills them in jobs of at least ``REFILL_MIN_VALUES`` values (8
+steps of a 64x64 SMLD path with the corrector).
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +45,14 @@ logger = logging.getLogger(__name__)
 DEFAULT_CORRECTOR_R = 0.16
 
 # The fewest values the worker thread fills in one hand-off; below it the
-# hand-off costs more than the overlap saves.  A draw this large is refilled
-# on its own.  With every draw refilled, recon-mri (4096 values per draw) lost
-# a third of its throughput (0/10 pairs); coupled-pair cells ran faster
-# refilled at 2^16 values per draw (27 of 32 pairs) but not at 2^15 (15 of
-# 32), as BENCH_6.json records.  Smaller draws are planned for the whole path
-# and filled in jobs of at least this many values: a 64x64 reconstruction
-# took 3.94 ms with jobs of 2^16 values against 4.19 and 4.16 ms with 2^14 and
-# 2^15 and 4.36 ms with 2^17 (fastest of 6 interleaved rounds of 10 x 30 on a
-# 2-core host), and recon-mri's gain is in BENCH_23.json.
+# hand-off costs more than the overlap saves.  With every draw filled on its
+# own, recon-mri (4096 values per draw) lost a third of its throughput (0/10
+# pairs); coupled-pair cells ran faster so at 2^16 values per draw (27 of 32
+# pairs) but not at 2^15 (15 of 32), as BENCH_6.json records.  A path of
+# smaller draws is planned in jobs of at least this many values: a 64x64
+# reconstruction took 3.94 ms with jobs of 2^16 values against 4.19 and 4.16
+# ms with 2^14 and 2^15 and 4.36 ms with 2^17 (fastest of 6 interleaved rounds
+# of 10 x 30 on a 2-core host), and recon-mri's gain is in BENCH_23.json.
 REFILL_MIN_VALUES = 1 << 16
 
 
@@ -415,41 +412,40 @@ def _check_op(op, shape) -> None:
         )
 
 
-def _refill(stream: RngStream, z, i: int) -> None:
-    """After step i consumed ``z``: hand it back to its stream to refill with
-    the next block (see ``RngStream.refill``), unless there is no draw, i = 1
-    (nothing is drawn after it) or the block is too small to pay."""
-    if z is not None and i > 1 and z.size >= REFILL_MIN_VALUES:
-        stream.refill(z)
-
-
 def prefetch(stream: RngStream, shape) -> None:
-    """Have ``stream`` fill its next block of ``shape`` in a fresh buffer
-    ahead of the draw, if the block is large enough to pay."""
+    """Have the worker fill ``stream``'s next draw of ``shape`` in a fresh
+    buffer, a plan of one draw, if the block is large enough to pay."""
     if math.prod(shape) >= REFILL_MIN_VALUES:
-        stream.refill(np.empty(shape))
+        plan_draws([(stream, shape)], REFILL_MIN_VALUES)
 
 
 def _fill_ahead(states: list, cfg: CcdfConfig, op, noise, corrector_noise,
                 anchor_rng: RngStream):
-    """Start filling the path's noise ahead of its draws, as the module
-    docstring says; returns a context that settles any plan on exit."""
+    """Start filling the path's draws ahead, as the module docstring says.
+    Returns a context that settles a plan on exit, and each prefetched
+    stream's count of draws on the path."""
     rule = RULES[cfg.kind]
-    reverse = [(noise[k], x.shape) for k, x in enumerate(states)] if rule.noisy else []
-    corrector = ([(corrector_noise[k], x.shape) for k, x in enumerate(states)]
-                 if cfg.corrected else [])
-    if states[0].size >= REFILL_MIN_VALUES:
-        for stream, shape in reverse + corrector:
-            prefetch(stream, shape)
-        return contextlib.nullcontext()
     anchor = [(anchor_rng, states[0].shape)] if getattr(op, "draws_anchor", False) else []
-    step = reverse + anchor + (corrector + anchor if cfg.corrected else [])
-    if not step:
-        return contextlib.nullcontext()
-    return plan_draws(step * cfg.n_prime, REFILL_MIN_VALUES)
+    step = [(noise[k], x.shape) for k, x in enumerate(states)] if rule.noisy else []
+    step += anchor
+    if cfg.corrected:
+        step += [(corrector_noise[k], x.shape) for k, x in enumerate(states)] + anchor
+    if states[0].size < REFILL_MIN_VALUES:
+        return plan_draws(step * cfg.n_prime, REFILL_MIN_VALUES), Counter()
+    for stream, shape in dict(step).items():    # each stream's first draw
+        prefetch(stream, shape)
+    return contextlib.nullcontext(), Counter(s for s, _ in step * cfg.n_prime)
 
 
-def _consistency(states: list, op, i: int, c, rng: RngStream, batch_axes: int) -> None:
+def _prefetch_next(left: Counter, stream: RngStream, shape) -> None:
+    """After a step has used a draw of ``stream``: prefetch the stream's
+    next one if ``left`` counts another on the path."""
+    left[stream] -= 1
+    if left[stream] > 0:
+        prefetch(stream, shape)
+
+
+def _consistency(states: list, op, c, rng: RngStream, batch_axes: int) -> None:
     """x <- A x + b_i on every trajectory, with one offset b_i shared by all."""
     b = op.offset(c, rng, batch_shape=states[0].shape[:batch_axes])
     for k in range(len(states)):
@@ -458,9 +454,6 @@ def _consistency(states: list, op, i: int, c, rng: RngStream, batch_axes: int) -
         x = op.apply_linear(states[k])
         x += b
         states[k] = x
-    # Only an anchor draw is the loop's to hand back; a constant offset is the
-    # operator's own array.
-    _refill(rng, b if getattr(op, "draws_anchor", False) else None, i)
 
 
 def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
@@ -487,23 +480,27 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     if not all(np.isfinite(x).all() for x in states):
         raise ValidationError(f"non-finite state at the start of step {cfg.n_prime}")
     rule = RULES[cfg.kind]
-    with _fill_ahead(states, cfg, op, noise, corrector_noise, anchor_rng):
+    plan, left = _fill_ahead(states, cfg, op, noise, corrector_noise, anchor_rng)
+    with plan:
         for i in range(cfg.n_prime, 0, -1):
             c = forward_coeffs(schedule, i)
-            # Indexing, not a loop variable, so no old state outlives its update.
+            # Indexing, not a loop variable, so no old state outlives its
+            # update; a draw is freed before its stream's next is prefetched.
             for k in range(len(states)):
-                z = noise[k].normal(states[k].shape) if rule.noisy else None
-                states[k] = rule.step(states[k], i, schedule, oracle, z)
-                _refill(noise[k], z, i)
-            _consistency(states, op, i, c, anchor_rng, batch_axes)
+                states[k] = rule.step(states[k], i, schedule, oracle,
+                                      noise[k].normal(states[k].shape) if rule.noisy else None)
+                _prefetch_next(left, noise[k], states[k].shape)
+            _consistency(states, op, c, anchor_rng, batch_axes)
+            _prefetch_next(left, anchor_rng, states[0].shape)
             if cfg.corrected:
                 for k in range(len(states)):
-                    z = corrector_noise[k].normal(states[k].shape)
                     states[k] = langevin_corrector(
-                        states[k], i, schedule, oracle, cfg.corrector_r, z,
-                        batch_axes=batch_axes, squared_step=cfg.corrector_squared_step)
-                    _refill(corrector_noise[k], z, i)
-                _consistency(states, op, i, c, anchor_rng, batch_axes)
+                        states[k], i, schedule, oracle, cfg.corrector_r,
+                        corrector_noise[k].normal(states[k].shape), batch_axes=batch_axes,
+                        squared_step=cfg.corrector_squared_step)
+                    _prefetch_next(left, corrector_noise[k], states[k].shape)
+                _consistency(states, op, c, anchor_rng, batch_axes)
+                _prefetch_next(left, anchor_rng, states[0].shape)
             if on_step is not None:
                 on_step(i, states)
     return states

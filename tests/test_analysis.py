@@ -218,6 +218,11 @@ def test_error_bound_rejects_non_contracting_lambda():
             bound_traces(np.array([0.5]), np.array([1.0]), tau, 1.0)
 
 
+def test_bound_traces_refuse_lambda_and_c_traces_of_unequal_length():
+    with pytest.raises(ValidationError, match="equal length"):
+        bound_traces(np.array([0.5, 0.5]), np.array([1.0]), 1.0, 1.0)
+
+
 def _recursive_trace_on_numpy_scalars(lam, cs, tau, fwd_err):
     """The recursion as it ran on numpy float64 scalars: the bits to keep."""
     rec = np.empty(lam.size + 1)

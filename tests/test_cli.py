@@ -267,8 +267,13 @@ REFUSAL_NAMES = {
     "check-op --op identity --seed 7": "above maxval",
     "check-op --op identity --seed 8": "truncated PGM pixel data",
     "check-op --op identity --seed 9": "truncated raw pixel data",
+    "check-op --op identity --seed 12": "truncated PGM pixel data",
+    "check-op --op identity --seed 13": "truncated PGM pixel data",
+    "check-op --op identity --seed 14": "truncated raw pixel data",
     "ccdf --seed 1 --op identity --t0 0.1": "below 1x1",
     "ccdf --seed 2 --op identity --t0 0.1": "below 1x1",
+    "ccdf --seed 3 --op identity --t0 0.1 --init bogus":
+        "--init must be vanilla or file:<path>, got 'bogus'",
     "simulate --seed 1 --n 4 --trials 4 --oracle gaussian2": "'gaussian2'",
     "simulate --seed 1 --n 4 --trials 4 --oracle gaussianXYZ": "'gaussianXYZ'",
     "simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction nan":
@@ -341,6 +346,10 @@ BAD_IMAGES = {
     "empty.raw": struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 0, 4),   # H = 0
     # Well formed, but not the shape of a 16x16 ground truth.
     "8x8.raw": struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 8, 8) + bytes(8 * 8 * 8),
+    # Headers that claim a raster too large to read or to allocate.
+    "huge-sides.pgm": b"P5\n99999999999 99999999999\n255\n",
+    "huge-raster.pgm": b"P5\n300000 300000\n65535\n",
+    "huge.raw": struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 2**31 - 1, 2**31 - 1),
 }
 
 
@@ -373,8 +382,12 @@ BAD_IMAGES = {
     ("check-op --op identity --seed 7", "measurement={tmp}/above-maxval.pgm"),
     ("check-op --op identity --seed 8", "measurement={tmp}/odd.pgm"),
     ("check-op --op identity --seed 9", "measurement={tmp}/odd.raw"),
+    ("check-op --op identity --seed 12", "measurement={tmp}/huge-sides.pgm"),
+    ("check-op --op identity --seed 13", "measurement={tmp}/huge-raster.pgm"),
+    ("check-op --op identity --seed 14", "measurement={tmp}/huge.raw"),
     ("ccdf --seed 1 --op identity --t0 0.1", "measurement={tmp}/empty.pgm"),
     ("ccdf --seed 2 --op identity --t0 0.1", "measurement={tmp}/empty.raw"),
+    ("ccdf --seed 3 --op identity --t0 0.1 --init bogus", ""),
     ("simulate --seed 1 --n 4 --trials 4 --oracle gaussian2", None),
     ("simulate --seed 1 --n 4 --trials 4 --oracle gaussianXYZ", None),
     ("simulate --seed 1 --n 4 --trials 4 --op inpaint --keep-fraction nan", None),

@@ -377,6 +377,16 @@ def test_certify_rejects_expansive_operator():
         certify_nonexpansive(op, trials=8, rng=RngStream(17))
 
 
+def test_certify_power_iteration_alone_rejects_an_expansive_operator():
+    # No random pairs: the spectral-norm estimate has to catch A = 2 I.
+    class Doubling(IdentityOp):
+        def apply_linear(self, x):
+            return 2.0 * np.asarray(x)
+
+    with pytest.raises(NumericFailure, match="sigma_max estimate 2 > 1"):
+        certify_nonexpansive(Doubling((8,), np.zeros(8)), trials=0, rng=RngStream(19))
+
+
 def test_hutchinson_on_black_box_operator():
     # tau of a diagonal operator with known trace ratio
     diag = RngStream(18).uniform(0.0, 1.0, (64,))

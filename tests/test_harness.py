@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import threading
@@ -186,17 +187,22 @@ def test_recording_a_step_allocates_one_state(monkeypatch, peak_states):
 
 def test_experiment_config_refuses_an_oracle_mean_that_does_not_fit(monkeypatch):
     cfg = _identity_cfg(SamplerKind.DDPM, VP100, t0=0.06, trials=4, seed=31, n=16)
-    threads, _ = _watch_draws(monkeypatch)
+    threads, _, _ = _watch_draws(monkeypatch)
     for mu in (np.zeros(8), np.zeros((3, 16))):
         with pytest.raises(ValidationError, match="does not fit the operator's shape"):
             run_error_curve(replace(cfg, oracle=ConditionalScoreOracle(mu)))
     assert threads == []
 
 
-# ------------------------- noise refills in the loop ------------------------
+def test_experiment_config_refuses_t0_zero():
+    with pytest.raises(ValidationError, match=r"t0 must lie in \(0, 1\], got 0"):
+        _identity_cfg(SamplerKind.DDPM, VP100, t0=0, trials=4, seed=31)
 
 
-def _refill_cell(kind, op_name="identity", trials=1024, **kw):
+# ------------------------- noise filled ahead in the loop ------------------
+
+
+def _fill_cell(kind, op_name="identity", trials=1024, **kw):
     # 1024 trials x 64 values is exactly REFILL_MIN_VALUES per draw.
     sch = VE100 if kind is SamplerKind.SMLD else VP100
     cfg = _identity_cfg(kind, sch, t0=0.06, trials=trials, seed=31, **kw)
@@ -207,30 +213,33 @@ def _refill_cell(kind, op_name="identity", trials=1024, **kw):
 
 
 def _watch_draws(monkeypatch):
-    """Record the thread of every ``normal`` call and count refills per stream."""
-    threads, refills = [], Counter()
-    normal, refill = RngStream.normal, RngStream.refill
+    """Record the thread of every ``normal`` call, the streams of every plan,
+    and how many draws of each stream are filled ahead one at a time."""
+    threads, plans, fills = [], [], Counter()
+    normal = RngStream.normal
 
     def watched_normal(self, shape=()):
         threads.append(threading.get_ident())
         return normal(self, shape)
 
-    def watched_refill(self, buf):
-        refills[self.stream] += 1
-        return refill(self, buf)
+    def watched_plan(draws, job_values):
+        plans.append([s.stream for s, _ in draws])
+        if len(draws) == 1:
+            fills[draws[0][0].stream] += 1
+        return plan_draws(draws, job_values)
 
     monkeypatch.setattr(RngStream, "normal", watched_normal)
-    monkeypatch.setattr(RngStream, "refill", watched_refill)
-    return threads, refills
+    monkeypatch.setattr(samplers, "plan_draws", watched_plan)
+    return threads, plans, fills
 
 
 @pytest.mark.parametrize("kind", [SamplerKind.DDPM, SamplerKind.SMLD])
 @pytest.mark.parametrize("op_name", ["identity", "inpaint"])
-def test_error_curve_draws_on_the_calling_thread_and_refills_its_reverse_streams(
+def test_error_curve_draws_on_the_calling_thread_and_fills_every_draw_ahead(
         monkeypatch, kind, op_name):
     assert 1024 * 64 == REFILL_MIN_VALUES
-    cfg = _refill_cell(kind, op_name)
-    threads, refills = _watch_draws(monkeypatch)
+    cfg = _fill_cell(kind, op_name)
+    threads, _, fills = _watch_draws(monkeypatch)
     n_prime = run_error_curve(cfg).n_prime
     anchored = op_name == "inpaint"
     # The count bench/workloads.py predicts: two forward draws, one reverse
@@ -238,38 +247,39 @@ def test_error_curve_draws_on_the_calling_thread_and_refills_its_reverse_streams
     assert len(threads) == 2 + 2 * n_prime + n_prime * anchored
     assert set(threads) == {threading.get_ident()}
     # Substream 11 is the reference's forward draw, 12 and 13 the pair's
-    # reverse noise (first blocks included) and 14 the anchor.
+    # reverse noise and 14 the anchor, first draws included.
     want = {(11,): 1, (12,): n_prime, (13,): n_prime}
     if anchored:
-        want[(14,)] = n_prime - 1
-    assert refills == want
+        want[(14,)] = n_prime
+    assert fills == want
 
 
-def test_error_curve_refills_corrector_streams_too(monkeypatch):
-    cfg = _refill_cell(SamplerKind.SMLD, corrector_r=0.16)
-    threads, refills = _watch_draws(monkeypatch)
+@pytest.mark.parametrize("op_name", ["identity", "inpaint"])
+def test_error_curve_fills_corrector_and_both_anchors_of_a_step_ahead(
+        monkeypatch, op_name):
+    cfg = _fill_cell(SamplerKind.SMLD, op_name, corrector_r=0.16)
+    threads, _, fills = _watch_draws(monkeypatch)
     n_prime = run_error_curve(cfg).n_prime
-    assert len(threads) == 2 + 4 * n_prime
+    anchored = op_name == "inpaint"
+    assert len(threads) == 2 + 4 * n_prime + 2 * n_prime * anchored
     assert set(threads) == {threading.get_ident()}
-    # The first corrector blocks are prefetched with the first reverse blocks.
-    assert refills == {(11,): 1, (12,): n_prime, (13,): n_prime,
-                       (15,): n_prime, (16,): n_prime}
+    # The first corrector blocks and the first anchor are prefetched with the
+    # first reverse blocks, and step 1's second anchor after its first.
+    want = {(11,): 1, (12,): n_prime, (13,): n_prime, (15,): n_prime, (16,): n_prime}
+    if anchored:
+        assert n_prime == 6
+        want[(14,)] = 2 * n_prime
+    assert fills == want
 
 
 @pytest.mark.parametrize("case", ["below-threshold", "ccdf-64x64"])
-def test_small_blocks_are_planned_not_refilled(monkeypatch, case):
-    # Below the cutoff no draw is handed back, the forward draw included:
-    # the path's draws are planned once, in the order the loop makes them.
-    _, refills = _watch_draws(monkeypatch)
-    plans = []
-
-    def watched_plan(draws, job_values):
-        plans.append([s.stream for s, _ in draws])
-        return plan_draws(draws, job_values)
-
-    monkeypatch.setattr(samplers, "plan_draws", watched_plan)
+def test_small_blocks_are_planned_not_filled_one_at_a_time(monkeypatch, case):
+    # Below the cutoff no draw is filled ahead on its own, the forward draw
+    # included: the path's draws are planned once, in the order the loop
+    # makes them.
+    _, plans, fills = _watch_draws(monkeypatch)
     if case == "below-threshold":
-        n_prime = run_error_curve(_refill_cell(SamplerKind.DDPM, trials=1023)).n_prime
+        n_prime = run_error_curve(_fill_cell(SamplerKind.DDPM, trials=1023)).n_prime
         want = [(12,), (13,)] * n_prime
     else:
         ref = make_phantom("ellipses", (64, 64), seed=3)
@@ -277,66 +287,68 @@ def test_small_blocks_are_planned_not_refilled(monkeypatch, case):
         cfg = CcdfConfig(t0=0.05, N=100, kind=SamplerKind.SMLD, corrector_r=0.16)
         ccdf_sample(ref, op, cfg, VE100, ConditionalScoreOracle(ref), RngStream(8))
         want = [(1,), (3,)] * cfg.n_prime
-    assert refills == {}
+    assert fills == {}
     assert plans == [want]
 
 
-def test_ddim_refills_only_its_forward_draw(monkeypatch):
-    # DDIM's reverse steps draw nothing, so no reverse stream is refilled.
-    _, refills = _watch_draws(monkeypatch)
-    run_error_curve(_refill_cell(SamplerKind.DDIM))
-    assert refills == {(11,): 1}
+def test_ddim_fills_only_its_forward_draw_ahead(monkeypatch):
+    # DDIM's reverse steps draw nothing, so no reverse stream is filled.
+    _, _, fills = _watch_draws(monkeypatch)
+    run_error_curve(_fill_cell(SamplerKind.DDIM))
+    assert fills == {(11,): 1}
 
 
-def test_shared_reverse_noise_refills_each_trajectory_stream(monkeypatch):
+def test_shared_reverse_noise_fills_each_trajectory_stream(monkeypatch):
     # Shared mode hands both trajectories their own stream with ids (12,),
-    # and each stream refills its own spent draw.
-    _, refills = _watch_draws(monkeypatch)
+    # and each stream has its own draws filled ahead.
+    _, _, fills = _watch_draws(monkeypatch)
     n_prime = run_error_curve(
-        _refill_cell(SamplerKind.DDPM, shared_reverse_noise=True)).n_prime
-    assert refills == {(11,): 1, (12,): 2 * n_prime}
+        _fill_cell(SamplerKind.DDPM, shared_reverse_noise=True)).n_prime
+    assert fills == {(11,): 1, (12,): 2 * n_prime}
 
 
-def test_mri_loops_never_refill_the_operator_s_offset(monkeypatch):
+def test_mri_loops_never_draw_or_overwrite_the_operator_s_offset(monkeypatch):
     # MriOp's offset is its own zero-filled image, not an anchor draw: no loop
-    # may hand it to the anchor stream to be overwritten, batched or not.
-    cfg = _refill_cell(SamplerKind.SMLD, corrector_r=0.16)
+    # may fill the anchor stream ahead or write into the offset, batched or not.
+    cfg = _fill_cell(SamplerKind.SMLD, corrector_r=0.16)
     gt = cfg.ground_truth.reshape(8, 8)
     mask = gaussian1d_mask(gt.shape, 2.0, 0.25, seed=31)
     op = MriOp(mask, mri_measure(gt, mask))
     before = op.vanilla_init().copy()
     cfg = replace(cfg, ground_truth=gt, init=cfg.init.reshape(8, 8), op=op,
                   oracle=ConditionalScoreOracle(gt))
-    _, refills = _watch_draws(monkeypatch)
+    _, _, fills = _watch_draws(monkeypatch)
     n_prime = run_error_curve(cfg).n_prime
     assert np.array_equal(op.vanilla_init(), before)
     # The first corrector blocks are prefetched with the first reverse blocks.
-    assert refills == {(11,): 1, (12,): n_prime, (13,): n_prime,
-                       (15,): n_prime, (16,): n_prime}
+    assert fills == {(11,): 1, (12,): n_prime, (13,): n_prime,
+                     (15,): n_prime, (16,): n_prime}
     # One 256x256 image: the offset alone is as large as REFILL_MIN_VALUES.
     big = make_phantom("ellipses", (256, 256), seed=32)
     mask = gaussian1d_mask(big.shape, 4.0, 0.1, seed=32)
     op = MriOp(mask, mri_measure(big, mask))
     before = op.vanilla_init().copy()
     path = CcdfConfig(t0=0.03, N=100, kind=SamplerKind.SMLD, corrector_r=0.16)
-    refills.clear()
+    fills.clear()
     ccdf_sample(before, op, path, VE100, ConditionalScoreOracle(big), RngStream(32))
     assert np.array_equal(op.vanilla_init(), before)
-    assert refills == {(1,): path.n_prime, (3,): path.n_prime}
+    assert fills == {(1,): path.n_prime, (3,): path.n_prime}
 
 
 @pytest.mark.parametrize("kind, op_name, kw", [
     (SamplerKind.DDPM, "inpaint", {}),
     (SamplerKind.SMLD, "identity", {"corrector_r": 0.16}),
     (SamplerKind.SMLD, "inpaint", {"shared_reverse_noise": True}),
-], ids=["ddpm-inpaint", "smld-corrected", "smld-shared"])
-def test_refills_leave_the_error_curve_bit_identical(monkeypatch, kind, op_name, kw):
-    cfg = _refill_cell(kind, op_name, **kw)
-    refilled = run_error_curve(cfg)
-    monkeypatch.setattr(RngStream, "refill", lambda self, buf: None)
+    (SamplerKind.SMLD, "inpaint", {"corrector_r": 0.16}),
+], ids=["ddpm-inpaint", "smld-corrected", "smld-shared", "smld-inpaint-corrected"])
+def test_filling_ahead_leaves_the_error_curve_bit_identical(monkeypatch, kind, op_name, kw):
+    cfg = _fill_cell(kind, op_name, **kw)
+    filled = run_error_curve(cfg)
+    monkeypatch.setattr(samplers, "plan_draws",
+                        lambda draws, job_values: contextlib.nullcontext())
     drawn = run_error_curve(cfg)
     for name in ("mse", "stderr", "bound_recursive", "bound_simple"):
-        assert getattr(refilled, name).tobytes() == getattr(drawn, name).tobytes()
+        assert getattr(filled, name).tobytes() == getattr(drawn, name).tobytes()
 
 
 @pytest.mark.parametrize("kind, op_name, kw, digest", [
@@ -348,9 +360,9 @@ def test_refills_leave_the_error_curve_bit_identical(monkeypatch, kind, op_name,
      "74b665143f087d3d2599d496d3f905b7e5c41a9a5465d2c7988745491f8cd2e7"),
 ], ids=["ddpm-identity", "smld-inpaint-corrected", "ddim-identity"])
 def test_shared_noise_error_curve_golden_regression_lock(kind, op_name, kw, digest):
-    # Shared mode at the refill block size: the pair's reverse and corrector
+    # Shared mode at the fill-ahead block size: the pair's reverse and corrector
     # draws must stay bit-identical however the sharing is arranged.
-    st = run_error_curve(_refill_cell(kind, op_name, shared_reverse_noise=True, **kw))
+    st = run_error_curve(_fill_cell(kind, op_name, shared_reverse_noise=True, **kw))
     assert hashlib.sha256(st.mse.tobytes() + st.stderr.tobytes()).hexdigest() == digest
 
 

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from ccdiff import ValidationError, make_phantom
-from ccdiff.imgio import (load_image, read_mask, read_pgm, read_raw,
-                          save_image, write_mask, write_pgm, write_raw)
+from ccdiff.imgio import (RAW_DTYPE_F64, RAW_MAGIC, load_image, read_mask, read_pgm,
+                          read_raw, save_image, write_mask, write_pgm, write_raw)
 
 
 def test_pgm_16bit_round_trip(tmp_path):
@@ -125,6 +127,24 @@ def test_malformed_pgm_headers_are_refused(data, message, tmp_path):
     path.write_bytes(data)
     with pytest.raises(ValidationError, match=message):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n99999999999 99999999999\n255\n", "truncated PGM pixel data"),
+    (b"P5\n300000 300000\n65535\n" + bytes(64), "truncated PGM pixel data"),
+    (struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 2**31 - 1, 2**31 - 1),
+     "truncated raw pixel data"),
+    (struct.pack("<4sIII", RAW_MAGIC, RAW_DTYPE_F64, 2**32 - 1, 2**32 - 1) + bytes(8),
+     "truncated raw pixel data"),
+], ids=["pgm-beyond-int64", "pgm-180-GB", "raw-2^31", "raw-2^32"])
+def test_a_header_claiming_more_pixels_than_the_file_holds_is_refused(
+        data, message, tmp_path):
+    # Refused from the file's size before any read: a raster this large would
+    # overflow the read's size or fail to allocate.
+    path = tmp_path / "huge"
+    path.write_bytes(data)
+    with pytest.raises(ValidationError, match=message):
+        load_image(path)
 
 
 # ----------------------------- properties ----------------------------------

@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from ccdiff import ValidationError
 from ccdiff import rng
 from ccdiff.rng import RngStream, plan_draws
 
@@ -21,7 +20,12 @@ def _queued(s):
     return s._plan.runs[s._plan.job][0]
 
 
-def test_refill_is_only_a_hint():
+def _fill_ahead(s, shape):
+    """Queue a plan of one draw: ``s``'s next block of ``shape``."""
+    plan_draws([(s, shape)], 1)
+
+
+def test_a_one_draw_plan_is_only_a_hint():
     # Two streams, each used on a thread of its own, in an interleaved order.
     # "busy" queues a large fill of a third stream, which keeps the worker
     # busy: a draw then finds its own fill unstarted and fills it itself, or
@@ -30,20 +34,20 @@ def test_refill_is_only_a_hint():
     st = pytest.importorskip("hypothesis.strategies")
     from concurrent.futures import ThreadPoolExecutor
 
-    # Each example draws in two shapes, so a draw often matches its refill;
+    # Each example draws in two shapes, so a draw often matches its fill;
     # the large one is slow enough to be found running.
     shapes = st.lists(st.sampled_from(SHAPES + [(256, 256)]), min_size=2, max_size=2)
     calls = st.lists(st.tuples(st.integers(0, 1), st.sampled_from(
-        ["refill", "refill_last", "normal", "uniform", "generator", "busy"]),
+        ["fill", "fill_last", "normal", "uniform", "generator", "busy"]),
         st.integers(0, 1)), max_size=25)
 
     def call(k, name, shape, hinted, plain, last):
-        if name == "refill":
-            hinted.refill(np.empty(shape))
-        elif name == "refill_last":
-            # reverse_path hands back the array the last draw returned.
+        if name == "fill":
+            _fill_ahead(hinted, shape)
+        elif name == "fill_last":
+            # reverse_path prefetches a block of the last draw's shape.
             if last[k] is not None:
-                hinted.refill(last[k])
+                _fill_ahead(hinted, last[k].shape)
                 last[k] = None
         else:
             if name == "normal":
@@ -54,7 +58,7 @@ def test_refill_is_only_a_hint():
             else:
                 got = hinted.generator().standard_normal(shape)
                 want = plain.generator().standard_normal(shape)
-            # Compared at once: a later refill may write into ``got``.
+            # Compared at once, as the loop spends a draw before its next.
             assert np.array_equal(got, want)
 
     def last_draw(hinted, plain):
@@ -70,7 +74,7 @@ def test_refill_is_only_a_hint():
         for k, name, j in calls:
             shape = shapes[j]
             if name == "busy":
-                busy.refill(np.empty((512, 512)))
+                _fill_ahead(busy, (512, 512))
                 continue
             threads[k].submit(call, k, name, shape, hinted[k], plain[k],
                               last).result(timeout=60)
@@ -98,7 +102,7 @@ def test_a_plan_is_only_a_hint():
     shapes = SHAPES + [(64, 64)]
     plans = st.lists(st.tuples(st.integers(0, 2), st.integers(0, len(shapes) - 1)),
                      min_size=1, max_size=30)
-    leaves = st.sampled_from(["settle", "normal", "uniform", "generator", "refill"])
+    leaves = st.sampled_from(["settle", "normal", "uniform", "generator", "fill"])
 
     @hyp.settings(max_examples=200, deadline=None, database=None)
     @hyp.given(plans, st.data(), leaves, st.sampled_from([1, 8, 100, 5000, 10**6]),
@@ -107,7 +111,7 @@ def test_a_plan_is_only_a_hint():
         planned = [RngStream(seed, (k,)) for k in range(3)]
         plain = [RngStream(seed, (k,)) for k in range(3)]
         if busy:
-            RngStream(seed, (9,)).refill(np.empty((512, 512)))
+            _fill_ahead(RngStream(seed, (9,)), (512, 512))
         followed = data.draw(st.integers(0, len(plan)))
         with plan_draws([(planned[k], shapes[j]) for k, j in plan], job_values):
             for k, j in plan[:followed]:
@@ -123,8 +127,8 @@ def test_a_plan_is_only_a_hint():
             elif leave == "generator":
                 assert np.array_equal(planned[k].generator().standard_normal(4),
                                       plain[k].generator().standard_normal(4))
-            elif leave == "refill":
-                planned[k].refill(np.empty(6))
+            elif leave == "fill":
+                _fill_ahead(planned[k], (6,))
         for s, ref in zip(planned, plain):
             assert np.array_equal(s.normal((7,)), ref.normal((7,)))
             assert s._plan is None
@@ -166,24 +170,15 @@ def test_plans_from_many_threads_keep_every_stream_exact():
     assert errors == []
 
 
-def test_refill_accepts_int_and_list_shapes():
+def test_a_planned_draw_is_taken_by_int_and_list_shapes():
     s, ref = RngStream(3), RngStream(3)
-    s.refill(np.empty(6))
+    _fill_ahead(s, (6,))
     assert np.array_equal(s.normal(6), ref.normal(6))
-    s.refill(np.empty((2, 3)))
+    _fill_ahead(s, [2, 3])
     assert np.array_equal(s.normal([2, 3]), ref.normal((2, 3)))
 
 
-def test_refill_refuses_a_buffer_it_cannot_fill():
-    s = RngStream(4)
-    for buf in (np.empty(8, dtype=np.float32), np.empty((4, 4))[:, ::2],
-                np.broadcast_to(0.0, (4,))):
-        with pytest.raises(ValidationError):
-            s.refill(buf)
-    assert np.array_equal(s.normal((5,)), RngStream(4).normal((5,)))
-
-
-def test_refills_from_many_threads_keep_every_stream_exact():
+def test_one_draw_plans_from_many_threads_keep_every_stream_exact():
     # More threads than cores, each with its own stream, all sharing the one
     # fill worker, with frequent thread switches.
     n_threads, rounds, shape = 6, 40, (64, 64)
@@ -197,7 +192,7 @@ def test_refills_from_many_threads_keep_every_stream_exact():
                 if not np.array_equal(z, ref.normal(shape)):
                     errors.append(k)
                     return
-                s.refill(z)
+                _fill_ahead(s, shape)
                 z = s.normal(shape)
         except Exception as exc:  # reported below, not lost with the thread
             errors.append(exc)
@@ -217,7 +212,7 @@ def test_refills_from_many_threads_keep_every_stream_exact():
 
 
 def test_importing_the_package_loads_no_executor():
-    # The worker's executor is imported, and started, by the first refill.
+    # The worker's executor is imported, and started, by the first plan.
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = "import sys, ccdiff; assert 'concurrent.futures.thread' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
@@ -226,15 +221,15 @@ def test_importing_the_package_loads_no_executor():
 
 def test_no_fill_starts_between_the_fork_hooks():
     # The before-fork hook waits for every fill and holds the worker lock
-    # until the fork is done, so a refill from another thread cannot leave
+    # until the fork is done, so a plan from another thread cannot leave
     # the child a fill its missing worker never finishes.
     s = RngStream(11)
-    s.refill(np.empty((512, 512)))
+    _fill_ahead(s, (512, 512))
     other = RngStream(12)
     rng._stop_worker_before_fork()
     try:
         assert _queued(s).done()
-        t = threading.Thread(target=other.refill, args=(np.empty(8),))
+        t = threading.Thread(target=_fill_ahead, args=(other, (8,)))
         t.start()
         t.join(timeout=0.2)
         assert t.is_alive() and other._plan is None
@@ -246,9 +241,9 @@ def test_no_fill_starts_between_the_fork_hooks():
     assert np.array_equal(s.normal((512, 512)), RngStream(11).normal((512, 512)))
 
 
-def test_fork_hook_waits_for_a_refill_being_submitted(monkeypatch):
+def test_fork_hook_waits_for_a_plan_being_submitted(monkeypatch):
     s = RngStream(13)
-    s.refill(np.empty(8))               # starts the worker
+    _fill_ahead(s, (8,))                # starts the worker
     s.normal(8)
     in_submit, go = threading.Event(), threading.Event()
     submit = rng._worker.submit
@@ -259,18 +254,18 @@ def test_fork_hook_waits_for_a_refill_being_submitted(monkeypatch):
         return submit(*args)
 
     monkeypatch.setattr(rng._worker, "submit", held_submit)
-    refiller = threading.Thread(target=s.refill, args=(np.empty((512, 512)),))
-    refiller.start()
+    planner = threading.Thread(target=_fill_ahead, args=(s, (512, 512)))
+    planner.start()
     assert in_submit.wait(timeout=60)
     hook = threading.Thread(target=rng._stop_worker_before_fork)
     hook.start()
     hook.join(timeout=0.2)
     waited = hook.is_alive()
     go.set()
-    refiller.join(timeout=60)
+    planner.join(timeout=60)
     hook.join(timeout=60)
     try:
-        assert waited and not hook.is_alive() and not refiller.is_alive()
+        assert waited and not hook.is_alive() and not planner.is_alive()
         assert _queued(s).done()
     finally:
         rng._worker_lock.release()
@@ -281,22 +276,21 @@ def test_fork_hook_waits_for_a_refill_being_submitted(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-def test_refill_and_draw_work_in_a_forked_child():
+def test_plans_and_draws_work_in_a_forked_child():
     shape = (256, 256)
     ref = RngStream(9)
     want = [ref.normal(shape) for _ in range(4)]
     s = RngStream(9)
-    z = s.normal(shape)
-    s.refill(z)
+    s.normal(shape)
+    _fill_ahead(s, shape)
     assert np.array_equal(s.normal(shape), want[1])
-    s.refill(np.empty(shape))       # still filling when the process forks
+    _fill_ahead(s, shape)           # still filling when the process forks
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            z = s.normal(shape)
-            ok = np.array_equal(z, want[2])
-            s.refill(z)
+            ok = np.array_equal(s.normal(shape), want[2])
+            _fill_ahead(s, shape)
             ok = ok and np.array_equal(s.normal(shape), want[3])
             code = 0 if ok else 2
         finally:
@@ -320,19 +314,19 @@ def test_refill_and_draw_work_in_a_forked_child():
 def test_fork_stops_the_worker_and_the_parent_starts_a_new_one():
     shape = (256, 256)
     s, ref = RngStream(30), RngStream(30)
-    s.refill(np.empty(shape))
+    _fill_ahead(s, shape)
     pid = os.fork()
     if pid == 0:
         os._exit(0)
     os.waitpid(pid, 0)
-    assert not [t for t in threading.enumerate() if t.name.startswith("ccdiff-refill")]
+    assert not [t for t in threading.enumerate() if t.name.startswith("ccdiff-fill")]
     assert np.array_equal(s.normal(shape), ref.normal(shape))
-    s.refill(np.empty(shape))
+    _fill_ahead(s, shape)
     assert np.array_equal(s.normal(shape), ref.normal(shape))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_fork_while_a_refill_is_in_submit_does_not_deadlock():
+def test_fork_while_a_plan_is_in_submit_does_not_deadlock():
     # concurrent.futures' before-fork hook holds the lock ``submit`` takes, so
     # the rng hook, which waits for the submitting thread's ``_worker_lock``,
     # must run first.  Run in a fresh process: a deadlock hangs the forker.
@@ -340,11 +334,11 @@ def test_fork_while_a_refill_is_in_submit_does_not_deadlock():
         import os, threading, warnings
         import numpy as np
         from ccdiff import rng
-        from ccdiff.rng import RngStream
+        from ccdiff.rng import RngStream, plan_draws
 
         warnings.simplefilter("ignore", DeprecationWarning)
         s = RngStream(13)
-        s.refill(np.empty(8))               # starts the worker
+        plan_draws([(s, (8,))], 1)          # starts the worker
         s.normal(8)
         in_submit, go = threading.Event(), threading.Event()
         submit = rng._worker.submit
@@ -355,15 +349,15 @@ def test_fork_while_a_refill_is_in_submit_does_not_deadlock():
             return submit(*args)
 
         rng._worker.submit = held_submit
-        refiller = threading.Thread(target=s.refill, args=(np.empty((512, 512)),))
-        refiller.start()
+        planner = threading.Thread(target=plan_draws, args=([(s, (512, 512))], 1))
+        planner.start()
         assert in_submit.wait(timeout=60)
         threading.Timer(0.3, go.set).start()
         pid = os.fork()
         if pid == 0:
             os._exit(0)
         os.waitpid(pid, 0)
-        refiller.join(timeout=60)
+        planner.join(timeout=60)
         ref = RngStream(13)
         ref.normal(8)
         assert np.array_equal(s.normal((512, 512)), ref.normal((512, 512)))
@@ -393,14 +387,14 @@ def test_fork_waits_for_a_running_fill_and_cancels_a_queued_one():
     # the process forks; each stream's owner then draws in parent and child.
     shape = (64, 64)
     warm = RngStream(20)
-    warm.refill(np.empty(8))            # starts the worker
+    _fill_ahead(warm, (8,))             # starts the worker
     warm.normal(8)
     a, b = RngStream(21), RngStream(22)
     started, go = threading.Event(), threading.Event()
     a._gen = _HeldGenerator(a._gen, started, go)
-    a.refill(np.empty(shape))
+    _fill_ahead(a, shape)
     assert started.wait(timeout=60)             # the worker took a's fill
-    b.refill(np.empty(shape))
+    _fill_ahead(b, shape)
     threading.Timer(0.3, go.set).start()
     pid = os.fork()
     if pid == 0:
@@ -427,3 +421,38 @@ def test_fork_waits_for_a_running_fill_and_cancels_a_queued_one():
     assert _queued(b).cancelled()
     assert np.array_equal(a.normal(shape), RngStream(21).normal(shape))
     assert np.array_equal(b.normal(shape), RngStream(22).normal(shape))
+
+
+class _FailingGenerator(_HeldGenerator):
+    """A held generator whose fills raise once ``go`` is set."""
+
+    def standard_normal(self, *args, **kw):
+        self.started.set()
+        self.go.wait(timeout=60)
+        raise RuntimeError("fill failed")
+
+
+def test_a_fill_that_fails_on_the_worker_raises_in_the_draw_waiting_for_it():
+    s = RngStream(23)
+    started, go = threading.Event(), threading.Event()
+    s._gen = _FailingGenerator(s._gen, started, go)
+    _fill_ahead(s, (8,))
+    assert started.wait(timeout=60)             # the worker runs the fill
+    raised = []
+
+    def draw():
+        try:
+            s.normal((8,))
+        except RuntimeError as exc:
+            raised.append(str(exc))
+
+    waiter = threading.Thread(target=draw, daemon=True)
+    waiter.start()
+    waiter.join(timeout=0.2)
+    waiting = waiter.is_alive()
+    go.set()
+    # The job ends by saying so, even when its fill raised: a waiter that
+    # only waited for a published draw would hang here.
+    waiter.join(timeout=10)
+    assert waiting and not waiter.is_alive()
+    assert raised == ["fill failed"]

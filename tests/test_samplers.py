@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import logging
 import os
 import signal
 import time
@@ -234,6 +235,23 @@ def test_corrector_zero_score_norm_skips_with_warning(caplog):
     out = langevin_corrector(forward_coeffs(VE, 50).a * oracle.mu, 50, VE,
                              oracle, 0.16, RngStream(20).normal((8,)))
     assert np.array_equal(out, forward_coeffs(VE, 50).a * oracle.mu)
+
+
+@pytest.mark.parametrize("squared_step", [False, True], ids=["linear", "squared"])
+def test_corrector_leaves_only_the_rows_at_zero_score_norm_where_they_are(
+        caplog, squared_step):
+    # Rows 0 and 2 sit at the anchor, so their score norm is zero and their
+    # step size 0; rows 1 and 3 still take a step.
+    mu = RngStream(23).normal((8,))
+    d = RngStream(24).normal((8,))
+    x = np.stack([mu, mu + 0.5 * d, mu, mu - 0.3 * d])
+    with caplog.at_level(logging.WARNING, logger="ccdiff.samplers"):
+        out = langevin_corrector(x, 50, VE, ConditionalScoreOracle(mu), 0.16,
+                                 RngStream(25).normal(x.shape), batch_axes=1,
+                                 squared_step=squared_step)
+    assert "zero score norm" in caplog.text
+    assert np.array_equal(out[[0, 2]], x[[0, 2]])
+    assert (out[[1, 3]] != x[[1, 3]]).all()
 
 
 def test_corrector_rejects_vp_schedule():
@@ -483,6 +501,19 @@ def test_ccdf_refuses_an_oracle_mean_that_does_not_fit_before_any_plan(monkeypat
     assert out.shape == ref.shape
 
 
+def test_reverse_path_refuses_an_operator_without_an_offset():
+    class NoOffset:
+        shape = (8,)
+
+        def apply_linear(self, x):
+            return x
+
+    cfg = CcdfConfig(t0=0.01, N=1000, kind=SamplerKind.DDPM)
+    with pytest.raises(ValidationError, match="lacks required attribute 'offset'"):
+        reverse_path([np.zeros(8)], cfg, VP, ZeroScoreOracle(), NoOffset(),
+                     [RngStream(1)], [RngStream(2)], RngStream(3), None)
+
+
 def test_rng_streams_are_reproducible_and_independent():
     a = RngStream(42, (1, 2)).normal((8,))
     b = RngStream(42, (1, 2)).normal((8,))
@@ -667,14 +698,13 @@ def test_plan_jobs_hold_at_least_refill_min_values(monkeypatch):
         _run_plan_case(_plan_case(name), _streams())
     jobs = []
     for p in plans:
-        bounds = [p.start] + p.ends
+        bounds = [0] + p.ends
         sizes = [sum(out.size for _, out in p.draws[lo:hi])
                  for lo, hi in zip(bounds, bounds[1:])]
         assert all(v >= REFILL_MIN_VALUES for v in sizes[:-1])
         jobs.append(sizes)
-    # 20 steps of a reverse and a corrector draw of 64x64 after the first
-    # draw: 8 steps to a job.  50 steps of a reverse and an anchor draw of
-    # 32x32: 32 steps to a job.
-    assert jobs == [[16 * 4096, 16 * 4096, 7 * 4096], [64 * 1024, 35 * 1024]]
+    # 20 steps of a reverse and a corrector draw of 64x64: 8 steps to a job.
+    # 50 steps of a reverse and an anchor draw of 32x32: 32 steps to a job.
+    assert jobs == [[16 * 4096, 16 * 4096, 8 * 4096], [64 * 1024, 36 * 1024]]
     assert [s.stream for s, _ in plans[0].draws[:3]] == [(1,), (3,), (1,)]
     assert [s.stream for s, _ in plans[1].draws[:3]] == [(1,), (2,), (1,)]
