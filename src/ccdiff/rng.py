@@ -140,7 +140,10 @@ class _Plan:
             if j + 1 < end:
                 self.runs[k] = self._queue(j + 1, end)
         elif not filled.get():
-            future.result()                 # raises the fill's error
+            # The fill failed: end the plan before draw j, then raise its error.
+            self.next = j
+            self.settle()
+            future.result()
         if (started or j + 1 == end) and k + 1 < len(self.ends) and k + 1 not in self.runs:
             self.runs[k + 1] = self._queue(end, self.ends[k + 1])
         if j + 1 == end:
@@ -149,11 +152,11 @@ class _Plan:
 
     def settle(self) -> None:
         """End the plan as if it had not been made: cancel or wait for the
-        jobs in flight and rewind each stream to just after the draws it
-        handed out."""
+        jobs in flight, dropping a failed one's error, and rewind each stream
+        to just after the draws it handed out."""
         for future, _ in self.runs.values():
             if not future.cancel():
-                future.result()
+                future.exception()
         self.runs.clear()
         if self.next < len(self.draws):
             # Replay the draws handed out from each stream's state at the start.

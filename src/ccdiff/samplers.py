@@ -1,31 +1,32 @@
 """Forward diffusion, reverse-diffusion steps, and the shortcut reverse path.
 
 The shortcut sampler forward-diffuses an initial estimate to step
-N' = round(t0 * N), then ``reverse_path`` alternates the reverse step of the
-kind's rule (``RULES``) with the affine data-consistency map x <- A x' + b_i,
-on one trajectory (``ccdf_sample``) or on the harness's coupled pairs.
+N' = round(t0 * N), then ``reverse_path`` runs each step as phases of one
+block, on one trajectory (``ccdf_sample``) or on the harness's coupled pairs:
+the kind's reverse step (``RULES``), then on a corrected VE path a Langevin
+corrector step, each followed by the data-consistency map x <- A x' + b_i.
 
 Forward diffusion, the stochastic reverse steps and the corrector are pure
 functions of the standard-normal draw ``z`` they are given (DDIM has none).
 They never write ``x`` or ``z``: each finishes its update in place in the
 array the score returned or in one array of its own, so a call allocates at
-most its result and one temporary.
-Only the loops (``ccdf_sample``, ``reverse_path``, ``run_error_curve``) and
-the SR/inpaint offsets draw; a coupled pair shares the draws of the streams
-its caller gives the same ids.  The rng worker thread fills the noise ahead
-of its draws while the loop computes, and the draws' values do not change.
-A draw of at least ``REFILL_MIN_VALUES`` values is filled on its own
-(``prefetch``): ``reverse_path`` fills every stream's first draw before
-step N', then a stream's next once a step has used one if it draws again,
-and ``run_error_curve`` the reference trajectory's forward draw.  Smaller
-draws are planned: ``rng.plan_draws`` takes every draw of the path in loop
-order and fills them in jobs of at least ``REFILL_MIN_VALUES`` values (8
-steps of a 64x64 SMLD path with the corrector).
+most its result and one temporary.  Only the loops and the SR/inpaint
+offsets draw; a coupled pair shares the draws of the streams its caller
+gives the same ids.  The rng worker thread fills the noise ahead while the
+loop computes, in the order the phases draw it, and the draws' values do
+not change.  A draw of at least ``REFILL_MIN_VALUES`` values is filled on
+its own (``prefetch``): ``reverse_path`` fills every stream's first draw
+before step N', then a stream's next once a step has used one if it draws
+again, and ``run_error_curve`` the reference trajectory's forward draw.
+Smaller draws are planned: ``rng.plan_draws`` fills every draw of the path
+in jobs of at least ``REFILL_MIN_VALUES`` values (8 steps of a 64x64 SMLD
+path with the corrector).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import math
 from collections import Counter
@@ -103,15 +104,20 @@ def forward_diffuse(x0: np.ndarray, n_prime: int, schedule: Schedule,
     return out
 
 
+def _step_input(x, i: int, schedule: Schedule, kind: SamplerKind, what: str):
+    """(x as float64, i) after a reverse update's index and family checks."""
+    i = check_step_index(schedule, i)
+    check_family(schedule, kind, what)
+    return np.asarray(x, dtype=np.float64), i
+
+
 def reverse_step_ddpm(x: np.ndarray, i: int, schedule: Schedule,
                       oracle: ScoreOracle, z: np.ndarray) -> np.ndarray:
     """One ancestral reverse step of the variance-preserving sampler.
 
     x_{i-1} = (x_i + (1 - alpha_i) s(x_i, i)) / sqrt(alpha_i) + sqrt(beta_i) z.
     """
-    i = check_step_index(schedule, i)
-    check_family(schedule, SamplerKind.DDPM, "a DDPM step")
-    x = np.asarray(x, dtype=np.float64)
+    x, i = _step_input(x, i, schedule, SamplerKind.DDPM, "a DDPM step")
     s = oracle.score(x, i, schedule)
     alpha_i = schedule.alpha[i]
     s *= 1.0 - alpha_i
@@ -128,9 +134,7 @@ def reverse_step_smld(x: np.ndarray, i: int, schedule: Schedule,
     x_{i-1} = x_i + (sigma_i^2 - sigma_{i-1}^2) s(x_i, i)
               + sqrt(sigma_i^2 - sigma_{i-1}^2) z.
     """
-    i = check_step_index(schedule, i)
-    check_family(schedule, SamplerKind.SMLD, "an SMLD step")
-    x = np.asarray(x, dtype=np.float64)
+    x, i = _step_input(x, i, schedule, SamplerKind.SMLD, "an SMLD step")
     dv = float(schedule.sigma[i] ** 2 - schedule.sigma[i - 1] ** 2)
     s = oracle.score(x, i, schedule)
     s *= dv
@@ -148,9 +152,7 @@ def reverse_step_ddim(x: np.ndarray, i: int, schedule: Schedule,
     x_{i-1} = sqrt(alpha_bar_{i-1}) (x_i - sqrt(1-alpha_bar_i) z_hat)
               / sqrt(alpha_bar_i) + sqrt(1 - alpha_bar_{i-1}) z_hat.
     """
-    i = check_step_index(schedule, i)
-    check_family(schedule, SamplerKind.DDIM, "a DDIM step")
-    x = np.asarray(x, dtype=np.float64)
+    x, i = _step_input(x, i, schedule, SamplerKind.DDIM, "a DDIM step")
     ab_i = schedule.alpha_bar[i]
     ab_prev = schedule.alpha_bar[i - 1]
     z_hat = oracle.score(x, i, schedule)
@@ -187,11 +189,9 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
     sits at the target), so eps is clamped at the Langevin stability limit
     1/max|J_i| of the oracle's slope, keeping 1 - eps |J_i| nonnegative.
     """
-    i = check_step_index(schedule, i)
-    check_family(schedule, SamplerKind.SMLD, "the Langevin corrector")
+    x, i = _step_input(x, i, schedule, SamplerKind.SMLD, "the Langevin corrector")
     if r < 0.0:
         raise ValidationError("corrector step-size ratio r must be nonnegative")
-    x = np.asarray(x, dtype=np.float64)
     if r == 0.0:
         return x
     s = oracle.score(x, i, schedule)
@@ -223,10 +223,11 @@ class KindRule:
 
     ``step`` is the reverse update (``z`` is None unless the kind is
     ``noisy``); ``corrected`` kinds run the Langevin corrector when
-    corrector_r > 0.  At step i (an index array for ``lam`` and ``g2``),
-    ``lam`` is lambda_i, ``g2`` is g_i^2, ``coords`` is (a_i, b_i) in the
-    contraction coordinates, and ``scale`` takes a plain state at level i
-    into those coordinates.
+    corrector_r > 0.  ``check`` returns the schedule after the family check
+    of the kind's analysis (DDIM runs on either family).  At step i (an
+    index array for ``lam`` and ``g2``), ``lam`` is lambda_i, ``g2`` is
+    g_i^2, ``coords`` is (a_i, b_i) in the contraction coordinates, and
+    ``scale`` takes a plain state at level i into those coordinates.
 
     ``shortcut`` states the kind's sufficient conditions for
     err_{0,r} <= mu eps0 as ``(checks, ok, reason)``: the thresholds tested,
@@ -237,6 +238,13 @@ class KindRule:
 
     noisy = True
     corrected = False
+
+    def check(self, schedule: Schedule) -> Schedule:
+        return schedule
+
+    def coords(self, schedule, i):
+        c = forward_coeffs(self.check(schedule), i)
+        return c.a, c.b
 
     def scale(self, schedule: Schedule, i: int) -> float:
         return 1.0
@@ -257,23 +265,19 @@ class _DdpmRule(KindRule):
     def step(self, x, i, schedule, oracle, z):
         return reverse_step_ddpm(x, i, schedule, oracle, z)
 
-    def _vp(self, schedule: Schedule) -> Schedule:
+    def check(self, schedule):
         check_family(schedule, SamplerKind.DDPM, "DDPM analysis")
         return schedule
 
     def lam(self, schedule, i):
-        s = self._vp(schedule)
+        s = self.check(schedule)
         return np.sqrt(s.alpha[i]) * (1.0 - s.alpha_bar[i - 1]) / (1.0 - s.alpha_bar[i])
 
     def g2(self, schedule, i):
-        return self._vp(schedule).beta[i]
-
-    def coords(self, schedule, i):
-        c = forward_coeffs(self._vp(schedule), i)
-        return c.a, c.b
+        return self.check(schedule).beta[i]
 
     def shortcut(self, schedule, eps0, mu, tau, n):
-        s = self._vp(schedule)
+        s = self.check(schedule)
         lower = 2.0 * math.log(4.0 * n / (mu * eps0))
         upper = mu * eps0 / (4.0 * n * tau) if tau > 0 else math.inf
         v = np.arange(s.N + 1) * s.beta
@@ -288,7 +292,7 @@ class _DdpmRule(KindRule):
         return checks, (v >= lower) & (v <= upper), reason
 
     def c_candidates(self, schedule, n_prime, n):
-        s = self._vp(schedule)
+        s = self.check(schedule)
         return {"n_one_minus_alpha_N": float(n * (1.0 - s.alpha[s.N])),
                 "n_one_minus_alpha_bar_N": float(n * (1.0 - s.alpha_bar[s.N]))}
 
@@ -309,26 +313,21 @@ class _SmldRule(KindRule):
     def step(self, x, i, schedule, oracle, z):
         return reverse_step_smld(x, i, schedule, oracle, z)
 
-    def sigma(self, schedule: Schedule) -> np.ndarray:
+    def check(self, schedule):
         check_family(schedule, SamplerKind.SMLD, "SMLD analysis")
-        return schedule.sigma
+        return schedule
 
     def lam(self, schedule, i):
-        s = self.sigma(schedule)
+        s = self.check(schedule).sigma
         s0sq = s[0] ** 2
         return (s[i - 1] ** 2 - s0sq) / (s[i] ** 2 - s0sq)
 
     def g2(self, schedule, i):
-        s = self.sigma(schedule)
+        s = self.check(schedule).sigma
         return s[i] ** 2 - s[i - 1] ** 2
 
-    def coords(self, schedule, i):
-        self.sigma(schedule)                 # the family check
-        c = forward_coeffs(schedule, i)
-        return c.a, c.b
-
     def shortcut(self, schedule, eps0, mu, tau, n):
-        s, N = self.sigma(schedule), schedule.N
+        s, N = self.check(schedule).sigma, schedule.N
         smin2, smax2 = float(s[1] ** 2), float(s[N] ** 2)
         pre_min = mu ** 1.5 * eps0 / (8.0 * n)
         pre_max = mu * eps0 / (4.0 * n)
@@ -349,7 +348,7 @@ class _SmldRule(KindRule):
             f"no integer N' puts (N'-1)/(N-1) inside [{lo:.6g}, {hi:.6g}]")
 
     def c_candidates(self, schedule, n_prime, n):
-        s, N = self.sigma(schedule), schedule.N
+        s, N = self.check(schedule).sigma, schedule.N
         ratio = (s[1] / s[N]) ** (2.0 / (N - 1.0))
         return {"geometric_form": float(n * s[n_prime] ** 2 * (1.0 - ratio))}
 
@@ -419,22 +418,20 @@ def prefetch(stream: RngStream, shape) -> None:
         plan_draws([(stream, shape)], REFILL_MIN_VALUES)
 
 
-def _fill_ahead(states: list, cfg: CcdfConfig, op, noise, corrector_noise,
-                anchor_rng: RngStream):
+def _fill_ahead(states: list, phases: list, op, anchor_rng: RngStream, n_prime: int):
     """Start filling the path's draws ahead, as the module docstring says.
-    Returns a context that settles a plan on exit, and each prefetched
-    stream's count of draws on the path."""
-    rule = RULES[cfg.kind]
+    A step draws, phase by phase, one block from each of the phase's streams
+    and then the anchor.  Returns a context that settles a plan on exit, and
+    each prefetched stream's count of draws on the path."""
     anchor = [(anchor_rng, states[0].shape)] if getattr(op, "draws_anchor", False) else []
-    step = [(noise[k], x.shape) for k, x in enumerate(states)] if rule.noisy else []
-    step += anchor
-    if cfg.corrected:
-        step += [(corrector_noise[k], x.shape) for k, x in enumerate(states)] + anchor
+    step = []
+    for _, streams in phases:
+        step += [(s, x.shape) for s, x in zip(streams or (), states)] + anchor
     if states[0].size < REFILL_MIN_VALUES:
-        return plan_draws(step * cfg.n_prime, REFILL_MIN_VALUES), Counter()
+        return plan_draws(step * n_prime, REFILL_MIN_VALUES), Counter()
     for stream, shape in dict(step).items():    # each stream's first draw
         prefetch(stream, shape)
-    return contextlib.nullcontext(), Counter(s for s, _ in step * cfg.n_prime)
+    return contextlib.nullcontext(), Counter(s for s, _ in step * n_prime)
 
 
 def _prefetch_next(left: Counter, stream: RngStream, shape) -> None:
@@ -445,31 +442,21 @@ def _prefetch_next(left: Counter, stream: RngStream, shape) -> None:
         prefetch(stream, shape)
 
 
-def _consistency(states: list, op, c, rng: RngStream, batch_axes: int) -> None:
-    """x <- A x + b_i on every trajectory, with one offset b_i shared by all."""
-    b = op.offset(c, rng, batch_shape=states[0].shape[:batch_axes])
-    for k in range(len(states)):
-        # In place is safe: apply_linear returns a new array or the state itself,
-        # which the loop owns.
-        x = op.apply_linear(states[k])
-        x += b
-        states[k] = x
-
-
 def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
                  oracle: ScoreOracle, op, noise, corrector_noise,
                  anchor_rng: RngStream, on_step) -> list:
     """Run reverse steps i = N'..1 on coupled trajectories, updating ``states`` in place.
 
-    Each step applies the kind's reverse update to every trajectory, then the
-    consistency map with one offset shared by all, drawn from ``anchor_rng``
-    with the step's forward coefficients (a_i, b_i) on ``schedule``.  Only
-    SMLD with corrector_r > 0 follows with a Langevin corrector step and a
-    second consistency map.  ``noise[k]`` and ``corrector_noise[k]`` are the
-    streams of trajectory k, filled ahead as the module docstring says.
-    Trajectories share draws only if the caller hands them streams with the
-    same seed and ids.  The axes in front of the operator's ``shape`` hold
-    independent samples.
+    Each step runs one or two phases.  A phase applies an update to every
+    trajectory, then the consistency map with one offset shared by all,
+    drawn from ``anchor_rng`` with the step's forward coefficients (a_i, b_i)
+    on ``schedule``.  The first phase's update is the kind's reverse step
+    with ``noise[k]`` as trajectory k's stream (DDIM draws none); only SMLD
+    with corrector_r > 0 adds a phase whose update is a Langevin corrector
+    step with ``corrector_noise[k]``.  The streams are filled ahead as the
+    module docstring says.  Trajectories share draws only if the caller
+    hands them streams with the same seed and ids.  The axes in front of
+    the operator's ``shape`` hold independent samples.
     ``on_step(i, states)`` runs after step i.
     """
     if cfg.N != schedule.N:
@@ -480,26 +467,30 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
     if not all(np.isfinite(x).all() for x in states):
         raise ValidationError(f"non-finite state at the start of step {cfg.n_prime}")
     rule = RULES[cfg.kind]
-    plan, left = _fill_ahead(states, cfg, op, noise, corrector_noise, anchor_rng)
+    phases = [(rule.step, noise if rule.noisy else None)]
+    if cfg.corrected:   # made per call, so a replaced langevin_corrector is the one run
+        corrector = functools.partial(langevin_corrector, r=cfg.corrector_r, batch_axes=batch_axes,
+                                      squared_step=cfg.corrector_squared_step)
+        phases.append((corrector, corrector_noise))
+    plan, left = _fill_ahead(states, phases, op, anchor_rng, cfg.n_prime)
     with plan:
         for i in range(cfg.n_prime, 0, -1):
             c = forward_coeffs(schedule, i)
-            # Indexing, not a loop variable, so no old state outlives its
-            # update; a draw is freed before its stream's next is prefetched.
-            for k in range(len(states)):
-                states[k] = rule.step(states[k], i, schedule, oracle,
-                                      noise[k].normal(states[k].shape) if rule.noisy else None)
-                _prefetch_next(left, noise[k], states[k].shape)
-            _consistency(states, op, c, anchor_rng, batch_axes)
-            _prefetch_next(left, anchor_rng, states[0].shape)
-            if cfg.corrected:
+            for update, streams in phases:
+                # Indexing, not a loop variable, so no old state outlives its
+                # update; a draw is freed before its stream's next is prefetched.
                 for k in range(len(states)):
-                    states[k] = langevin_corrector(
-                        states[k], i, schedule, oracle, cfg.corrector_r,
-                        corrector_noise[k].normal(states[k].shape), batch_axes=batch_axes,
-                        squared_step=cfg.corrector_squared_step)
-                    _prefetch_next(left, corrector_noise[k], states[k].shape)
-                _consistency(states, op, c, anchor_rng, batch_axes)
+                    states[k] = update(states[k], i, schedule, oracle,
+                                       z=streams[k].normal(states[k].shape) if streams else None)
+                    if streams:
+                        _prefetch_next(left, streams[k], states[k].shape)
+                # In place is safe: apply_linear returns a new array or the loop's
+                # own state.  An SR or inpaint offset is the anchor draw, freed before the next.
+                b = op.offset(c, anchor_rng, batch_shape=states[0].shape[:batch_axes])
+                for k in range(len(states)):
+                    states[k] = op.apply_linear(states[k])
+                    states[k] += b
+                del b
                 _prefetch_next(left, anchor_rng, states[0].shape)
             if on_step is not None:
                 on_step(i, states)

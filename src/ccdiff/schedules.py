@@ -76,6 +76,10 @@ def make_vp_schedule(beta_min: float, beta_max: float, N: int) -> Schedule:
         raise ValidationError(
             f"need 0 < beta_min < beta_max < 1, got ({beta_min}, {beta_max})"
         )
+    # Below float resolution 1 - beta_1 rounds to 1, so alpha_bar_1 = 1 and b_1 = 0.
+    if not 1.0 - float(beta_min) < 1.0:
+        raise ValidationError(f"beta_min = {beta_min} is below float resolution: "
+                              "1 - beta_min rounds to 1")
     i = np.arange(N + 1, dtype=np.float64)
     beta = beta_min + (i - 1.0) * (beta_max - beta_min) / (N - 1.0)
     beta[0] = 0.0

@@ -90,6 +90,12 @@ def test_shortcut_reports_feasibility():
                         "--beta-min", "1e-4", "--beta-max", "0.02",
                         "--eps0", "12.8", "--n", "64")
     assert code == 0
+    # An infeasible query names the condition that fails.
+    code, out = run_cli("shortcut", "--kind", "ddpm", "--eps0", "1e-6")
+    assert code == 0
+    pairs = kv(out)
+    assert (pairs["feasible"], pairs["n_prime"]) == ("False", "")
+    assert pairs["reason"].startswith("lower condition unsatisfiable: N' beta_N' <= 20 ")
 
 
 def test_shortcut_ddim_on_ve_grid_via_smld_schedule():
@@ -231,6 +237,25 @@ def test_check_op_reports_certificates(tmp_path, phantom_file):
     assert float(pairs["tau_hutchinson"]) == pytest.approx(15 / 16, rel=0.01)
 
 
+def test_check_op_builds_an_inpaint_mask_from_a_box(tmp_path):
+    # A 2x2 unmeasured box in a 4x4 image leaves 4 of 16 pixels unmeasured.
+    save_image(tmp_path / "m.raw", np.full((4, 4), 0.5))
+    cfg = tmp_path / "op.cfg"
+    cfg.write_text(f"measurement={tmp_path / 'm.raw'}\nbox=2,2\n")
+    code, text = run_cli("check-op", "--op", "inpaint", "--op-config", str(cfg))
+    assert code == 0
+    assert float(kv(text)["tau"]) == 0.25
+
+
+def test_an_op_config_without_a_measurement_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "op.cfg"
+    cfg.write_text("box=2,2\n")
+    code, _ = run_cli("check-op", "--op", "inpaint", "--op-config", str(cfg))
+    assert code == 1
+    assert capsys.readouterr().err == ("error: inpaint op needs measurement=<path> "
+                                       "in the config\n")
+
+
 def test_exit_codes_for_bad_usage(tmp_path):
     code, _ = run_cli("schedule", "--kind", "bogus")
     assert code == 1
@@ -330,6 +355,11 @@ REFUSAL_NAMES = {
     f"contract --kind smld --t0 0.5 --n {N_1E308}": "forward_error = inf overflows",
     "simulate --seed 1 --size 16x16 --trials 4 --n-steps 20 --init file:{tmp}/8x8.raw":
         "ground truth shape (16, 16) != init shape (8, 8)",
+    "simulate --seed 1 --n 16 --trials 4 --n-steps 20 --op mri":
+        "mri op needs a 2D image, got shape (16,)",
+    "contract --kind ddpm --beta-min 1e-17": "beta_min = 1e-17",
+    "contract --kind ddim --beta-min 1e-17": "beta_min = 1e-17",
+    "simulate --kind ddpm --beta-min 1e-17 --seed 1 --n 4 --trials 4": "beta_min = 1e-17",
 }
 
 # Malformed image files, written to the test's directory; ``{tmp}`` in a case
@@ -437,6 +467,10 @@ BAD_IMAGES = {
     pytest.param(f"contract --kind smld --t0 0.5 --n {N_1E308}", None,
                  id="contract-smld-n-1e308"),
     ("simulate --seed 1 --size 16x16 --trials 4 --n-steps 20 --init file:{tmp}/8x8.raw", None),
+    ("simulate --seed 1 --n 16 --trials 4 --n-steps 20 --op mri", None),
+    ("contract --kind ddpm --beta-min 1e-17", None),
+    ("contract --kind ddim --beta-min 1e-17", None),
+    ("simulate --kind ddpm --beta-min 1e-17 --seed 1 --n 4 --trials 4", None),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):
@@ -452,7 +486,7 @@ def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
     code, _ = run_cli(*argv)
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and "RuntimeWarning" not in err
     assert names in err
 
 

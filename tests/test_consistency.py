@@ -102,6 +102,8 @@ def test_sr_rejects_indivisible_shapes():
     meas[3, 5] = np.inf
     with pytest.raises(ValidationError):
         SrOp(4, meas)
+    with pytest.raises(ValidationError, match="expects a 2D image"):
+        SrOp(4, np.zeros(16))
 
 
 # -------------------------------- inpainting --------------------------------
@@ -146,6 +148,8 @@ def test_inpaint_rejects_empty_mask():
     meas[2, 2] = np.nan
     with pytest.raises(ValidationError):
         InpaintOp(np.ones((8, 8), dtype=bool), meas)
+    with pytest.raises(ValidationError, match=r"\(8, 8\).*\(4, 4\)"):
+        InpaintOp(np.ones((8, 8), dtype=bool), np.zeros((4, 4)))
 
 
 def test_inpaint_offset_is_masked_forward_diffusion():
@@ -324,6 +328,10 @@ def test_mri_rejects_shape_mismatch_and_empty_mask():
     y[0, 0] = np.inf
     with pytest.raises(ValidationError):
         mri_projection(np.ones((8, 8), dtype=bool), y)
+    with pytest.raises(ValidationError, match="mask must be 2D"):
+        mri_projection(np.ones(8, dtype=bool), np.zeros(8, dtype=complex))
+    with pytest.raises(ValidationError, match=r"image shape \(8, 4\) != mask shape \(8, 8\)"):
+        mri_measure(np.zeros((8, 4)), np.ones((8, 8), dtype=bool))
 
 
 def test_apply_is_affine_on_shared_offset():
@@ -387,6 +395,17 @@ def test_certify_power_iteration_alone_rejects_an_expansive_operator():
         certify_nonexpansive(Doubling((8,), np.zeros(8)), trials=0, rng=RngStream(19))
 
 
+def test_certify_without_a_stream_is_deterministic():
+    # The default stream, as an MRI reconstruction's set-up certifies its op.
+    ph = make_phantom("ellipses", (16, 16), seed=22)
+    mask = gaussian1d_mask(ph.shape, 4.0, 0.08, seed=22)
+    op = mri_projection(mask, mri_measure(ph, mask))
+    sigma = certify_nonexpansive(op)
+    assert sigma == certify_nonexpansive(op)
+    assert sigma == certify_nonexpansive(op, rng=RngStream(0, (0x63657274,)))
+    assert sigma <= 1.0 + 1e-6
+
+
 def test_hutchinson_on_black_box_operator():
     # tau of a diagonal operator with known trace ratio
     diag = RngStream(18).uniform(0.0, 1.0, (64,))
@@ -430,6 +449,8 @@ def test_gaussian1d_mask_validation():
             gaussian1d_mask((64, 64), accel=accel, acs_fraction=0.08, seed=0)
     with pytest.raises(ValidationError):
         gaussian1d_mask((64, 64), accel=4.0, acs_fraction=0.0, seed=0)
+    with pytest.raises(ValidationError, match=r"at least \(1, 2\), got \(1, 1\)"):
+        gaussian1d_mask((1, 1), accel=4.0, acs_fraction=0.08, seed=0)
 
 
 def test_identity_vanilla_init_requires_measurement():

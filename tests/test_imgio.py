@@ -82,6 +82,14 @@ def test_corrupt_files_are_rejected(tmp_path):
     notp5.write_bytes(b"P2\n1 1\n255\n0")
     with pytest.raises(ValidationError):
         read_pgm(notp5)
+    f32 = tmp_path / "f32.raw"
+    f32.write_bytes(struct.pack("<4sIII", RAW_MAGIC, 2, 1, 1) + bytes(8))
+    with pytest.raises(ValidationError, match="unsupported raw dtype code 2"):
+        read_raw(f32)
+    with pytest.raises(ValidationError, match="PGM images must be 2D"):
+        write_pgm(tmp_path / "v.pgm", np.zeros(4))
+    with pytest.raises(ValidationError, match="raw arrays must be 2D"):
+        write_raw(tmp_path / "v.raw", np.zeros(4))
 
 
 # A 4x4 raster under three headers that netpbm's grammar accepts: tokens
@@ -121,6 +129,7 @@ def test_pgm_sample_above_maxval_is_refused(tmp_path):
     (b"P5\n4 4\n255x\n" + bytes(16), "non-integer"),
     (b"P5\n4 4\n255x" + bytes(16), "truncated PGM header"),
     (b"P5\n4 4\n255\n" + bytes(15), "truncated PGM pixel data"),
+    (b"P5\n1 1\n70000\n" + bytes(4), "unsupported PGM maxval 70000"),
 ])
 def test_malformed_pgm_headers_are_refused(data, message, tmp_path):
     path = tmp_path / "bad.pgm"

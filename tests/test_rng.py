@@ -424,11 +424,20 @@ def test_fork_waits_for_a_running_fill_and_cancels_a_queued_one():
 
 
 class _FailingGenerator(_HeldGenerator):
-    """A held generator whose fills raise once ``go`` is set."""
+    """A held generator whose first fill raises once ``go`` is set; later
+    fills are the generator's own."""
+
+    failed = False
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
 
     def standard_normal(self, *args, **kw):
+        if self.failed:
+            return self._gen.standard_normal(*args, **kw)
         self.started.set()
         self.go.wait(timeout=60)
+        self.failed = True
         raise RuntimeError("fill failed")
 
 
@@ -456,3 +465,10 @@ def test_a_fill_that_fails_on_the_worker_raises_in_the_draw_waiting_for_it():
     waiter.join(timeout=10)
     assert waiting and not waiter.is_alive()
     assert raised == ["fill failed"]
+    # The failed plan ends as if it had not been made: the stream yields its
+    # first draw next, and later draws, plans and uniforms work.
+    ref = RngStream(23)
+    assert np.array_equal(s.normal((8,)), ref.normal((8,)))
+    assert np.array_equal(s.uniform(shape=(3,)), ref.uniform(shape=(3,)))
+    _fill_ahead(s, (8,))
+    assert np.array_equal(s.normal((8,)), ref.normal((8,)))

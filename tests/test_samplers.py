@@ -260,6 +260,12 @@ def test_corrector_rejects_vp_schedule():
                            RngStream(21).normal((4,)))
 
 
+def test_corrector_rejects_a_negative_step_size_ratio():
+    with pytest.raises(ValidationError, match="r must be nonnegative"):
+        langevin_corrector(np.zeros(4), 10, VE, ZeroScoreOracle(), -0.1,
+                           RngStream(21).normal((4,)))
+
+
 def test_corrector_golden_regression_lock():
     # Frozen from the first verified run: r = 0.16, fixed seed, conditional
     # oracle, n = 64 (default linear step-size rule).
@@ -465,6 +471,8 @@ def test_ccdf_validates_configuration():
         CcdfConfig(t0=0.0, N=100, kind=SamplerKind.DDPM)
     with pytest.raises(ValidationError):
         CcdfConfig(t0=1.5, N=100, kind=SamplerKind.DDPM)
+    with pytest.raises(ValidationError, match="N must be >= 2, got 1"):
+        CcdfConfig(t0=0.5, N=1, kind=SamplerKind.DDPM)
     for r in (-0.1, np.nan, np.inf):
         with pytest.raises(ValidationError):
             CcdfConfig(t0=0.5, N=100, kind=SamplerKind.SMLD, corrector_r=r)

@@ -129,6 +129,15 @@ def test_vp_rejects_bad_arguments(args):
         make_vp_schedule(*args)
 
 
+def test_vp_refuses_a_beta_min_below_float_resolution():
+    # 1 - 1e-17 rounds to 1: alpha_bar_1 = 1 and b_1 = 0 would make every
+    # later quotient by b_1 or 1 - alpha_bar_1 warn and turn nan.
+    with pytest.raises(ValidationError, match="beta_min = 1e-17 is below float resolution"):
+        make_vp_schedule(1e-17, 0.02, 100)
+    s = make_vp_schedule(1e-16, 0.02, 100)
+    assert s.alpha_bar[1] < 1.0 and forward_coeffs(s, 1).b > 0.0
+
+
 @pytest.mark.parametrize("args", [
     (0.0, 378, 100), (-0.01, 378, 100), (378, 0.01, 100),
     (0.01, 0.01, 100), (0.01, 378, 1), (0.01, np.inf, 4), (np.nan, 378, 100),

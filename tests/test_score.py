@@ -162,6 +162,7 @@ def test_validation_errors():
         oracle.score(x, VP.N + 1, VP)
     with pytest.raises(ValidationError):
         oracle.slope(VP.N + 1, VP)
+    assert oracle.slope(VP.N, VP) == 0.0
     # The last two do not broadcast to the mean's shape (3,): ccdf_sample
     # used to die mid-loop on numpy's broadcast error.
     for var in (-1.0, np.nan, np.inf, [0.5, np.nan, 0.5], np.ones(2), np.ones((2, 3))):
