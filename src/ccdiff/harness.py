@@ -22,12 +22,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import rng
 from .analysis import (bound_traces, contraction_rate, forward_error,
                        noise_constant_per_step)
 from .errors import ValidationError
 from .rng import RngStream
 from .samplers import (DEFAULT_CORRECTOR_R, RULES, CcdfConfig, ccdf_sample,
-                       forward_diffuse, prefetch, reverse_path)
+                       forward_diffuse, reverse_path)
 from .schedules import SamplerKind, Schedule, check_family, make_ve_schedule
 from .score import GaussianScoreOracle, ScoreOracle, check_mean_fits
 from .consistency import MriOp, mri_measure
@@ -168,7 +169,7 @@ def run_error_curve(cfg: ExperimentConfig) -> TrajectoryStats:
     r_cor_x, r_cor_g = root.substream(15), root.substream(15 if shared else 16)
     scale = RULES[kind].scale
 
-    prefetch(r_fwd_g, (M,) + shape)     # filled while the estimate's is drawn
+    rng.prefetch(r_fwd_g, (M,) + shape)     # filled while the estimate's is drawn
     pair = [forward_diffuse(x0, n_prime, schedule, r_fwd_x.normal((M,) + shape)),
             forward_diffuse(g, n_prime, schedule, r_fwd_g.normal((M,) + shape))]
 
@@ -324,8 +325,7 @@ def run_mri_demo(phantom: np.ndarray, mask: np.ndarray, t0: float,
     psnrs, residuals = [], []
     recon = None
     for trial in range(int(trials)):
-        rng = RngStream(seed, (0x6D7269, trial))
-        x = ccdf_sample(zf, op, cfg, schedule, oracle, rng)
+        x = ccdf_sample(zf, op, cfg, schedule, oracle, RngStream(seed, (0x6D7269, trial)))
         if recon is None:
             recon = x
         psnrs.append(psnr(x, phantom))

@@ -9,8 +9,9 @@ A loop can have its next draws filled while it computes: numpy's fills
 release the interpreter lock, so one worker thread does them on a second
 core, until a fork stops it.  ``plan_draws`` hands the worker draws of one
 or more streams, in the order the loop will ask for them, as jobs of
-consecutive draws into buffers of the plan's own; a plan of one draw fills
-a stream's next block.  No plan changes which values a stream yields.
+consecutive draws of at least ``REFILL_MIN_VALUES`` values, each draw an
+array of its own; ``prefetch``, a plan of one draw, fills a stream's next
+block if it is that large.  No plan changes which values a stream yields.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ from queue import SimpleQueue
 import numpy as np
 
 from .errors import ValidationError
-
-# Stream roles used by the samplers / harness.  Coupled-trajectory
-# experiments rely on the consistency stream being separate so that both
-# members of a pair can share the per-step consistency anchors.
-STREAM_FORWARD = 0
-STREAM_REVERSE = 1
-STREAM_CONSISTENCY = 2
-STREAM_CORRECTOR = 3
 
 # One thread runs every fill: the next job starts it, and a fork stops it.
 _worker = None
@@ -72,28 +65,26 @@ def _stop_worker_before_fork() -> None:
 
 
 def _fill(draws, filled) -> None:
-    """Fill each (stream, out) of ``draws`` in order on the worker, putting
-    True on ``filled`` after each and False when the job ends, so a waiter
-    that reads False finds a failed fill's error in the job's future
+    """Draw each (stream, shape) of ``draws`` in order on the worker, putting
+    each array on ``filled`` as it lands and None when the job ends, so a
+    waiter that reads None finds a failed fill's error in the job's future
     instead of waiting for ever."""
     try:
-        for stream, out in draws:
-            stream._gen.standard_normal(out=out)
-            filled.put(True)
+        for stream, shape in draws:
+            filled.put(stream._gen.standard_normal(shape))
     finally:
-        filled.put(False)
+        filled.put(None)
 
 
 class _Plan:
     """Draws of one or more streams, in the order they will be requested,
     filled ahead on the worker thread.
 
-    ``draws`` holds (stream, out) pairs, and ``ends[k]`` ends job k, which
+    ``draws`` holds (stream, shape) pairs, and ``ends[k]`` ends job k, which
     begins where the one before ends.  A job that has not started when its
-    next draw is requested is cancelled: that draw is filled on the calling
+    next draw is requested is cancelled: that draw is made on the calling
     thread and the rest of the job queued again.  Job k + 1 is queued once
-    job k has started or ended, so at most two are in flight, and it may
-    write over the draws of job k - 1, which the caller has spent by then.
+    job k has started or ended, so at most two are in flight.
     """
 
     def __init__(self, draws, ends):
@@ -118,37 +109,38 @@ class _Plan:
         """The next draw if it is ``stream``'s and has ``shape``; otherwise
         settle the plan and return None."""
         j = self.next
-        s, out = self.draws[j]
-        if s is not stream or out.shape != shape:
+        if self.draws[j] != (stream, shape):
             self.settle()
             return None
         self.next = j + 1
-        self._wait(j)
+        out = self._wait(j)
         if self.next == len(self.draws):
             self._detach()
         return out
 
-    def _wait(self, j) -> None:
+    def _wait(self, j) -> np.ndarray:
         k, end = self.job, self.ends[self.job]
         future, filled = self.runs[k]
-        # A run that has published a draw has started; one that has not
-        # started and is cancelled never moved a generator.
-        started = not (filled.empty() and future.cancel())
-        if not started:
-            stream, out = self.draws[j]
-            stream._gen.standard_normal(out=out)
+        # A run cancelled before it started never moved a generator.
+        started = not future.cancel()
+        if started:
+            out = filled.get()
+            if out is None:
+                # The fill failed: end the plan before draw j, then raise its error.
+                self.next = j
+                self.settle()
+                future.result()
+        else:
+            stream, shape = self.draws[j]
+            out = stream._gen.standard_normal(shape)
             if j + 1 < end:
                 self.runs[k] = self._queue(j + 1, end)
-        elif not filled.get():
-            # The fill failed: end the plan before draw j, then raise its error.
-            self.next = j
-            self.settle()
-            future.result()
         if (started or j + 1 == end) and k + 1 < len(self.ends) and k + 1 not in self.runs:
             self.runs[k + 1] = self._queue(end, self.ends[k + 1])
         if j + 1 == end:
             del self.runs[k]
             self.job = k + 1
+        return out
 
     def settle(self) -> None:
         """End the plan as if it had not been made: cancel or wait for the
@@ -162,8 +154,8 @@ class _Plan:
             # Replay the draws handed out from each stream's state at the start.
             for s, state in zip(self.streams, self.states):
                 s._gen.bit_generator.state = state
-            for s, out in self.draws[:self.next]:
-                s._gen.standard_normal(out.shape)
+            for s, shape in self.draws[:self.next]:
+                s._gen.standard_normal(shape)
             self.next = len(self.draws)     # so a second settle rewinds nothing
         self._detach()
 
@@ -179,34 +171,44 @@ class _Plan:
         self.settle()
 
 
-def plan_draws(draws, job_values: int) -> _Plan:
+# The fewest values the worker thread fills in one hand-off; below it the
+# hand-off costs more than the overlap saves.  With every draw filled on its
+# own, recon-mri (4096 values per draw) lost a third of its throughput (0/10
+# pairs); coupled-pair cells ran faster so at 2^16 values per draw (27 of 32
+# pairs) but not at 2^15 (15 of 32), as BENCH_6.json records.  A path of
+# smaller draws is planned in jobs of at least this many values: a 64x64
+# reconstruction took 3.94 ms with jobs of 2^16 values against 4.19 and 4.16
+# ms with 2^14 and 2^15 and 4.36 ms with 2^17 (fastest of 6 interleaved rounds
+# of 10 x 30 on a 2-core host), and recon-mri's gain is in BENCH_23.json.
+REFILL_MIN_VALUES = 1 << 16
+
+
+def plan_draws(draws) -> _Plan:
     """Fill ``draws``, (stream, shape) pairs in the order a loop will ask
     for them with ``normal``, ahead of the loop on the worker thread.
 
-    The worker fills them as jobs of consecutive draws of at least
-    ``job_values`` values (the last may hold fewer) into two buffers that
-    the jobs take in turn, and publishes each draw as it lands.  The loop
-    must be done with a draw by its next request, and must use the streams
-    from one thread.  Any other request on a planned stream settles the
-    plan, so each call yields what it would have without it.  Used as a
+    The worker draws them as jobs of consecutive draws of at least
+    ``REFILL_MIN_VALUES`` values (the last may hold fewer) and hands over
+    each draw, an array of its own, as it lands.  The loop must use the
+    streams from one thread.  Any other request on a planned stream settles
+    the plan, so each call yields what it would have without it.  Used as a
     context manager, the plan settles on exit.
     """
     draws = [(s, tuple(shape)) for s, shape in draws]
-    sizes, ends = [0], []               # values in each job, and where it ends
+    ends, size = [], 0              # where each job ends, and the open job's values
     for j, (_, shape) in enumerate(draws, 1):
-        sizes[-1] += math.prod(shape)
-        if sizes[-1] >= job_values or j == len(draws):
+        size += math.prod(shape)
+        if size >= REFILL_MIN_VALUES or j == len(draws):
             ends.append(j)
-            sizes.append(0)
-    buffers = [np.empty(max(sizes)) for _ in ends[:2]]
-    out = []
-    for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
-        offset = 0
-        for s, shape in draws[lo:hi]:
-            n = math.prod(shape)
-            out.append((s, buffers[k % 2][offset:offset + n].reshape(shape)))
-            offset += n
-    return _Plan(out, ends)
+            size = 0
+    return _Plan(draws, ends)
+
+
+def prefetch(stream: RngStream, shape) -> None:
+    """Have the worker fill ``stream``'s next draw of ``shape``, a plan of
+    one draw, if the block is large enough to pay."""
+    if math.prod(shape) >= REFILL_MIN_VALUES:
+        plan_draws([(stream, shape)])
 
 
 class RngStream:

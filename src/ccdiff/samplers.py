@@ -14,12 +14,12 @@ most its result and one temporary.  Only the loops and the SR/inpaint
 offsets draw; a coupled pair shares the draws of the streams its caller
 gives the same ids.  The rng worker thread fills the noise ahead while the
 loop computes, in the order the phases draw it, and the draws' values do
-not change.  A draw of at least ``REFILL_MIN_VALUES`` values is filled on
-its own (``prefetch``): ``reverse_path`` fills every stream's first draw
-before step N', then a stream's next once a step has used one if it draws
-again, and ``run_error_curve`` the reference trajectory's forward draw.
-Smaller draws are planned: ``rng.plan_draws`` fills every draw of the path
-in jobs of at least ``REFILL_MIN_VALUES`` values (8 steps of a 64x64 SMLD
+not change.  A draw of at least ``rng.REFILL_MIN_VALUES`` values is filled
+on its own (``rng.prefetch``): ``reverse_path`` fills every stream's first
+draw before step N', then a stream's next once a step has used one if it
+draws again, and ``run_error_curve`` the reference trajectory's forward
+draw.  Smaller draws are planned: ``rng.plan_draws`` fills every draw of
+the path in jobs of at least that many values (8 steps of a 64x64 SMLD
 path with the corrector).
 """
 
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .errors import ValidationError
-from .rng import (RngStream, STREAM_CONSISTENCY, STREAM_CORRECTOR,
-                  STREAM_FORWARD, STREAM_REVERSE, plan_draws)
+from .rng import RngStream
 from .schedules import (SamplerKind, Schedule, check_family, check_step_index,
                         forward_coeffs, step_index_of_time)
 from .score import ScoreOracle, check_mean_fits
@@ -44,18 +44,6 @@ from .score import ScoreOracle, check_mean_fits
 logger = logging.getLogger(__name__)
 
 DEFAULT_CORRECTOR_R = 0.16
-
-# The fewest values the worker thread fills in one hand-off; below it the
-# hand-off costs more than the overlap saves.  With every draw filled on its
-# own, recon-mri (4096 values per draw) lost a third of its throughput (0/10
-# pairs); coupled-pair cells ran faster so at 2^16 values per draw (27 of 32
-# pairs) but not at 2^15 (15 of 32), as BENCH_6.json records.  A path of
-# smaller draws is planned in jobs of at least this many values: a 64x64
-# reconstruction took 3.94 ms with jobs of 2^16 values against 4.19 and 4.16
-# ms with 2^14 and 2^15 and 4.36 ms with 2^17 (fastest of 6 interleaved rounds
-# of 10 x 30 on a 2-core host), and recon-mri's gain is in BENCH_23.json.
-REFILL_MIN_VALUES = 1 << 16
-
 
 @dataclass(frozen=True)
 class CcdfConfig:
@@ -411,13 +399,6 @@ def _check_op(op, shape) -> None:
         )
 
 
-def prefetch(stream: RngStream, shape) -> None:
-    """Have the worker fill ``stream``'s next draw of ``shape`` in a fresh
-    buffer, a plan of one draw, if the block is large enough to pay."""
-    if math.prod(shape) >= REFILL_MIN_VALUES:
-        plan_draws([(stream, shape)], REFILL_MIN_VALUES)
-
-
 def _fill_ahead(states: list, phases: list, op, anchor_rng: RngStream, n_prime: int):
     """Start filling the path's draws ahead, as the module docstring says.
     A step draws, phase by phase, one block from each of the phase's streams
@@ -427,10 +408,10 @@ def _fill_ahead(states: list, phases: list, op, anchor_rng: RngStream, n_prime: 
     step = []
     for _, streams in phases:
         step += [(s, x.shape) for s, x in zip(streams or (), states)] + anchor
-    if states[0].size < REFILL_MIN_VALUES:
-        return plan_draws(step * n_prime, REFILL_MIN_VALUES), Counter()
+    if states[0].size < rng.REFILL_MIN_VALUES:
+        return rng.plan_draws(step * n_prime), Counter()
     for stream, shape in dict(step).items():    # each stream's first draw
-        prefetch(stream, shape)
+        rng.prefetch(stream, shape)
     return contextlib.nullcontext(), Counter(s for s, _ in step * n_prime)
 
 
@@ -439,7 +420,7 @@ def _prefetch_next(left: Counter, stream: RngStream, shape) -> None:
     next one if ``left`` counts another on the path."""
     left[stream] -= 1
     if left[stream] > 0:
-        prefetch(stream, shape)
+        rng.prefetch(stream, shape)
 
 
 def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
@@ -500,6 +481,13 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
 def _check_finite(i: int, states: list) -> None:
     if not np.isfinite(states[0]).all():
         raise ValidationError(f"non-finite state after step {i}")
+
+
+# The substream ids of ``ccdf_sample``'s draws, one stream per role.
+STREAM_FORWARD = 0
+STREAM_REVERSE = 1
+STREAM_CONSISTENCY = 2
+STREAM_CORRECTOR = 3
 
 
 def ccdf_sample(x0_init: np.ndarray, op, cfg: CcdfConfig, schedule: Schedule,

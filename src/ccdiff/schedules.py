@@ -85,7 +85,11 @@ def make_vp_schedule(beta_min: float, beta_max: float, N: int) -> Schedule:
     beta[0] = 0.0
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
-    # alpha_bar[0] = 1 by the empty-product convention (alpha[0] = 1).
+    # alpha_bar[0] = 1 by the empty-product convention (alpha[0] = 1).  It
+    # only falls with i; below the smallest normal float ddim_sigma_N^2 overflows.
+    if alpha_bar[-1] < np.finfo(np.float64).tiny:
+        raise ValidationError(f"alpha_bar_N = {alpha_bar[-1]:.3g} underflows at beta_min = "
+                              f"{beta_min}, beta_max = {beta_max}, N = {N}")
     sigma = np.sqrt(beta)
     ddim_sigma = np.sqrt(1.0 - alpha_bar) / np.sqrt(alpha_bar)
     return Schedule(N=int(N), beta=_freeze(beta), alpha=_freeze(alpha),
@@ -115,6 +119,10 @@ def make_ve_schedule(sigma_min: float, sigma_max: float, N: int) -> Schedule:
             f"sigma_max / sigma_min overflows, got ({sigma_min}, {sigma_max})")
     i = np.arange(N + 1, dtype=np.float64)
     sigma = sigma_min * (sigma_max / sigma_min) ** ((i - 1.0) / (N - 1.0))
+    # sigma_0 rounds to sigma_1 when the ratio is too close to 1: b_1 = 0.
+    if not sigma[0] < sigma[1]:
+        raise ValidationError(f"sigma_0 rounds to sigma_1 (b_1 = 0) at sigma_min = "
+                              f"{sigma_min}, sigma_max = {sigma_max}, N = {N}")
     return Schedule(N=int(N), beta=None, alpha=None, alpha_bar=None,
                     sigma=_freeze(sigma), ddim_sigma=None)
 

@@ -274,6 +274,12 @@ HUGE_N = "9" * 400
 # 1e308 written out: a float holds it, but twice it does not.
 N_1E308 = "1" + "0" * 308
 
+# A VP schedule whose alpha_bar_N underflows, and a VE schedule whose
+# sigma_0 rounds to sigma_1.
+VP_UNDERFLOW = "alpha_bar_N = 0 underflows at beta_min = 0.5, beta_max = 0.9, N = 2000"
+VE_TIED = "--sigma-min 1 --sigma-max 1.000000000000001 --n-steps 1000"
+VE_TIED_NAMES = "sigma_min = 1.0, sigma_max = 1.000000000000001, N = 1000"
+
 # What the error line must name, for inputs refused by a check with a message
 # of its own rather than by a later failure.
 REFUSAL_NAMES = {
@@ -360,6 +366,15 @@ REFUSAL_NAMES = {
     "contract --kind ddpm --beta-min 1e-17": "beta_min = 1e-17",
     "contract --kind ddim --beta-min 1e-17": "beta_min = 1e-17",
     "simulate --kind ddpm --beta-min 1e-17 --seed 1 --n 4 --trials 4": "beta_min = 1e-17",
+    "contract --kind ddim --beta-min 0.5 --beta-max 0.9 --n-steps 2000": VP_UNDERFLOW,
+    "contract --kind ddpm --beta-min 0.5 --beta-max 0.9 --n-steps 2000 --t0 0.5": VP_UNDERFLOW,
+    "shortcut --kind ddim --beta-min 0.5 --beta-max 0.9 --n-steps 2000 --eps0 1": VP_UNDERFLOW,
+    f"contract --kind smld {VE_TIED} --t0 0.5": VE_TIED_NAMES,
+    f"simulate --kind smld {VE_TIED} --t0 0.01 --trials 4 --n 4 --seed 1": VE_TIED_NAMES,
+    f"shortcut --kind smld {VE_TIED} --eps0 1": VE_TIED_NAMES,
+    "check-op --op inpaint --seed 15": "box 9x4 does not fit in image 8x8",
+    "simulate --op sr --factor 0 --seed 1 --size 8x8 --trials 4 --n-steps 20":
+        "downsampling factor must be >= 1, got 0",
 }
 
 # Malformed image files, written to the test's directory; ``{tmp}`` in a case
@@ -471,6 +486,14 @@ BAD_IMAGES = {
     ("contract --kind ddpm --beta-min 1e-17", None),
     ("contract --kind ddim --beta-min 1e-17", None),
     ("simulate --kind ddpm --beta-min 1e-17 --seed 1 --n 4 --trials 4", None),
+    ("contract --kind ddim --beta-min 0.5 --beta-max 0.9 --n-steps 2000", None),
+    ("contract --kind ddpm --beta-min 0.5 --beta-max 0.9 --n-steps 2000 --t0 0.5", None),
+    ("shortcut --kind ddim --beta-min 0.5 --beta-max 0.9 --n-steps 2000 --eps0 1", None),
+    (f"contract --kind smld {VE_TIED} --t0 0.5", None),
+    (f"simulate --kind smld {VE_TIED} --t0 0.01 --trials 4 --n 4 --seed 1", None),
+    (f"shortcut --kind smld {VE_TIED} --eps0 1", None),
+    ("check-op --op inpaint --seed 15", "measurement={tmp}/8x8.raw\nbox=9,4"),
+    ("simulate --op sr --factor 0 --seed 1 --size 8x8 --trials 4 --n-steps 20", None),
 ])
 def test_bad_inputs_exit_one_with_an_error_line(argv, op_config, tmp_path,
                                                 phantom_file, capsys):

@@ -13,11 +13,10 @@ from ccdiff import (CcdfConfig, ConditionalScoreOracle, ExperimentConfig,
                     SrOp, ValidationError, ccdf_sample, forward_coeffs,
                     make_phantom, make_ve_schedule, make_vp_schedule, psnr,
                     resolve_init, run_error_curve, run_mri_demo, run_t0_sweep)
-from ccdiff import harness, samplers
+from ccdiff import harness, rng
 from ccdiff.consistency import MriOp, gaussian1d_mask, mri_measure
 from ccdiff.imgio import write_csv
 from ccdiff.rng import RngStream, plan_draws
-from ccdiff.samplers import REFILL_MIN_VALUES
 
 VP100 = make_vp_schedule(1e-4, 0.02, 100)
 VE100 = make_ve_schedule(0.01, 378, 100)
@@ -222,14 +221,14 @@ def _watch_draws(monkeypatch):
         threads.append(threading.get_ident())
         return normal(self, shape)
 
-    def watched_plan(draws, job_values):
+    def watched_plan(draws):
         plans.append([s.stream for s, _ in draws])
         if len(draws) == 1:
             fills[draws[0][0].stream] += 1
-        return plan_draws(draws, job_values)
+        return plan_draws(draws)
 
     monkeypatch.setattr(RngStream, "normal", watched_normal)
-    monkeypatch.setattr(samplers, "plan_draws", watched_plan)
+    monkeypatch.setattr(rng, "plan_draws", watched_plan)
     return threads, plans, fills
 
 
@@ -237,7 +236,7 @@ def _watch_draws(monkeypatch):
 @pytest.mark.parametrize("op_name", ["identity", "inpaint"])
 def test_error_curve_draws_on_the_calling_thread_and_fills_every_draw_ahead(
         monkeypatch, kind, op_name):
-    assert 1024 * 64 == REFILL_MIN_VALUES
+    assert 1024 * 64 == rng.REFILL_MIN_VALUES
     cfg = _fill_cell(kind, op_name)
     threads, _, fills = _watch_draws(monkeypatch)
     n_prime = run_error_curve(cfg).n_prime
@@ -344,9 +343,11 @@ def test_mri_loops_never_draw_or_overwrite_the_operator_s_offset(monkeypatch):
 def test_filling_ahead_leaves_the_error_curve_bit_identical(monkeypatch, kind, op_name, kw):
     cfg = _fill_cell(kind, op_name, **kw)
     filled = run_error_curve(cfg)
-    monkeypatch.setattr(samplers, "plan_draws",
-                        lambda draws, job_values: contextlib.nullcontext())
+    asked = []
+    monkeypatch.setattr(rng, "plan_draws",
+                        lambda draws: asked.append(draws) or contextlib.nullcontext())
     drawn = run_error_curve(cfg)
+    assert asked
     for name in ("mse", "stderr", "bound_recursive", "bound_simple"):
         assert getattr(filled, name).tobytes() == getattr(drawn, name).tobytes()
 

@@ -22,7 +22,7 @@ def _queued(s):
 
 def _fill_ahead(s, shape):
     """Queue a plan of one draw: ``s``'s next block of ``shape``."""
-    plan_draws([(s, shape)], 1)
+    plan_draws([(s, shape)])
 
 
 def test_a_one_draw_plan_is_only_a_hint():
@@ -92,7 +92,7 @@ def test_a_one_draw_plan_is_only_a_hint():
             pool.shutdown()
 
 
-def test_a_plan_is_only_a_hint():
+def test_a_plan_is_only_a_hint(monkeypatch):
     # A plan over three streams is followed for a while and then left by a
     # request off the plan, or by settling it: every stream then yields what
     # it would have without the plan.  "busy" keeps the worker on a large
@@ -113,9 +113,10 @@ def test_a_plan_is_only_a_hint():
         if busy:
             _fill_ahead(RngStream(seed, (9,)), (512, 512))
         followed = data.draw(st.integers(0, len(plan)))
-        with plan_draws([(planned[k], shapes[j]) for k, j in plan], job_values):
+        monkeypatch.setattr(rng, "REFILL_MIN_VALUES", job_values)
+        with plan_draws([(planned[k], shapes[j]) for k, j in plan]):
             for k, j in plan[:followed]:
-                # Compared at once: a later job may write into the draw.
+                # Each draw is its own array; it is compared as it is handed out.
                 assert np.array_equal(planned[k].normal(shapes[j]),
                                       plain[k].normal(shapes[j]))
             k = data.draw(st.integers(0, 2))
@@ -136,10 +137,20 @@ def test_a_plan_is_only_a_hint():
     check()
 
 
-def test_plans_from_many_threads_keep_every_stream_exact():
+def test_every_kept_draw_of_a_plan_keeps_its_values():
+    # 48 draws of 64x64 are three jobs of 16 draws.  Each draw is an array of
+    # its own, so no later job writes into a draw the caller still holds.
+    s, plain = RngStream(27), RngStream(27)
+    with plan_draws([(s, (64, 64))] * 48):
+        kept = [s.normal((64, 64)) for _ in range(48)]
+    assert [np.array_equal(z, plain.normal((64, 64))) for z in kept] == [True] * 48
+
+
+def test_plans_from_many_threads_keep_every_stream_exact(monkeypatch):
     # More threads than cores, each planning the draws of its own two
     # streams, all sharing the one fill worker, with frequent thread switches.
     n_threads, rounds, shape = 6, 10, (32, 32)
+    monkeypatch.setattr(rng, "REFILL_MIN_VALUES", 5000)   # jobs of 5 draws
     errors = []
 
     def run(k):
@@ -147,7 +158,7 @@ def test_plans_from_many_threads_keep_every_stream_exact():
             a, b = RngStream(200, (k, 0)), RngStream(200, (k, 1))
             ref_a, ref_b = RngStream(200, (k, 0)), RngStream(200, (k, 1))
             for _ in range(rounds):
-                with plan_draws([(a, shape), (b, shape)] * 40, 5000):
+                with plan_draws([(a, shape), (b, shape)] * 40):
                     for _ in range(40):
                         if not (np.array_equal(a.normal(shape), ref_a.normal(shape))
                                 and np.array_equal(b.normal(shape), ref_b.normal(shape))):
@@ -338,7 +349,7 @@ def test_fork_while_a_plan_is_in_submit_does_not_deadlock():
 
         warnings.simplefilter("ignore", DeprecationWarning)
         s = RngStream(13)
-        plan_draws([(s, (8,))], 1)          # starts the worker
+        plan_draws([(s, (8,))])             # starts the worker
         s.normal(8)
         in_submit, go = threading.Event(), threading.Event()
         submit = rng._worker.submit
@@ -349,7 +360,7 @@ def test_fork_while_a_plan_is_in_submit_does_not_deadlock():
             return submit(*args)
 
         rng._worker.submit = held_submit
-        planner = threading.Thread(target=plan_draws, args=([(s, (512, 512))], 1))
+        planner = threading.Thread(target=plan_draws, args=([(s, (512, 512))],))
         planner.start()
         assert in_submit.wait(timeout=60)
         threading.Timer(0.3, go.set).start()

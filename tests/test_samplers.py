@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import logging
+import math
 import os
 import signal
 import time
@@ -17,7 +18,7 @@ from ccdiff import (CcdfConfig, ConditionalScoreOracle, GaussianScoreOracle,
                     reverse_step_ddim, reverse_step_ddpm, reverse_step_smld)
 from ccdiff import rng, samplers
 from ccdiff.rng import RngStream
-from ccdiff.samplers import REFILL_MIN_VALUES, reverse_path
+from ccdiff.samplers import reverse_path
 
 VP = make_vp_schedule(1e-4, 0.02, 1000)
 VE = make_ve_schedule(0.01, 378, 1000)
@@ -499,7 +500,7 @@ def test_ccdf_refuses_an_oracle_mean_that_does_not_fit_before_any_plan(monkeypat
     op = IdentityOp(ref.shape, ref)
     cfg = CcdfConfig(t0=0.02, N=1000, kind=SamplerKind.DDPM)
     plans = []
-    monkeypatch.setattr(samplers, "plan_draws", lambda *args: plans.append(args))
+    monkeypatch.setattr(rng, "plan_draws", lambda *args: plans.append(args))
     for mu in (np.zeros((3, 16)), np.zeros(8), np.zeros((16, 1))):
         with pytest.raises(ValidationError, match="does not fit the operator's shape"):
             ccdf_sample(ref, op, cfg, VP, ConditionalScoreOracle(mu), RngStream(1))
@@ -610,8 +611,15 @@ def _run_plan_case(case, streams, on_step=None):
 
 
 def _unplanned(monkeypatch):
-    monkeypatch.setattr(samplers, "plan_draws",
-                        lambda draws, job_values: contextlib.nullcontext())
+    """Switch off every fill ahead; returns the list of plans it was asked for."""
+    asked = []
+
+    def unplanned(draws):
+        asked.append(draws)
+        return contextlib.nullcontext()
+
+    monkeypatch.setattr(rng, "plan_draws", unplanned)
+    return asked
 
 
 def _assert_same_next_draws(streams, plain, shape):
@@ -625,8 +633,9 @@ def test_a_planned_path_keeps_its_bytes_and_every_stream_s_next_draw(monkeypatch
     streams, plain = _streams(), _streams()
     x = _run_plan_case(case, streams)
     with monkeypatch.context() as m:
-        _unplanned(m)
+        asked = _unplanned(m)
         want = _run_plan_case(case, plain)
+    assert asked
     assert x.tobytes() == want.tobytes()
     _assert_same_next_draws(streams, plain, x.shape)
 
@@ -643,12 +652,13 @@ def test_a_path_stopped_by_a_non_finite_state_leaves_every_stream_exact(
         samplers._check_finite(i, states)
 
     streams, plain = _streams(), _streams()
-    for s, unplanned in ((streams, False), (plain, True)):
-        with monkeypatch.context() as m:
-            if unplanned:
-                _unplanned(m)
-            with pytest.raises(ValidationError, match=f"after step {stop}$"):
-                _run_plan_case(case, s, poison)
+    with pytest.raises(ValidationError, match=f"after step {stop}$"):
+        _run_plan_case(case, streams, poison)
+    with monkeypatch.context() as m:
+        asked = _unplanned(m)
+        with pytest.raises(ValidationError, match=f"after step {stop}$"):
+            _run_plan_case(case, plain, poison)
+    assert asked
     # The rest of the path's draws, kept and compared at the end: no job
     # left running may write into a draw once the path has stopped.
     shape = case[0].shape
@@ -664,8 +674,9 @@ def test_a_fork_mid_path_lets_parent_and_child_finish_with_the_same_bits(monkeyp
     case = _plan_case("smld-64x64-corrected")
     plain = _streams()
     with monkeypatch.context() as m:
-        _unplanned(m)
+        asked = _unplanned(m)
         want = _run_plan_case(case, plain)
+    assert asked
     want_next = [s.normal((5,)) for s in plain]
     pids, ok = [], False
 
@@ -695,21 +706,21 @@ def test_a_fork_mid_path_lets_parent_and_child_finish_with_the_same_bits(monkeyp
 
 
 def test_plan_jobs_hold_at_least_refill_min_values(monkeypatch):
-    plans = []
+    plans, plan_draws = [], rng.plan_draws
 
-    def kept(draws, job_values):
-        plans.append(rng.plan_draws(draws, job_values))
+    def kept(draws):
+        plans.append(plan_draws(draws))
         return plans[-1]
 
-    monkeypatch.setattr(samplers, "plan_draws", kept)
+    monkeypatch.setattr(rng, "plan_draws", kept)
     for name in ("smld-64x64-corrected", "ddpm-sr"):
         _run_plan_case(_plan_case(name), _streams())
     jobs = []
     for p in plans:
         bounds = [0] + p.ends
-        sizes = [sum(out.size for _, out in p.draws[lo:hi])
+        sizes = [sum(math.prod(shape) for _, shape in p.draws[lo:hi])
                  for lo, hi in zip(bounds, bounds[1:])]
-        assert all(v >= REFILL_MIN_VALUES for v in sizes[:-1])
+        assert all(v >= rng.REFILL_MIN_VALUES for v in sizes[:-1])
         jobs.append(sizes)
     # 20 steps of a reverse and a corrector draw of 64x64: 8 steps to a job.
     # 50 steps of a reverse and an anchor draw of 32x32: 32 steps to a job.

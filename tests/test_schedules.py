@@ -138,6 +138,29 @@ def test_vp_refuses_a_beta_min_below_float_resolution():
     assert s.alpha_bar[1] < 1.0 and forward_coeffs(s, 1).b > 0.0
 
 
+def test_vp_refuses_an_alpha_bar_that_underflows():
+    # alpha_bar_N = 0 would make ddim_sigma_N infinite and lambda_N = nan.
+    with pytest.raises(ValidationError, match="alpha_bar_N = 0 underflows at beta_min = 0.5, "
+                                              "beta_max = 0.9, N = 2000"):
+        make_vp_schedule(0.5, 0.9, 2000)
+    # 0.5^1021 is a normal float: ddim_sigma_N^2 stays finite.
+    s = make_vp_schedule(0.5, 0.500000001, 1021)
+    assert s.alpha_bar[-1] >= np.finfo(np.float64).tiny
+    assert np.isfinite(s.ddim_sigma[-1] ** 2)
+    with pytest.raises(ValidationError, match="underflows"):
+        make_vp_schedule(0.5, 0.500000001, 1022)
+
+
+def test_ve_refuses_a_first_sigma_that_rounds_to_the_second():
+    # sigma_max / sigma_min = 1 + 1e-15 puts sigma_0 at sigma_1: b_1 = 0.
+    with pytest.raises(ValidationError, match=r"sigma_0 rounds to sigma_1 \(b_1 = 0\) at "
+                                              "sigma_min = 1, sigma_max = 1.000000000000001, "
+                                              "N = 1000"):
+        make_ve_schedule(1, 1.000000000000001, 1000)
+    s = make_ve_schedule(1, 1.00000000001, 1000)
+    assert s.sigma[0] < s.sigma[1] and forward_coeffs(s, 1).b > 0.0
+
+
 @pytest.mark.parametrize("args", [
     (0.0, 378, 100), (-0.01, 378, 100), (378, 0.01, 100),
     (0.01, 0.01, 100), (0.01, 378, 1), (0.01, np.inf, 4), (np.nan, 378, 100),
