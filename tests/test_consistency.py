@@ -395,6 +395,88 @@ def test_certify_power_iteration_alone_rejects_an_expansive_operator():
         certify_nonexpansive(Doubling((8,), np.zeros(8)), trials=0, rng=RngStream(19))
 
 
+def _count_applies(op):
+    """Wrap ``op.apply_linear`` in place; the returned list grows by one per call."""
+    calls, apply = [], op.apply_linear
+
+    def counted(x):
+        calls.append(1)
+        return apply(x)
+
+    op.apply_linear = counted
+    return calls
+
+
+def _projections_64():
+    ph = make_phantom("ellipses", (64, 64), seed=23)
+    mask = gaussian1d_mask(ph.shape, 4.0, 0.08, seed=23)
+    keep = RngStream(23, (1,)).generator().uniform(size=ph.shape) < 0.5
+    return {"mri": mri_projection(mask, mri_measure(ph, mask)), "sr": SrOp(4, ph),
+            "inpaint": InpaintOp(keep, ph)}
+
+
+@pytest.mark.parametrize("name", ["mri", "sr", "inpaint"])
+def test_certify_power_iteration_stops_at_a_projection_fixed_point(name):
+    # A projection's unit iterate is fixed after one apply, so each of the 3
+    # restarts stops at its second apply instead of running all 50.
+    op = _projections_64()[name]
+    calls = _count_applies(op)
+    assert certify_nonexpansive(op, trials=0) == pytest.approx(1.0, abs=1e-15)
+    assert len(calls) <= 3 * 2
+
+
+def test_certify_power_iteration_runs_on_where_the_iterate_moves():
+    class Negating(IdentityOp):  # -I: the unit iterate flips sign on every apply
+        def apply_linear(self, x):
+            return -np.asarray(x)
+
+    op = Negating((8,), np.zeros(8))
+    calls = _count_applies(op)
+    assert certify_nonexpansive(op, trials=0) == pytest.approx(1.0, abs=1e-12)
+    assert len(calls) == 3 * 50
+
+    class BarelyExpansive(IdentityOp):  # diag(1 + 1e-4, 1, ..., 1): slow to converge
+        def apply_linear(self, x):
+            y = np.array(x, dtype=np.float64)
+            y[0] *= 1.0 + 1e-4
+            return y
+
+    with pytest.raises(NumericFailure, match=r"sigma_max estimate 1\.00000716706 > 1"):
+        certify_nonexpansive(BarelyExpansive((64,), np.zeros(64)), trials=0)
+
+
+def test_certify_pair_check_alone_rejects_a_nilpotent_operator():
+    # y_0 = 2 x_1, every other output 0: A^2 = 0, so power iteration reads 0,
+    # yet ||A|| = 2 and a random difference vector shows it.
+    class Nilpotent(IdentityOp):
+        def apply_linear(self, x):
+            y = np.zeros_like(x, dtype=np.float64)
+            y[0] = 2.0 * x[1]
+            return y
+
+    op = Nilpotent((8,), np.zeros(8))
+    assert certify_nonexpansive(op, trials=0) == 0.0
+    with pytest.raises(NumericFailure, match="expansive on a random pair"):
+        certify_nonexpansive(op, trials=8)
+
+
+@pytest.mark.parametrize("entries", ["all", "one"])
+@pytest.mark.parametrize("trials, only_off_unit", [(0, False), (8, False), (8, True)])
+def test_certify_refuses_a_nan_from_the_linear_part(entries, trials, only_off_unit):
+    # NaN fails every comparison: unrefused, it passes as sigma_max 0 (or 1).
+    # ``only_off_unit``: NaN only on inputs of norm above 1 + 1e-6, which every
+    # pair draw has and no unit power iterate does.
+    class NanOp(IdentityOp):
+        def apply_linear(self, x):
+            y = np.array(x, dtype=np.float64)
+            if not only_off_unit or np.linalg.norm(y) > 1.0 + 1e-6:
+                y[: 1 if entries == "one" else None] = np.nan
+            return y
+
+    with pytest.raises(NumericFailure, match="identity gave a non-finite norm nan"):
+        certify_nonexpansive(NanOp((64,), np.zeros(64)), trials=trials, rng=RngStream(1))
+
+
 def test_certify_without_a_stream_is_deterministic():
     # The default stream, as an MRI reconstruction's set-up certifies its op.
     ph = make_phantom("ellipses", (16, 16), seed=22)
