@@ -20,7 +20,9 @@ statements transfer unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -35,12 +37,12 @@ def contraction_rate(schedule: Schedule, kind: SamplerKind,
                      n_prime: int) -> tuple[float, np.ndarray]:
     """Per-step contraction factors lambda_i for i = 1..N' and their maximum.
 
-    The closed form of each kind is in its rule, ``samplers.RULES``.
+    The closed form of each kind is in its rule, ``samplers.RULES``; the
+    factors are a read-only view of the rule's table for ``schedule``.
     """
     n_prime = check_step_index(schedule, n_prime)
-    lam = RULES[kind].lam(schedule, np.arange(1, n_prime + 1))
-    lam = np.ascontiguousarray(lam, dtype=np.float64)
-    return float(lam.max()), lam
+    t = RULES[kind].table(schedule)
+    return float(t.lam_max[n_prime - 1]), t.lam[:n_prime]
 
 
 def noise_constant_per_step(schedule: Schedule, kind: SamplerKind,
@@ -48,8 +50,7 @@ def noise_constant_per_step(schedule: Schedule, kind: SamplerKind,
     """Per-step noise constants C_j = n g_j^2 for j = 1..N' (g_j^2 from the
     kind's rule; DDPM: 1 - alpha_j = beta_j, DDIM: 0)."""
     n_prime = check_step_index(schedule, n_prime)
-    g2 = RULES[kind].g2(schedule, np.arange(1, n_prime + 1))
-    return np.ascontiguousarray(n * g2, dtype=np.float64)
+    return n * RULES[kind].table(schedule).g2[:n_prime]
 
 
 def noise_constant(schedule: Schedule, kind: SamplerKind, n_prime: int,
@@ -102,19 +103,44 @@ def bound_traces(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
     lam_max = float(lam.max(initial=0.0))
     if not lam_max < 1.0:
         raise ValidationError(f"contraction requires lambda < 1, got {lam_max}")
-    # Python floats run this loop 3x as fast as numpy scalars.  Float ** is
-    # libm pow, as numpy's scalar ** is, so no bit moves (v * v would move some).
-    b = float(fwd_err)
-    rec = [b]
-    for v, noise in zip(reversed(lam.tolist()), reversed((2.0 * cs * tau).tolist())):
-        b = v ** 2 * b + noise
-        rec.append(b)
-    rec = np.array(rec[::-1])
+    # The simple bound takes the largest lambda, the recursion its square:
+    # a negative lambda_j would put the recursion above the simple bound.
+    for name, trace in (("lambda", lam), ("C", cs)):
+        if trace.min(initial=0.0) < 0.0:
+            j = int(np.argmax(trace < 0.0))
+            raise ValidationError(f"{name}_{j + 1} = {float(trace[j])!r} is negative")
+    fwd_err = float(fwd_err)
+    if not 0.0 <= fwd_err < math.inf:
+        raise ValidationError(f"fwd_err must be finite and >= 0, got {fwd_err!r}")
+    # np.float_power is libm pow, as the float ** of the loop it replaced
+    # was; lam * lam and np.power(lam, 2) would move a few bits.
+    sq = np.float_power(lam[::-1], 2.0)
+    noise = 2.0 * cs[::-1] * tau
+    rec = np.empty(n_prime + 1)
+    if fwd_err > 0.0 and not noise.any():
+        # Every 2 C_j tau is 0, and fl(lam^2 b) + 0.0 = fl(lam^2 b) for
+        # finite b > 0: the running product, left to right, is the recursion.
+        np.multiply.accumulate(np.concatenate(([fwd_err], sq)), out=rec[::-1])
+    else:
+        # Python floats run this loop 3x as fast as numpy scalars.
+        b = fwd_err
+        steps = ((b := v * b + c) for v, c in zip(sq.tolist(), noise.tolist()))
+        rec[::-1] = np.fromiter(itertools.chain((fwd_err,), steps), np.float64,
+                                n_prime + 1)
     c_max = float(cs.max(initial=0.0))
     steps_left = n_prime - np.arange(n_prime + 1)
     simple = (2.0 * c_max * tau / (1.0 - lam_max ** 2)
               + lam_max ** (2.0 * steps_left) * fwd_err)
     return simple, rec
+
+
+def _check_dimension(n) -> None:
+    """Refuse a data dimension n that is not an integer in [1, largest float]."""
+    if not 1 <= n <= sys.float_info.max:
+        raise ValidationError(
+            f"data dimension n must be >= 1 and at most the largest float, got {n}")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValidationError(f"data dimension n must be an integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -158,17 +184,17 @@ def contraction_report(schedule: Schedule, kind: SamplerKind, n_prime: int,
     first of: the forward error, a C_j, a printed C candidate, the simple
     and the recursive bound (an overflowed bound times lambda_1 = 0 is nan).
     """
-    if not 1 <= n <= sys.float_info.max:
-        raise ValidationError(
-            f"data dimension n must be >= 1 and at most the largest float, got {n}")
+    _check_dimension(n)
     lam, lam_steps = contraction_rate(schedule, kind, n_prime)
     with np.errstate(over="ignore", invalid="ignore"):
         c_steps = noise_constant_per_step(schedule, kind, n_prime, n)
         fwd = forward_error(eps0, schedule, kind, n_prime, n)
         C = noise_constant(schedule, kind, n_prime, n)
         candidates = noise_constant_candidates(schedule, kind, n_prime, n)
-        simple, recursive = bound_traces(lam_steps, c_steps, tau, fwd)
-    bound_simple, bound_recursive = float(simple[0]), float(recursive[0])
+        bound_simple = bound_recursive = math.nan
+        if math.isfinite(fwd):      # bound_traces refuses one that is not
+            simple, recursive = bound_traces(lam_steps, c_steps, tau, fwd)
+            bound_simple, bound_recursive = float(simple[0]), float(recursive[0])
     # candidates["primary"] is C, the largest C_j: finite only if every C_j is.
     if not all(map(math.isfinite, (fwd, *candidates.values(), bound_simple,
                                    bound_recursive))):
@@ -217,9 +243,7 @@ def minimal_shortcut(eps0: float, mu: float, schedule: Schedule,
         raise ValidationError("mu must lie in (0, 1]")
     if not 0.0 <= tau <= 1.0:
         raise ValidationError(f"tau must lie in [0, 1], got {tau}")
-    if not 1 <= n <= sys.float_info.max:
-        raise ValidationError(
-            f"data dimension n must be >= 1 and at most the largest float, got {n}")
+    _check_dimension(n)
     checks, ok, reason = RULES[kind].shortcut(schedule, eps0, mu, tau, n)
     if ok is not None:
         hits = np.flatnonzero(ok[1:])

@@ -29,6 +29,7 @@ import contextlib
 import functools
 import logging
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -37,8 +38,8 @@ import numpy as np
 from . import rng
 from .errors import ValidationError
 from .rng import RngStream
-from .schedules import (SamplerKind, Schedule, check_family, check_step_index,
-                        forward_coeffs, step_index_of_time)
+from .schedules import (SamplerKind, Schedule, _freeze, check_family,
+                        check_step_index, forward_coeffs, step_index_of_time)
 from .score import ScoreOracle, check_mean_fits
 
 logger = logging.getLogger(__name__)
@@ -206,6 +207,18 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
     return s
 
 
+@dataclass(frozen=True, eq=False)
+class KindTable:
+    """One kind's per-step quantities on one schedule, read-only.  Entry
+    i - 1 of ``lam``, ``lam_max`` and ``g2`` belongs to step i: lambda_i,
+    max_{j<=i} lambda_j and g_i^2.  ``grid`` is indexed by N' = 0..N."""
+
+    lam: np.ndarray
+    lam_max: np.ndarray
+    g2: np.ndarray
+    grid: np.ndarray
+
+
 class KindRule:
     """One sampler kind's part in the reverse path and in its analysis.
 
@@ -220,15 +233,36 @@ class KindRule:
     ``shortcut`` states the kind's sufficient conditions for
     err_{0,r} <= mu eps0 as ``(checks, ok, reason)``: the thresholds tested,
     a boolean array over N' = 0..N (None when a precondition fails), and the
-    condition that fails when no N' in 1..N is ok.  ``c_candidates`` gives
-    the printed forms of C other than the primary n max_{i<=N'} g_i^2.
+    condition that fails when no N' in 1..N is ok.  It compares the
+    thresholds with ``grid``, the kind's quantity over N' = 0..N.
+    ``c_candidates`` gives the printed forms of C other than the primary
+    n max_{i<=N'} g_i^2.
+
+    ``table`` holds ``lam``, ``g2`` and ``grid`` over a whole schedule,
+    built on first use and freed with the schedule.
     """
 
     noisy = True
     corrected = False
 
+    def __init__(self):
+        self._tables = weakref.WeakKeyDictionary()
+
     def check(self, schedule: Schedule) -> Schedule:
         return schedule
+
+    def table(self, schedule: Schedule) -> KindTable:
+        """The kind's read-only tables on ``schedule``.  The formulas are
+        elementwise, so a prefix of a table has the bits of the formula
+        evaluated over that prefix of steps."""
+        t = self._tables.get(schedule)
+        if t is None:
+            i = np.arange(1, schedule.N + 1)
+            lam = self.lam(schedule, i)
+            t = self._tables[schedule] = KindTable(
+                lam=_freeze(lam), lam_max=_freeze(np.maximum.accumulate(lam)),
+                g2=_freeze(self.g2(schedule, i)), grid=_freeze(self.grid(schedule)))
+        return t
 
     def coords(self, schedule, i):
         c = forward_coeffs(self.check(schedule), i)
@@ -264,12 +298,14 @@ class _DdpmRule(KindRule):
     def g2(self, schedule, i):
         return self.check(schedule).beta[i]
 
+    def grid(self, schedule):
+        return np.arange(schedule.N + 1) * schedule.beta
+
     def shortcut(self, schedule, eps0, mu, tau, n):
-        s = self.check(schedule)
+        v = self.table(schedule).grid
         lower = 2.0 * math.log(4.0 * n / (mu * eps0))
         upper = mu * eps0 / (4.0 * n * tau) if tau > 0 else math.inf
-        v = np.arange(s.N + 1) * s.beta
-        v_max = float(v[s.N])
+        v_max = float(v[-1])
         if v_max < lower:
             reason = (f"lower condition unsatisfiable: N' beta_N' <= {v_max:.6g} "
                       f"< 2 log(4n/(mu eps0)) = {lower:.6g} for every N'")
@@ -308,14 +344,22 @@ class _SmldRule(KindRule):
     def lam(self, schedule, i):
         s = self.check(schedule).sigma
         s0sq = s[0] ** 2
-        return (s[i - 1] ** 2 - s0sq) / (s[i] ** 2 - s0sq)
+        # The scalar s_0^2 (pow) and the array's s_{i-1}^2 (a product) can
+        # differ in the last bit, which put lambda_1 = 0 at -2e-15 on 1 in
+        # 2000 random schedules; the bound refuses a negative lambda.
+        return np.maximum((s[i - 1] ** 2 - s0sq) / (s[i] ** 2 - s0sq), 0.0)
 
     def g2(self, schedule, i):
         s = self.check(schedule).sigma
         return s[i] ** 2 - s[i - 1] ** 2
 
+    def grid(self, schedule):
+        N = schedule.N
+        return (np.arange(N + 1) - 1.0) / (N - 1.0)
+
     def shortcut(self, schedule, eps0, mu, tau, n):
-        s, N = self.check(schedule).sigma, schedule.N
+        r = self.table(schedule).grid
+        s, N = schedule.sigma, schedule.N
         smin2, smax2 = float(s[1] ** 2), float(s[N] ** 2)
         pre_min = mu ** 1.5 * eps0 / (8.0 * n)
         pre_max = mu * eps0 / (4.0 * n)
@@ -331,7 +375,6 @@ class _SmldRule(KindRule):
         lo = math.log(2.0 / math.sqrt(mu)) / log_ratio
         hi = math.log(mu * eps0 / (4.0 * n * smin2)) / log_ratio
         checks.update({"ratio_lower": lo, "ratio_upper": hi})
-        r = (np.arange(N + 1) - 1.0) / (N - 1.0)
         return checks, (lo <= r) & (r <= hi), (
             f"no integer N' puts (N'-1)/(N-1) inside [{lo:.6g}, {hi:.6g}]")
 
@@ -366,8 +409,11 @@ class _DdimRule(KindRule):
     def coords(self, schedule, i):
         return 1.0, float(self.sigma(schedule)[i])
 
+    def grid(self, schedule):
+        return self.sigma(schedule) ** 2
+
     def shortcut(self, schedule, eps0, mu, tau, n):
-        s = self.sigma(schedule)
+        s, s2 = self.sigma(schedule), self.table(schedule).grid
         s0sq = float(s[0] ** 2)
         cap = mu * eps0 / (4.0 * n)
         floor = eps0 / (2.0 * n)
@@ -375,7 +421,7 @@ class _DdimRule(KindRule):
         if not s0sq <= cap:
             return checks, None, (f"sigma_0^2 = {s0sq:.6g} exceeds "
                                   f"mu eps0/(4n) = {cap:.6g}")
-        return checks, s ** 2 >= floor, (
+        return checks, s2 >= floor, (
             f"sigma_N^2 = {float(s[schedule.N] ** 2):.6g} never reaches "
             f"eps0/(2n) = {floor:.6g}")
 

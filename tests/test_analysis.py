@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -85,6 +87,53 @@ def test_ddim_lambda_on_vp_and_ve_views():
     _, lam_ve = contraction_rate(VE, SamplerKind.DDIM, 4)
     s = VE.sigma
     assert lam_ve[1] == pytest.approx(s[1] / s[2], rel=1e-15)
+
+
+# The kinds on the N = 1000 schedules they run on; DDIM runs on both families.
+KIND_SCHEDULES = [(SamplerKind.DDPM, VP), (SamplerKind.SMLD, VE),
+                  (SamplerKind.DDIM, VP), (SamplerKind.DDIM, VE)]
+
+
+@pytest.mark.parametrize("kind, schedule", KIND_SCHEDULES)
+def test_tables_give_the_bytes_of_the_formula_at_every_window(kind, schedule):
+    rule = RULES[kind]
+    for n_prime in range(1, schedule.N + 1):
+        i = np.arange(1, n_prime + 1)
+        lam_max, lam = contraction_rate(schedule, kind, n_prime)
+        ref = np.ascontiguousarray(rule.lam(schedule, i), dtype=np.float64)
+        assert lam.tobytes() == ref.tobytes(), n_prime
+        assert lam_max == float(ref.max())
+        cs = noise_constant_per_step(schedule, kind, n_prime, 4096)
+        ref = np.ascontiguousarray(4096 * rule.g2(schedule, i), dtype=np.float64)
+        assert cs.dtype == np.float64 and cs.tobytes() == ref.tobytes(), n_prime
+
+
+@pytest.mark.parametrize("kind, schedule", KIND_SCHEDULES)
+def test_tables_are_read_only_and_freed_with_their_schedule(kind, schedule):
+    make = make_ve_schedule if schedule is VE else make_vp_schedule
+    own = make(*((0.01, 378.0) if schedule is VE else (1e-4, 0.02)), 1000)
+    _, lam = contraction_rate(own, kind, 10)
+    t = RULES[kind].table(own)
+    for arr in (lam, t.lam, t.lam_max, t.g2, t.grid):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    assert RULES[kind].table(own) is t
+    table_ref, schedule_ref = weakref.ref(t), weakref.ref(own)
+    del own, lam, t
+    gc.collect()
+    assert schedule_ref() is None and table_ref() is None
+
+
+def test_smld_lambda_1_is_zero_where_sigma_0_squares_two_ways():
+    # On this schedule the scalar s_0 ** 2 is an ulp above the array's
+    # s_0 ** 2, so the formula's lambda_1 rounded to -1.7e-18 / (s_1^2 - s_0^2).
+    schedule = make_ve_schedule(0.12, 212.4, 208)
+    s = schedule.sigma
+    assert s[:1] ** 2 - s[0] ** 2 < 0.0
+    _, lam = contraction_rate(schedule, SamplerKind.SMLD, 208)
+    assert lam[0] == 0.0 and np.all(lam >= 0.0)
+    rep = contraction_report(schedule, SamplerKind.SMLD, 208, 64, 0.5, 1.0)
+    assert rep.bound_recursive <= rep.bound_simple
 
 
 # ----------------------------- noise constant -------------------------------
@@ -271,6 +320,43 @@ def test_recursive_trace_keeps_its_bits_on_random_queries():
         _assert_recursive_trace_keeps_its_bits(schedule, kind, n_prime, n, tau, eps0)
 
     check()
+
+
+@pytest.mark.parametrize("kind, tau", [(SamplerKind.DDIM, 1.0), (SamplerKind.DDIM, 0.0),
+                                       (SamplerKind.DDPM, 0.0), (SamplerKind.SMLD, 0.0)])
+def test_running_product_is_bit_identical_to_the_numpy_scalar_loop(kind, tau):
+    # Every 2 C_j tau is 0 here, so the trace is a running product.
+    schedule = VE if kind is SamplerKind.SMLD else VP
+    grid = itertools.cycle(itertools.product((1, 64, 10**6), (0.0, 0.1, 10.0, 1e4)))
+    for n_prime, (n, eps0) in zip(range(1, schedule.N + 1), grid):
+        _assert_recursive_trace_keeps_its_bits(schedule, kind, n_prime, n, tau, eps0)
+
+
+def test_bound_traces_refuse_negative_inputs_by_value():
+    # The simple bound takes max lambda = 0 here, the recursion 0.25: it
+    # would read 1.25 above the simple bound's 1.0.
+    with pytest.raises(ValidationError, match=r"^lambda_1 = -0\.5 is negative"):
+        bound_traces(np.array([-0.5]), np.array([1.0]), 0.5, 1.0)
+    with pytest.raises(ValidationError, match=r"^C_2 = -1e-300 is negative"):
+        bound_traces(np.array([0.5, 0.5]), np.array([1.0, -1e-300]), 0.5, 1.0)
+    for fwd in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match=f"fwd_err .* got {fwd!r}"):
+            bound_traces(np.array([0.5]), np.array([1.0]), 0.5, fwd)
+    simple, rec = bound_traces(np.array([-0.0, 0.5]), np.array([-0.0, 1.0]), 0.5, 0.0)
+    assert rec.tolist() == [0.0, 1.0, 0.0] and rec.flags.c_contiguous
+
+
+def test_report_and_shortcut_refuse_a_non_integral_dimension():
+    for n in (2.5, 64.0, True, np.float64(64)):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            contraction_report(VP, SamplerKind.DDPM, 120, n, 0.5, 10.0)
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            minimal_shortcut(1.0, 1.0, VE, SamplerKind.SMLD, 1.0, n)
+    rep = contraction_report(VP, SamplerKind.DDPM, 120, np.int64(64), 0.5, 10.0)
+    assert rep.bound_recursive == contraction_report(
+        VP, SamplerKind.DDPM, 120, 64, 0.5, 10.0).bound_recursive
+    assert minimal_shortcut(1.0, 1.0, VE, SamplerKind.SMLD, 1.0, np.int32(64)) == \
+        minimal_shortcut(1.0, 1.0, VE, SamplerKind.SMLD, 1.0, 64)
 
 
 # ----------------------------- minimal shortcut -----------------------------
