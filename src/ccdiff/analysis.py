@@ -50,6 +50,7 @@ def noise_constant_per_step(schedule: Schedule, kind: SamplerKind,
     """Per-step noise constants C_j = n g_j^2 for j = 1..N' (g_j^2 from the
     kind's rule; DDPM: 1 - alpha_j = beta_j, DDIM: 0)."""
     n_prime = check_step_index(schedule, n_prime)
+    _check_dimension(n)
     return n * RULES[kind].table(schedule).g2[:n_prime]
 
 
@@ -80,18 +81,23 @@ def forward_error(eps0: float, schedule: Schedule, kind: SamplerKind,
     """
     if not 0.0 <= eps0 < np.inf:
         raise ValidationError("eps0 is a squared distance and must be finite and >= 0")
+    _check_dimension(n)
     a, b = RULES[kind].coords(schedule, check_step_index(schedule, n_prime))
     return float(a * a * eps0 + 2.0 * b * b * n)
 
 
 def bound_traces(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
-                 tau: float, fwd_err: float) -> tuple[np.ndarray, np.ndarray]:
+                 tau: float, fwd_err: float, *, final: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray] | tuple[float, float]:
     """Per-step bound traces B_j for j = 0..N' (entry j bounds err at step j).
 
     recursive: B_{N'} = err_{N'}; B_{j-1} = lambda_j^2 B_j + 2 C_j tau.
     simple:    B_j = 2 C tau / (1 - lambda^2) + lambda^(2 (N'-j)) err_{N'}
                with lambda, C the maxima over the window (a relaxation of
                the recursion, hence recursive <= simple entrywise).
+
+    With ``final`` set, only the step-0 bounds (simple B_0, recursive B_0)
+    are computed, as floats with the bits of entry 0 of the traces.
     """
     lam = np.asarray(lambda_per_step, dtype=np.float64)
     cs = np.asarray(c_per_step, dtype=np.float64)
@@ -99,16 +105,19 @@ def bound_traces(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
         raise ValidationError("lambda and C traces must be 1D arrays of equal length")
     if not 0.0 <= tau <= 1.0:
         raise ValidationError(f"tau must lie in [0, 1], got {tau}")
+    # The simple bound takes the largest lambda, the recursion its square:
+    # a negative lambda_j would put the recursion above the simple bound.
+    # min propagates nan, so one check refuses a nan entry too.
+    for name, trace in (("lambda", lam), ("C", cs)):
+        if not trace.min(initial=0.0) >= 0.0:
+            j = int(np.argmax(~(trace >= 0.0)))
+            value = float(trace[j])
+            what = "negative" if value < 0.0 else "not a number"
+            raise ValidationError(f"{name}_{j + 1} = {value!r} is {what}")
     n_prime = lam.size
     lam_max = float(lam.max(initial=0.0))
     if not lam_max < 1.0:
         raise ValidationError(f"contraction requires lambda < 1, got {lam_max}")
-    # The simple bound takes the largest lambda, the recursion its square:
-    # a negative lambda_j would put the recursion above the simple bound.
-    for name, trace in (("lambda", lam), ("C", cs)):
-        if trace.min(initial=0.0) < 0.0:
-            j = int(np.argmax(trace < 0.0))
-            raise ValidationError(f"{name}_{j + 1} = {float(trace[j])!r} is negative")
     fwd_err = float(fwd_err)
     if not 0.0 <= fwd_err < math.inf:
         raise ValidationError(f"fwd_err must be finite and >= 0, got {fwd_err!r}")
@@ -116,21 +125,32 @@ def bound_traces(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
     # was; lam * lam and np.power(lam, 2) would move a few bits.
     sq = np.float_power(lam[::-1], 2.0)
     noise = 2.0 * cs[::-1] * tau
+    c_max = float(cs.max(initial=0.0))
+    head = 2.0 * c_max * tau / (1.0 - lam_max ** 2)
     rec = np.empty(n_prime + 1)
     if fwd_err > 0.0 and not noise.any():
         # Every 2 C_j tau is 0, and fl(lam^2 b) + 0.0 = fl(lam^2 b) for
         # finite b > 0: the running product, left to right, is the recursion.
         np.multiply.accumulate(np.concatenate(([fwd_err], sq)), out=rec[::-1])
+    elif final:
+        # Python floats run this loop 3x as fast as numpy scalars; a
+        # memoryview hands them out without building two lists first.
+        b = fwd_err
+        for v, c in zip(memoryview(sq), memoryview(noise)):
+            b = v * b + c
+        rec[0] = b
     else:
-        # Python floats run this loop 3x as fast as numpy scalars.
         b = fwd_err
         steps = ((b := v * b + c) for v, c in zip(sq.tolist(), noise.tolist()))
         rec[::-1] = np.fromiter(itertools.chain((fwd_err,), steps), np.float64,
                                 n_prime + 1)
-    c_max = float(cs.max(initial=0.0))
+    if final:
+        # Python's and numpy's scalar ** can differ from the trace's array
+        # power in the last bit; a one-element array takes the trace's path.
+        decay = float(np.power(lam_max, np.array([2.0 * n_prime]))[0])
+        return float(head + decay * fwd_err), float(rec[0])
     steps_left = n_prime - np.arange(n_prime + 1)
-    simple = (2.0 * c_max * tau / (1.0 - lam_max ** 2)
-              + lam_max ** (2.0 * steps_left) * fwd_err)
+    simple = head + lam_max ** (2.0 * steps_left) * fwd_err
     return simple, rec
 
 
@@ -139,7 +159,8 @@ def _check_dimension(n) -> None:
     if not 1 <= n <= sys.float_info.max:
         raise ValidationError(
             f"data dimension n must be >= 1 and at most the largest float, got {n}")
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+    # int first: the ABC check alone costs several times the rest.
+    if not isinstance(n, (int, numbers.Integral)) or isinstance(n, bool):
         raise ValidationError(f"data dimension n must be an integer, got {n!r}")
 
 
@@ -193,8 +214,8 @@ def contraction_report(schedule: Schedule, kind: SamplerKind, n_prime: int,
         candidates = noise_constant_candidates(schedule, kind, n_prime, n)
         bound_simple = bound_recursive = math.nan
         if math.isfinite(fwd):      # bound_traces refuses one that is not
-            simple, recursive = bound_traces(lam_steps, c_steps, tau, fwd)
-            bound_simple, bound_recursive = float(simple[0]), float(recursive[0])
+            bound_simple, bound_recursive = bound_traces(lam_steps, c_steps, tau,
+                                                         fwd, final=True)
     # candidates["primary"] is C, the largest C_j: finite only if every C_j is.
     if not all(map(math.isfinite, (fwd, *candidates.values(), bound_simple,
                                    bound_recursive))):

@@ -285,10 +285,15 @@ def _assert_recursive_trace_keeps_its_bits(schedule, kind, n_prime, n, tau, eps0
     _, lam = contraction_rate(schedule, kind, n_prime)
     cs = noise_constant_per_step(schedule, kind, n_prime, n)
     fwd = forward_error(eps0, schedule, kind, n_prime, n)
-    _, rec = bound_traces(lam, cs, tau, fwd)
+    simple, rec = bound_traces(lam, cs, tau, fwd)
     ref = _recursive_trace_on_numpy_scalars(lam, cs, tau, fwd)
     assert rec.dtype == ref.dtype and rec.shape == ref.shape
     assert rec.tobytes() == ref.tobytes(), (kind, n_prime, n, tau, eps0)
+    # The step-0 form: two floats with the bytes of entry 0 of each trace.
+    step0 = bound_traces(lam, cs, tau, fwd, final=True)
+    assert [type(b) for b in step0] == [float, float]
+    assert np.array(step0).tobytes() == np.array([simple[0], rec[0]]).tobytes(), \
+        (kind, n_prime, n, tau, eps0)
 
 
 # Values cycled over N', so that every N' in 1..N runs once per kind and each
@@ -344,6 +349,48 @@ def test_bound_traces_refuse_negative_inputs_by_value():
             bound_traces(np.array([0.5]), np.array([1.0]), 0.5, fwd)
     simple, rec = bound_traces(np.array([-0.0, 0.5]), np.array([-0.0, 1.0]), 0.5, 0.0)
     assert rec.tolist() == [0.0, 1.0, 0.0] and rec.flags.c_contiguous
+
+
+def test_bound_traces_refuse_nan_inputs_by_value():
+    # min(initial=0.0) < 0 let a nan entry through, and a nan lambda_j was
+    # blamed on "contraction requires lambda < 1".
+    for final in (False, True):
+        with pytest.raises(ValidationError, match=r"^C_1 = nan is not a number"):
+            bound_traces(np.array([0.5, 0.2]), np.array([np.nan, 1.0]), 0.5, 1.0,
+                         final=final)
+        with pytest.raises(ValidationError, match=r"^lambda_2 = nan is not a number"):
+            bound_traces(np.array([0.5, np.nan, -1.0]), np.zeros(3), 0.5, 1.0,
+                         final=final)
+    # An infinite C_j is a value, not a refusal: the report names it.
+    simple, rec = bound_traces(np.array([0.5]), np.array([np.inf]), 0.5, 1.0,
+                               final=True)
+    assert simple == rec == np.inf
+
+
+def test_analysis_helpers_refuse_a_bad_dimension():
+    for n in (np.nan, -5, 0, 2.5, 64.0, True, np.inf):
+        with pytest.raises(ValidationError, match="data dimension n must"):
+            noise_constant_per_step(VP, SamplerKind.DDPM, 3, n)
+        with pytest.raises(ValidationError, match="data dimension n must"):
+            noise_constant(VP, SamplerKind.DDPM, 3, n)
+        with pytest.raises(ValidationError, match="data dimension n must"):
+            forward_error(1.0, VP, SamplerKind.DDPM, 3, n)
+    assert forward_error(1.0, VP, SamplerKind.DDPM, 3, np.int64(5)) == \
+        forward_error(1.0, VP, SamplerKind.DDPM, 3, 5)
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_report_prints_entry_zero_of_the_bound_traces(kind):
+    schedule = VE if kind is SamplerKind.SMLD else VP
+    cases = zip(range(1, schedule.N + 1, 7), itertools.cycle(BIT_GRID))
+    for n_prime, (n, tau, eps0) in cases:
+        rep = contraction_report(schedule, kind, n_prime, n, tau, eps0)
+        simple, rec = bound_traces(rep.lambda_per_step,
+                                   noise_constant_per_step(schedule, kind, n_prime, n),
+                                   tau, rep.forward_error)
+        got = np.array([rep.bound_simple, rep.bound_recursive])
+        assert got.tobytes() == np.array([simple[0], rec[0]]).tobytes(), \
+            (n_prime, n, tau, eps0)
 
 
 def test_report_and_shortcut_refuse_a_non_integral_dimension():
