@@ -14,7 +14,10 @@ so operators stay immutable and ``apply_linear`` and ``offset`` reentrant.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pfu
 
 from .errors import NumericFailure, ValidationError
 from .rng import RngStream
@@ -22,23 +25,37 @@ from .rng import RngStream
 # numpy's FFT runs every MRI transform: the module and the empty dict below
 # stay only because bench/run.py reports the backend's name and the dict's
 # "workers" entry.  numpy's FFT takes no ``workers`` argument and runs
-# single-threaded.
+# single-threaded.  A one-axis transform calls the gufunc that numpy.fft's
+# ``rfft`` and ``irfft`` call (numpy >= 2.0, as pyproject.toml requires) with
+# their "ortho" factor 1/sqrt(n) and an output array: the same bits without
+# their Python wrapper, which took about a quarter of a 64x64 transform.
 _fft_backend = np.fft
 _FFT_WORKERS = {}
 
 
 def _fft2(x, axes):
     """Unitary DFT of a real array over ``axes``, half spectrum along the last.
-    One axis runs the 1-D ``rfft``: ``rfftn``'s bits without its n-D dispatch."""
+    One axis runs the 1-D real-FFT gufunc: ``rfftn``'s bits without its
+    n-D dispatch and ``rfft``'s wrapper."""
     if len(axes) == 1:
-        return np.fft.rfft(x, axis=axes[0], norm="ortho")
+        a = axes[0]
+        n = x.shape[a]
+        shape = list(x.shape)
+        shape[a] = n // 2 + 1
+        ufunc = _pfu.rfft_n_even if n % 2 == 0 else _pfu.rfft_n_odd
+        return ufunc(x, 1.0 / math.sqrt(n), axes=[(a,), (), (a,)],
+                     out=np.empty(shape, dtype=np.complex128))
     return np.fft.rfftn(x, axes=axes, norm="ortho")
 
 
 def _ifft2(k, sizes, axes):
     """Inverse of ``_fft2``: the real array with ``sizes`` along ``axes``."""
     if len(axes) == 1:
-        return np.fft.irfft(k, n=sizes[0], axis=axes[0], norm="ortho")
+        a, n = axes[0], sizes[0]
+        shape = list(k.shape)
+        shape[a] = n
+        return _pfu.irfft(k, 1.0 / math.sqrt(n), axes=[(a,), (), (a,)],
+                          out=np.empty(shape, dtype=np.float64))
     return np.fft.irfftn(k, s=sizes, axes=axes, norm="ortho")
 
 
@@ -234,13 +251,13 @@ class MriOp(ConsistencyOp):
     sampler state with a real FFT, and only along the axes on which the mask
     varies: along an axis where D is constant, F^-1 F = I.  A mask that
     varies along one axis (every ``gaussian1d_mask`` varies along columns;
-    its transpose along rows) runs the 1-D ``rfft`` and ``irfft`` along that
-    axis, which give the bits of ``rfftn`` and ``irfftn`` over it without
-    their n-D dispatch.  A mask that varies along both axes (only from a
-    mask file or the Python API) runs ``rfftn`` and ``irfftn`` over both,
-    which numpy chains as 1-D passes in Python: an apply costs about a
-    quarter more than with scipy's n-D transforms (64x64: 80 against 64 us;
-    1152x16x16: 7.3 against 5.7 ms, 2-core host).
+    its transpose along rows) runs the 1-D real-FFT gufuncs of ``rfft`` and
+    ``irfft`` along that axis, which give the bits of ``rfftn`` and
+    ``irfftn`` over it without their dispatch.  A mask that varies along
+    both axes (only from a mask file or the Python API) runs ``rfftn`` and
+    ``irfftn`` over both, which numpy chains as 1-D passes in Python: an
+    apply costs about a quarter more than with scipy's n-D transforms
+    (64x64: 80 against 64 us; 1152x16x16: 7.3 against 5.7 ms, 2-core host).
     ``apply_linear_complex`` and ``residual`` keep the full complex 2D
     definition as the independent reference.
     """

@@ -39,7 +39,8 @@ from . import rng
 from .errors import ValidationError
 from .rng import RngStream
 from .schedules import (SamplerKind, Schedule, _freeze, check_family,
-                        check_step_index, forward_coeffs, step_index_of_time)
+                        check_step_index, forward_coeffs, step_index_of_time,
+                        ve_increment)
 from .score import ScoreOracle, check_mean_fits
 
 logger = logging.getLogger(__name__)
@@ -124,11 +125,11 @@ def reverse_step_smld(x: np.ndarray, i: int, schedule: Schedule,
               + sqrt(sigma_i^2 - sigma_{i-1}^2) z.
     """
     x, i = _step_input(x, i, schedule, SamplerKind.SMLD, "an SMLD step")
-    dv = float(schedule.sigma[i] ** 2 - schedule.sigma[i - 1] ** 2)
+    dv, g = ve_increment(schedule, i)
     s = oracle.score(x, i, schedule)
     s *= dv
     s += x
-    s += np.sqrt(dv) * z
+    s += g * z
     return s
 
 
@@ -179,15 +180,17 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
     1/max|J_i| of the oracle's slope, keeping 1 - eps |J_i| nonnegative.
     """
     x, i = _step_input(x, i, schedule, SamplerKind.SMLD, "the Langevin corrector")
-    if r < 0.0:
-        raise ValidationError("corrector step-size ratio r must be nonnegative")
+    if not 0.0 <= r < np.inf:
+        raise ValidationError("corrector_r must be finite and nonnegative")
     if r == 0.0:
         return x
     s = oracle.score(x, i, schedule)
     data_axes = tuple(range(batch_axes, x.ndim))
     # np.add.reduce is what np.sum wraps: the same bits without its dispatch.
-    s_norm = np.sqrt(np.add.reduce(s * s, axis=data_axes, keepdims=True))
-    z_norm = np.sqrt(np.add.reduce(z * z, axis=data_axes, keepdims=True))
+    # One norm per sample, so an unbatched call's step size is a numpy
+    # scalar, whose arithmetic skips the ufunc machinery.
+    s_norm = np.sqrt(np.add.reduce(s * s, axis=data_axes))
+    z_norm = np.sqrt(np.add.reduce(z * z, axis=data_axes))
     zero = s_norm == 0.0
     if zero.any():
         logger.warning("corrector skipped at step %d: zero score norm", i)
@@ -195,12 +198,16 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
             return x
         s_norm = np.where(zero, np.inf, s_norm)  # eps -> 0 on those rows
     if squared_step:
-        eps = 2.0 * (r * z_norm / s_norm) ** 2
+        # A product: an array's ** 2 is one, a numpy scalar's is libm pow.
+        q = r * z_norm / s_norm
+        eps = 2.0 * (q * q)
     else:
         eps = 2.0 * r * z_norm / s_norm
     j_max = np.abs(oracle.slope(i, schedule)).max()
     if j_max > 0.0:
         eps = np.minimum(eps, 1.0 / max(j_max, 1e-300))
+    if batch_axes:
+        eps = eps.reshape(eps.shape + (1,) * (x.ndim - batch_axes))
     s *= eps
     s += x
     s += np.sqrt(2.0 * eps) * z
@@ -449,13 +456,14 @@ def _fill_ahead(states: list, phases: list, op, anchor_rng: RngStream, n_prime: 
     """Start filling the path's draws ahead, as the module docstring says.
     A step draws, phase by phase, one block from each of the phase's streams
     and then the anchor.  Returns a context that settles a plan on exit, and
-    each prefetched stream's count of draws on the path."""
+    each prefetched stream's count of draws on the path (None on a plan,
+    which has no stream to prefetch)."""
     anchor = [(anchor_rng, states[0].shape)] if getattr(op, "draws_anchor", False) else []
     step = []
     for _, streams in phases:
         step += [(s, x.shape) for s, x in zip(streams or (), states)] + anchor
     if states[0].size < rng.REFILL_MIN_VALUES:
-        return rng.plan_draws(step * n_prime), Counter()
+        return rng.plan_draws(step * n_prime), None
     for stream, shape in dict(step).items():    # each stream's first draw
         rng.prefetch(stream, shape)
     return contextlib.nullcontext(), Counter(s for s, _ in step * n_prime)
@@ -509,7 +517,7 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
                 for k in range(len(states)):
                     states[k] = update(states[k], i, schedule, oracle,
                                        z=streams[k].normal(states[k].shape) if streams else None)
-                    if streams:
+                    if streams and left:
                         _prefetch_next(left, streams[k], states[k].shape)
                 # In place is safe: apply_linear returns a new array or the loop's
                 # own state.  An SR or inpaint offset is the anchor draw, freed before the next.
@@ -518,7 +526,8 @@ def reverse_path(states: list, cfg: CcdfConfig, schedule: Schedule,
                     states[k] = op.apply_linear(states[k])
                     states[k] += b
                 del b
-                _prefetch_next(left, anchor_rng, states[0].shape)
+                if left:
+                    _prefetch_next(left, anchor_rng, states[0].shape)
             if on_step is not None:
                 on_step(i, states)
     return states

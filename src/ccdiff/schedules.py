@@ -14,6 +14,8 @@ geometric series evaluated at i = 0.
 from __future__ import annotations
 
 import enum
+import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,18 +144,48 @@ def check_family(schedule: Schedule, kind: SamplerKind, what: str) -> None:
         raise ValidationError(f"{what} requires a {family} schedule")
 
 
+# Each schedule's step scalars, keyed by (function, i): weakly keyed
+# (``Schedule`` hashes by identity), so they are freed with the schedule.
+_MEMOS = weakref.WeakKeyDictionary()
+
+
+def _per_step(compute):
+    """``compute(schedule, i)`` at a checked step i, computed once per
+    schedule and step; later calls return the same object."""
+    @functools.wraps(compute)
+    def memoised(schedule: Schedule, i: int):
+        i = check_step_index(schedule, i)
+        memo = _MEMOS.get(schedule)
+        if memo is None:
+            memo = _MEMOS[schedule] = {}
+        value = memo.get((compute, i))
+        if value is None:
+            value = memo[compute, i] = compute(schedule, i)
+        return value
+    return memoised
+
+
+@_per_step
 def forward_coeffs(schedule: Schedule, i: int) -> ForwardCoeffs:
     """Coefficients (a_i, b_i) of the single-step forward diffusion at step i.
 
     DDPM/DDIM: a = sqrt(alpha_bar_i), b = sqrt(1 - alpha_bar_i).
     SMLD:      a = 1,                 b = sqrt(sigma_i^2 - sigma_0^2).
     """
-    i = check_step_index(schedule, i)
     if schedule.is_vp:
         ab = schedule.alpha_bar[i]
         return ForwardCoeffs(a=float(np.sqrt(ab)), b=float(np.sqrt(1.0 - ab)))
     s2 = schedule.sigma[i] ** 2 - schedule.sigma[0] ** 2
     return ForwardCoeffs(a=1.0, b=float(np.sqrt(s2)))
+
+
+@_per_step
+def ve_increment(schedule: Schedule, i: int) -> tuple:
+    """(g_i^2, g_i) with g_i^2 = sigma_i^2 - sigma_{i-1}^2 at step i of a VE
+    schedule.  The squares are scalar powers (libm ``pow``), which can
+    differ from an array's squares (products)."""
+    dv = float(schedule.sigma[i] ** 2 - schedule.sigma[i - 1] ** 2)
+    return dv, np.sqrt(dv)
 
 
 def step_index_of_time(t: float, N: int) -> int:

@@ -69,6 +69,9 @@ class GaussianScoreOracle(ScoreOracle):
                                   f"to the prior mean's shape {ms}")
         if not np.all((0.0 <= self.var) & (self.var < np.inf)):
             raise ValidationError("prior variances must be finite and nonnegative")
+        # The arithmetic's copy: a scalar variance as a Python float, whose
+        # products and sums have a 0-d array's bits without a ufunc call.
+        self._var = float(self.var) if self.var.ndim == 0 else self.var
 
     def score(self, x, i, schedule):
         # Two passes on VE steps (a_i = 1 and 1 * mu is mu).  Dividing by the
@@ -76,12 +79,12 @@ class GaussianScoreOracle(ScoreOracle):
         # IEEE division is symmetric in sign, signed zeros included.
         c = forward_coeffs(schedule, i)
         s = np.subtract(x, self.mu if c.a == 1.0 else c.a * self.mu)
-        s /= -(c.a * c.a * self.var + c.b * c.b)
+        s /= -(c.a * c.a * self._var + c.b * c.b)
         return s
 
     def slope(self, i, schedule):
         c = forward_coeffs(schedule, i)
-        return -1.0 / (c.a * c.a * self.var + c.b * c.b)
+        return -1.0 / (c.a * c.a * self._var + c.b * c.b)
 
 
 class ConditionalScoreOracle(GaussianScoreOracle):

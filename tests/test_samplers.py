@@ -255,6 +255,27 @@ def test_corrector_leaves_only_the_rows_at_zero_score_norm_where_they_are(
     assert (out[[1, 3]] != x[[1, 3]]).all()
 
 
+@pytest.mark.parametrize("squared_step", [False, True], ids=["linear", "squared"])
+def test_a_batched_corrector_call_has_the_bits_of_an_unbatched_call_per_row(
+        caplog, squared_step):
+    # Row 2 sits at the prior mean (zero score norm), row 1 where the clamp
+    # binds, rows 0 and 3 where it does not.
+    rng = RngStream(28)
+    mu = rng.substream(0).normal((8, 8))
+    spread = np.array([0.5, 1e-6, 0.0, 3.0]).reshape(4, 1, 1)
+    x = mu + spread * rng.substream(1).normal((4, 8, 8))
+    z = rng.substream(2).normal(x.shape)
+    oracle = GaussianScoreOracle(mu=mu, var=0.25)
+    with caplog.at_level(logging.WARNING, logger="ccdiff.samplers"):
+        out = langevin_corrector(x, 20, VE, oracle, 0.16, z, batch_axes=1,
+                                 squared_step=squared_step)
+    assert "zero score norm" in caplog.text
+    for k in range(len(x)):
+        row = langevin_corrector(x[k], 20, VE, oracle, 0.16, z[k],
+                                 squared_step=squared_step)
+        assert row.tobytes() == out[k].tobytes(), k
+
+
 def test_corrector_rejects_vp_schedule():
     with pytest.raises(ValidationError):
         langevin_corrector(np.zeros(4), 10, VP, ZeroScoreOracle(), 0.16,
@@ -262,9 +283,21 @@ def test_corrector_rejects_vp_schedule():
 
 
 def test_corrector_rejects_a_negative_step_size_ratio():
-    with pytest.raises(ValidationError, match="r must be nonnegative"):
+    with pytest.raises(ValidationError, match="corrector_r must be finite and nonnegative"):
         langevin_corrector(np.zeros(4), 10, VE, ZeroScoreOracle(), -0.1,
                            RngStream(21).normal((4,)))
+
+
+@pytest.mark.parametrize("r", [float("nan"), float("inf")])
+def test_corrector_refuses_a_step_size_ratio_that_ccdf_config_refuses(r):
+    # A NaN r passed every comparison of the old check and made the whole
+    # state NaN; CcdfConfig refuses it in the same words.
+    mu = RngStream(26).normal((8,))
+    with pytest.raises(ValidationError, match="corrector_r must be finite and nonnegative"):
+        langevin_corrector(mu + 1.0, 5, VE, ConditionalScoreOracle(mu), r,
+                           RngStream(27).normal((8,)))
+    with pytest.raises(ValidationError, match="corrector_r must be finite and nonnegative"):
+        CcdfConfig(t0=0.5, N=VE.N, kind=SamplerKind.SMLD, corrector_r=r)
 
 
 def test_corrector_golden_regression_lock():

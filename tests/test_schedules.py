@@ -1,12 +1,15 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
 
 from ccdiff import (SamplerKind, ValidationError, forward_coeffs,
                     make_ve_schedule, make_vp_schedule, step_index_of_time)
+from ccdiff import schedules
 from ccdiff.imgio import write_csv
-from ccdiff.schedules import schedule_rows
+from ccdiff.schedules import schedule_rows, ve_increment
 
 # High-precision product of (1 - beta_i) for VP(1e-4, 0.02, 1000), computed
 # once with mpmath at 50 digits (see test_alpha_bar_against_mpmath_oracle).
@@ -175,6 +178,73 @@ def test_forward_coeffs_rejects_out_of_range_index():
     for i in (0, 11, -3):
         with pytest.raises(ValidationError):
             forward_coeffs(s, i)
+
+
+def _bytes(*values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+# On each VE schedule here a scalar sigma_i ** 2 (libm pow) differs from the
+# product sigma_i * sigma_i at one step i, as the test checks.
+MEMO_VP = [(1e-4, 0.02, 1000), (1e-3, 0.05, 50), (0.1, 0.3, 7)]
+MEMO_VE = [(0.01, 378.0, 1000), (0.12, 212.4, 208), (0.02, 50.0, 50)]
+
+
+@pytest.mark.parametrize("args", MEMO_VP)
+def test_memoised_vp_coefficients_have_the_bits_of_their_formula(args):
+    s = make_vp_schedule(*args)
+    for i in np.random.default_rng(1).permutation(np.arange(1, s.N + 1)):
+        c = forward_coeffs(s, i)
+        ab = s.alpha_bar[i]
+        assert _bytes(c.a, c.b) == _bytes(float(np.sqrt(ab)), float(np.sqrt(1.0 - ab))), i
+        assert forward_coeffs(s, i) is c
+
+
+@pytest.mark.parametrize("args", MEMO_VE)
+def test_memoised_ve_coefficients_and_increments_have_the_bits_of_their_formula(args):
+    s = make_ve_schedule(*args)
+    sig = s.sigma
+    assert any(sig[i] ** 2 != sig[i] * sig[i] for i in range(s.N + 1))
+    for i in np.random.default_rng(2).permutation(np.arange(1, s.N + 1)):
+        c = forward_coeffs(s, i)
+        b = float(np.sqrt(sig[i] ** 2 - sig[0] ** 2))
+        assert _bytes(c.a, c.b) == _bytes(1.0, b), i
+        dv = float(sig[i] ** 2 - sig[i - 1] ** 2)
+        assert _bytes(*ve_increment(s, i)) == _bytes(dv, np.sqrt(dv)), i
+        assert forward_coeffs(s, i) is c and ve_increment(s, i) is ve_increment(s, i)
+
+
+@pytest.mark.parametrize("make, args", [(make_vp_schedule, (1e-4, 0.02, 10)),
+                                        (make_ve_schedule, (0.01, 378.0, 10))])
+def test_step_scalars_refuse_an_index_out_of_range_before_reading_the_memo(make, args):
+    s = make(*args)
+    for i in (0, s.N + 1, -1, -s.N):
+        for fn in (forward_coeffs, ve_increment):
+            with pytest.raises(ValidationError, match="out of range"):
+                fn(s, i)
+    assert s not in schedules._MEMOS
+    # With every entry filled; unchecked, -1 and -N would read the arrays'
+    # entries N and 1 from their end.
+    for i in range(1, s.N + 1):
+        forward_coeffs(s, i), ve_increment(s, i)
+    for i in (0, s.N + 1, -1, -s.N):
+        for fn in (forward_coeffs, ve_increment):
+            with pytest.raises(ValidationError, match="out of range"):
+                fn(s, i)
+
+
+def test_the_step_memo_is_freed_with_its_schedule():
+    gc.collect()
+    before = len(schedules._MEMOS)
+    own = make_ve_schedule(0.01, 378.0, 1000)
+    c = forward_coeffs(own, 10)
+    ve_increment(own, 10)
+    assert len(schedules._MEMOS) == before + 1
+    coeffs_ref, schedule_ref = weakref.ref(c), weakref.ref(own)
+    del own, c
+    gc.collect()
+    assert schedule_ref() is None and coeffs_ref() is None
+    assert len(schedules._MEMOS) == before
 
 
 def test_step_index_of_time():
