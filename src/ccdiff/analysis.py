@@ -97,7 +97,14 @@ def bound_traces(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
                the recursion, hence recursive <= simple entrywise).
 
     With ``final`` set, only the step-0 bounds (simple B_0, recursive B_0)
-    are computed, as floats with the bits of entry 0 of the traces.
+    are computed, as floats with the bits of entry 0 of the traces.  The
+    recursion then starts at the smallest j with lambda_j = 0, from err_{N'}
+    in place of B_j: any finite B_j >= +0.0 gives fl(0 B_j + 2 C_j tau),
+    also where 2 C_j tau is -0.0 (tau = -0.0), so the steps above j are
+    skipped.  It does so only for err_{N'} > 0 (a -0.0 start can reach B_j =
+    +0.0) and err_{N'} + 2 C tau / (1 - lambda^2) < 2^1000, which keeps every
+    B_j finite; otherwise, as where B_j overflows and 0 * inf is nan, the
+    whole recursion runs.
     """
     lam = np.asarray(lambda_per_step, dtype=np.float64)
     cs = np.asarray(c_per_step, dtype=np.float64)
@@ -121,13 +128,19 @@ def bound_traces(lambda_per_step: np.ndarray, c_per_step: np.ndarray,
     fwd_err = float(fwd_err)
     if not 0.0 <= fwd_err < math.inf:
         raise ValidationError(f"fwd_err must be finite and >= 0, got {fwd_err!r}")
-    # np.float_power is libm pow, as the float ** of the loop it replaced
-    # was; lam * lam and np.power(lam, 2) would move a few bits.
-    sq = np.float_power(lam[::-1], 2.0)
-    noise = 2.0 * cs[::-1] * tau
     c_max = float(cs.max(initial=0.0))
     head = 2.0 * c_max * tau / (1.0 - lam_max ** 2)
-    rec = np.empty(n_prime + 1)
+    # Below 2^1000, B_j <= (fwd_err + head)(1 + u)^(2N' + 6) stays finite.
+    tail = n_prime
+    if final and n_prime and 0.0 < fwd_err and fwd_err + head < 2.0 ** 1000:
+        first_zero = int(lam.argmin())
+        if lam[first_zero] == 0.0:
+            tail = first_zero + 1
+    # np.float_power is libm pow, as the float ** of the loop it replaced
+    # was; lam * lam and np.power(lam, 2) would move a few bits.
+    sq = np.float_power(lam[:tail][::-1], 2.0)
+    noise = 2.0 * cs[:tail][::-1] * tau
+    rec = np.empty(tail + 1)
     if fwd_err > 0.0 and not noise.any():
         # Every 2 C_j tau is 0, and fl(lam^2 b) + 0.0 = fl(lam^2 b) for
         # finite b > 0: the running product, left to right, is the recursion.

@@ -192,9 +192,10 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
     s_norm = np.sqrt(np.add.reduce(s * s, axis=data_axes))
     z_norm = np.sqrt(np.add.reduce(z * z, axis=data_axes))
     zero = s_norm == 0.0
-    if zero.any():
+    # Unbatched, zero is one np.bool_: bool() on it skips .any()'s dispatch.
+    if (zero.any() if batch_axes else zero):
         logger.warning("corrector skipped at step %d: zero score norm", i)
-        if zero.all():
+        if not batch_axes or zero.all():
             return x
         s_norm = np.where(zero, np.inf, s_norm)  # eps -> 0 on those rows
     if squared_step:
@@ -203,7 +204,8 @@ def langevin_corrector(x: np.ndarray, i: int, schedule: Schedule,
         eps = 2.0 * (q * q)
     else:
         eps = 2.0 * r * z_norm / s_norm
-    j_max = np.abs(oracle.slope(i, schedule)).max()
+    slope = oracle.slope(i, schedule)
+    j_max = abs(slope) if isinstance(slope, float) else np.abs(slope).max()
     if j_max > 0.0:
         eps = np.minimum(eps, 1.0 / max(j_max, 1e-300))
     if batch_axes:

@@ -393,6 +393,72 @@ def test_report_prints_entry_zero_of_the_bound_traces(kind):
             (n_prime, n, tau, eps0)
 
 
+def _assert_step0_is_entry0(lam, cs, tau, fwd):
+    lam, cs = np.array(lam, dtype=np.float64), np.array(cs, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        simple, rec = bound_traces(lam, cs, tau, fwd)
+        ref = _recursive_trace_on_numpy_scalars(lam, cs, tau, fwd)
+        step0 = bound_traces(lam, cs, tau, fwd, final=True)
+    assert rec.tobytes() == ref.tobytes()
+    assert np.array(step0).tobytes() == np.array([simple[0], rec[0]]).tobytes(), \
+        (lam, cs, tau, fwd, step0, rec[0])
+    return step0[1]
+
+
+def test_step0_bound_starts_at_the_first_zero_lambda_with_the_same_bits():
+    # The only zero at j = 2: step 1 still runs after it.
+    assert _assert_step0_is_entry0([0.3, 0.0, 0.7, 0.5], [1.0, 2.0, 3.0, 4.0],
+                                   0.5, 10.0) == 0.09 * 2.0 + 1.0
+    _assert_step0_is_entry0([0.3, 0.0, 0.7, 0.0, 0.5], [1.0, 2.0, 3.0, 4.0, 5.0],
+                            1.0, 1e4)
+    # tau = -0.0: 0 * B_j + (-0.0) is +0.0, where 2 C_1 tau alone is -0.0.
+    for lam in ([0.0, 0.5], [0.0, 0.0], [0.3, 0.0, 0.5]):
+        b = _assert_step0_is_entry0(lam, np.ones(len(lam)), -0.0, 5.0)
+        assert np.array(b).tobytes() == np.array(0.0).tobytes()
+    # A -0.0 forward error stays -0.0 until a +0.0 noise term makes it +0.0;
+    # starting the tail from it would give -0.0.
+    b = _assert_step0_is_entry0([0.0, 0.5], [1.0, -0.0], -0.0, -0.0)
+    assert np.array(b).tobytes() == np.array(0.0).tobytes()
+
+
+@pytest.mark.parametrize("schedule, kind", [
+    (VE, SamplerKind.DDIM),
+    (make_ve_schedule(0.07912110741180493, 209.53137441444693, 210), SamplerKind.SMLD),
+])
+def test_step0_bound_without_a_zero_lambda_runs_the_whole_recursion(schedule, kind):
+    cases = zip(range(1, schedule.N + 1, 3), itertools.cycle(BIT_GRID))
+    for n_prime, (n, tau, eps0) in cases:
+        _, lam = contraction_rate(schedule, kind, n_prime)
+        assert lam.min() > 0.0
+        _assert_step0_is_entry0(lam, noise_constant_per_step(schedule, kind, n_prime, n),
+                                tau, forward_error(eps0, schedule, kind, n_prime, n))
+
+
+def test_step0_bound_on_both_sides_of_the_overflow_guard():
+    # The loop overflows B_1 and gives 0 * inf = nan; the tail alone gives 2.
+    assert np.isnan(_assert_step0_is_entry0([0.0, 0.5], [1.0, 1e308], 1.0, 1.0))
+    assert np.isnan(_assert_step0_is_entry0([0.0, 0.9], [1.0, 0.5e308], 1.0, 1e308))
+    # fwd_err + 2 C tau / (1 - lambda^2) just below, at and above 2^1000.
+    for fwd in (2.0 ** 1000 - 2.0 ** 960, 2.0 ** 1000, 1.7e308):
+        assert _assert_step0_is_entry0([0.0, 0.5], [1.0, 1.0], 1.0, fwd) == 2.0
+    assert _assert_step0_is_entry0([0.0, 0.5], [1.0, 2.0 ** 998], 1.0, 1.0) == 2.0
+
+
+@pytest.mark.parametrize("kind", list(SamplerKind))
+def test_report_recursive_bound_collapses_at_lambda_1_zero(kind):
+    # lambda_1 = 0 on the default schedules (DDPM: 1 - alpha_bar_0 = 0, SMLD:
+    # clamped, VP-DDIM: sigma_0 = 0), so B_0 = fl(0 B_1 + 2 C_1 tau) whatever N'.
+    schedule = VE if kind is SamplerKind.SMLD else VP
+    assert contraction_rate(schedule, kind, 1)[1][0] == 0.0
+    cases = zip(range(1, schedule.N + 1), itertools.cycle(BIT_GRID))
+    for n_prime, (n, tau, eps0) in cases:
+        rep = contraction_report(schedule, kind, n_prime, n, tau, eps0)
+        c1 = float(noise_constant_per_step(schedule, kind, 1, n)[0])
+        want = 0.0 * rep.forward_error + 2.0 * c1 * tau
+        assert np.array(rep.bound_recursive).tobytes() == np.array(want).tobytes(), \
+            (n_prime, n, tau, eps0)
+
+
 def test_report_and_shortcut_refuse_a_non_integral_dimension():
     for n in (2.5, 64.0, True, np.float64(64)):
         with pytest.raises(ValidationError, match="n must be an integer"):
